@@ -124,22 +124,23 @@ func newObsSet(links []Link) *obsSet {
 }
 
 // engine carries the state of one diagnosis run shared by both engine
-// implementations; the fields below the trace handles belong to the
-// map-based reference path (EngineMap). The bitset path keeps its own
-// interned state in bitEngine.
+// implementations; the fields from exp on belong to the map-based
+// reference path (EngineMap), which runMap initializes. The bitset path
+// keeps its own interned state in bitEngine.
 type engine struct {
 	ctx     context.Context
 	workers int
 	opts    Options
-	exp     *expander
-	nodeAS  map[Node]topology.ASN
-	nodeUH  map[Node]bool
-	uhTags  map[Node]asTag
 
 	// trace is non-nil only when the run is observed (Options.Telemetry or
 	// Options.Logger); every phase helper is a no-op otherwise.
 	trace *telemetry.Trace
 	poolM *pool.Metrics
+
+	exp    *expander
+	nodeAS map[Node]topology.ASN
+	nodeUH map[Node]bool
+	uhTags map[Node]asTag
 
 	allLinks linkSet // every link of every before path (diagnosis space)
 	// linkPaths maps each before-path link to the sensor pairs whose
@@ -162,9 +163,9 @@ func Run(m *Measurements, opts Options) (*Result, error) {
 }
 
 // RunCtx executes the configured diagnosis, honoring ctx: cancellation is
-// checked between pipeline phases and on every greedy iteration, so a long
-// run aborts promptly with ctx.Err(). The result is identical to Run for an
-// uncancelled context.
+// checked on entry, between pipeline phases and on every greedy iteration,
+// so a long run aborts promptly with ctx.Err(). The result is identical to
+// Run for an uncancelled context.
 func RunCtx(ctx context.Context, m *Measurements, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -179,19 +180,7 @@ func RunCtx(ctx context.Context, m *Measurements, opts Options) (*Result, error)
 	if workers < 1 {
 		workers = 1 // zero Options stays sequential for compatibility
 	}
-	e := &engine{
-		ctx:        ctx,
-		workers:    workers,
-		opts:       opts,
-		exp:        newExpander(opts.PerPrefixLogical),
-		nodeAS:     map[Node]topology.ASN{},
-		nodeUH:     map[Node]bool{},
-		allLinks:   linkSet{},
-		linkPaths:  map[Link]map[pair]bool{},
-		working:    linkSet{},
-		cand:       linkSet{},
-		extraCover: map[Link][]Link{},
-	}
+	e := &engine{ctx: ctx, workers: workers, opts: opts}
 	if opts.Telemetry != nil || opts.Logger != nil {
 		e.trace = telemetry.NewTrace()
 		if opts.Telemetry != nil {
@@ -199,39 +188,20 @@ func RunCtx(ctx context.Context, m *Measurements, opts Options) (*Result, error)
 			e.poolM = pool.NewMetrics(opts.Telemetry)
 		}
 	}
-
-	end := e.phase("validate")
-	idx := m.buildIndex()
-	err := m.validateIndexed(idx)
-	end()
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	work := m
-	if opts.LogicalLinks {
-		end = e.phase("expand")
-		work = e.exp.expandAll(m)
-		idx = idx.rebind(work)
-		end()
-	}
-	e.collectNodes(work)
-	if opts.LG != nil {
-		e.uhTags = mapUHs(work, opts.LG)
-	}
-
-	var iters, unexplained int
+	var res *Result
+	var err error
 	if opts.Engine == EngineMap {
-		iters, unexplained, err = e.runMap(idx)
+		res, err = e.runMap(m)
 	} else {
-		iters, unexplained, err = newBitEngine(e).run(idx)
+		res, err = newBitEngine(e).run(m)
 	}
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{Iterations: iters, UnexplainedFailures: unexplained}
-	res.Hypothesis = e.attribute()
 	res.Telemetry = e.trace.Spans()
 	if opts.Logger != nil {
 		opts.Logger.Debug("diagnose done",
@@ -242,15 +212,49 @@ func RunCtx(ctx context.Context, m *Measurements, opts Options) (*Result, error)
 	return res, nil
 }
 
-// runMap is the map-based reference pipeline: set building, candidate
-// construction and the full-rescore greedy loop over linkSet maps. It
-// fills e.hyp and returns the iteration and unexplained-failure counts.
-func (e *engine) runMap(idx *meshIndex) (iters, unexplained int, err error) {
-	end := e.phase("build_sets")
+// runMap is the map-based reference pipeline: the string front half
+// (per-pair maps, the string expander over a copy of the measurements,
+// node maps), set building, candidate construction and the full-rescore
+// greedy loop over linkSet maps.
+func (e *engine) runMap(m *Measurements) (*Result, error) {
+	e.exp = newExpander(e.opts.PerPrefixLogical)
+	e.nodeAS = map[Node]topology.ASN{}
+	e.nodeUH = map[Node]bool{}
+	e.allLinks = linkSet{}
+	e.linkPaths = map[Link]map[pair]bool{}
+	e.working = linkSet{}
+	e.cand = linkSet{}
+	e.extraCover = map[Link][]Link{}
+
+	end := e.phase("validate")
+	idx := m.buildIndex()
+	err := m.validateIndexed(idx)
+	end()
+	if err != nil {
+		return nil, err
+	}
+	work := m
+	if e.opts.LogicalLinks {
+		if err := e.ctx.Err(); err != nil {
+			return nil, err
+		}
+		end = e.phase("expand")
+		work = e.exp.expandAll(m)
+		idx = idx.rebind(work)
+		end()
+	}
+	if err := e.ctx.Err(); err != nil {
+		return nil, err
+	}
+	end = e.phase("build_sets")
+	e.collectNodes(work)
+	if e.opts.LG != nil {
+		e.uhTags = mapUHs(work, e.opts.LG)
+	}
 	e.buildSets(idx)
 	end()
 	if err := e.ctx.Err(); err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	end = e.phase("candidates")
 	e.exonerateWithdrawalEdges()
@@ -262,20 +266,24 @@ func (e *engine) runMap(idx *meshIndex) (iters, unexplained int, err error) {
 	}
 	end()
 	if err := e.ctx.Err(); err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	end = e.phase("greedy")
-	iters, err = e.greedy()
+	iters, err := e.greedy()
 	end()
 	if err != nil {
-		return iters, 0, err
+		return nil, err
 	}
+	unexplained := 0
 	for _, fs := range e.failSets {
 		if !fs.explained {
 			unexplained++
 		}
 	}
-	return iters, unexplained, nil
+	end = e.phase("attribute")
+	res := &Result{Iterations: iters, UnexplainedFailures: unexplained, Hypothesis: e.attribute()}
+	end()
+	return res, nil
 }
 
 var noopEnd = func() {}

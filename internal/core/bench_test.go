@@ -75,13 +75,13 @@ func BenchmarkNDEdge(b *testing.B) {
 	}
 }
 
-// BenchmarkExpandPaths measures the logical-link expansion alone.
+// BenchmarkExpandPaths measures the logical-link expansion as the default
+// engine runs it: node interning, then the expansion of the ID arena.
 func BenchmarkExpandPaths(b *testing.B) {
 	m := synthMeasurements(10, 0, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := newExpander(false)
-		e.expandAll(m)
+		readMesh(m).expand(m, false)
 	}
 }
 

@@ -2,15 +2,19 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"netdiag/internal/pool"
 )
 
-// bitEngine is the default diagnosis pipeline: every Link is interned to a
-// dense int32 ID, set membership becomes packed bitsets, greedy scoring is
-// popcount over word-ANDs, and the greedy loop maintains incremental
-// per-candidate scores instead of rescoring every candidate each round.
+// bitEngine is the default diagnosis pipeline. Nodes and sensor pairs get
+// dense IDs while the measurements are read, the logical expansion and set
+// building run over those IDs (ids.go), every link is a dense int32 ID
+// keyed by its endpoint IDs, set membership becomes packed bitsets, greedy
+// scoring is popcount over word-ANDs, and the greedy loop maintains
+// incremental per-candidate scores instead of rescoring every candidate
+// each round.
 //
 // Equivalence with the map-based reference (EngineMap) is structural, not
 // accidental: every user-visible iteration (candidate scan, cluster pairs,
@@ -19,8 +23,11 @@ import (
 // the delta updates below are exact (see DESIGN.md, "Bitset diagnosis
 // core"). The differential harness pins byte-identical wire output.
 type bitEngine struct {
-	e  *engine
-	in *linkInterner
+	e     *engine
+	m     *Measurements
+	mesh  *idMesh
+	nodes *nodeTable
+	links *linkTable
 
 	nPairs int
 
@@ -68,27 +75,53 @@ type bitEngine struct {
 	// fCnt / rCnt are the incremental integer scores: how many unexplained
 	// failure / reroute sets each candidate position currently covers.
 	fCnt, rCnt []int
+
+	// hyp collects the hypothesis link IDs in selection order.
+	hyp []int32
 }
 
 func newBitEngine(e *engine) *bitEngine {
-	return &bitEngine{
-		e:          e,
-		in:         newLinkInterner(),
-		extraCover: map[int32][]int32{},
-	}
+	return &bitEngine{e: e, extraCover: map[int32][]int32{}}
 }
 
-// run executes the bitset pipeline and returns the greedy iteration and
-// unexplained-failure counts, filling e.hyp for shared attribution.
-func (b *bitEngine) run(idx *meshIndex) (iters, unexplained int, err error) {
+// run executes the pipeline over dense IDs: validate reads the
+// measurements into pair and node IDs, expand rewrites the node arena with
+// logical nodes, and the later phases work on link IDs.
+func (b *bitEngine) run(m *Measurements) (*Result, error) {
 	e := b.e
-	end := e.phase("build_sets")
-	b.buildSets(idx)
+	b.m = m
+	end := e.phase("validate")
+	pairs, err := m.indexPairs()
+	if err == nil {
+		b.mesh = readMesh(m)
+		b.nodes = b.mesh.nodes
+	}
+	end()
+	if err != nil {
+		return nil, err
+	}
+	if e.opts.LogicalLinks {
+		if err := e.ctx.Err(); err != nil {
+			return nil, err
+		}
+		end = e.phase("expand")
+		b.mesh.expand(m, e.opts.PerPrefixLogical)
+		end()
+	}
+	if err := e.ctx.Err(); err != nil {
+		return nil, err
+	}
+	end = e.phase("build_sets")
+	b.links = newLinkTable(b.nodes)
+	b.buildSets(pairs)
 	end()
 	if err := e.ctx.Err(); err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	end = e.phase("candidates")
+	if e.opts.LG != nil {
+		b.nodes.mapUHTags(m, e.opts.LG)
+	}
 	b.exonerateWithdrawalEdges()
 	b.buildCandidates()
 	b.addPhysParents()
@@ -100,34 +133,44 @@ func (b *bitEngine) run(idx *meshIndex) (iters, unexplained int, err error) {
 	}
 	end()
 	if err := e.ctx.Err(); err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	end = e.phase("greedy")
-	iters, err = b.greedy()
+	iters, err := b.greedy()
 	end()
 	if err != nil {
-		return iters, 0, err
+		return nil, err
 	}
-	return iters, b.nUnexplF, nil
+	end = e.phase("attribute")
+	res := &Result{Iterations: iters, UnexplainedFailures: b.nUnexplF, Hypothesis: b.attribute()}
+	end()
+	return res, nil
 }
 
-// buildSets derives failure sets, reroute sets and working constraints,
-// interning every link on first sight (sorted pair order, path order).
-func (b *bitEngine) buildSets(idx *meshIndex) {
-	e := b.e
-	b.nPairs = len(idx.pairs)
+// buildSets derives failure sets, reroute sets and working constraints
+// over the pairs in (src, dst) order, interning every link on first sight.
+func (b *bitEngine) buildSets(pairs []pairRef) {
+	e, x, m := b.e, b.mesh, b.m
+	b.nPairs = len(pairs)
 	lgMode := e.opts.LG != nil
-	for pi, pr := range idx.pairs {
-		ap := idx.after[pr]
-		bp := idx.before[pr]
-		if bp == nil {
-			continue
+	wds := b.withdrawals()
+	// Every pair's before-path link IDs live in one arena: the failure sets
+	// keep suffixes of them.
+	n := 0
+	for _, pr := range pairs {
+		if s := x.before[pr.b]; s.end-s.off > 1 {
+			n += int(s.end - s.off - 1)
 		}
-		bLinks := bp.Links()
-		bIDs := make([]int32, len(bLinks))
-		for i, l := range bLinks {
-			id := b.in.id(l)
-			bIDs[i] = id
+	}
+	arena := make([]int32, 0, n)
+	var aIDs []int32
+	for pi, pr := range pairs {
+		bp, ap := m.Before[pr.b], m.After[pr.a]
+		bHops, aHops := x.path(x.before[pr.b]), x.path(x.after[pr.a])
+		off := len(arena)
+		arena = appendLinkIDs(arena, b.links, bHops)
+		bIDs := arena[off:len(arena):len(arena)]
+		for _, id := range bIDs {
 			setGrow(&b.all, id)
 			if lgMode {
 				b.pairRow(id).set(int32(pi))
@@ -138,17 +181,13 @@ func (b *bitEngine) buildSets(idx *meshIndex) {
 		}
 		switch {
 		case ap.OK && e.opts.UseReroutes:
-			aLinks := ap.Links()
-			for _, l := range aLinks {
-				setGrow(&b.working, b.in.id(l))
+			aIDs = appendLinkIDs(aIDs[:0], b.links, aHops)
+			for _, id := range aIDs {
+				setGrow(&b.working, id)
 			}
-			if !pathsEquivalent(bp, ap) {
-				if diff := linksNotIn(bLinks, aLinks); len(diff) > 0 {
-					ids := make([]int32, len(diff))
-					for i, l := range diff {
-						ids[i] = b.in.id(l)
-					}
-					b.rerLinks = append(b.rerLinks, ids)
+			if !equivalentHops(bHops, aHops) {
+				if diff := idsNotIn(bIDs, aIDs); len(diff) > 0 {
+					b.rerLinks = append(b.rerLinks, diff)
 				}
 			}
 		case ap.OK:
@@ -158,19 +197,100 @@ func (b *bitEngine) buildSets(idx *meshIndex) {
 				setGrow(&b.working, id)
 			}
 		default:
-			links := trimByWithdrawals(bp, bLinks, e.opts.Routing)
 			if e.opts.UsePartialTraces {
-				for _, l := range ap.Links() {
-					setGrow(&b.working, b.in.id(l))
+				aIDs = appendLinkIDs(aIDs[:0], b.links, aHops)
+				for _, id := range aIDs {
+					setGrow(&b.working, id)
 				}
 			}
-			// trimByWithdrawals returns a suffix of bLinks, so the IDs are
-			// the matching suffix of bIDs.
-			b.failLinks = append(b.failLinks, bIDs[len(bLinks)-len(links):])
+			cut := b.withdrawalCut(wds, bp.DstSensor, bHops)
+			b.failLinks = append(b.failLinks, bIDs[min(cut, len(bIDs)):])
 		}
 	}
 	b.unexplF, b.nUnexplF = fullMask(len(b.failLinks))
 	b.unexplR, b.nUnexplR = fullMask(len(b.rerLinks))
+}
+
+// equivalentHops is pathsEquivalent over node IDs: same length, identified
+// hops equal, unidentified positions aligned.
+func equivalentHops(a, b []idHop) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].uh != b[i].uh || !a[i].uh && a[i].node != b[i].node {
+			return false
+		}
+	}
+	return true
+}
+
+// idsNotIn is linksNotIn over link IDs. Paths are about ten hops, so a
+// scan beats building a set.
+func idsNotIn(a, b []int32) []int32 {
+	var out []int32
+	for _, id := range a {
+		if !slices.Contains(b, id) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// idWithdrawal is a Withdrawal with its routers resolved to node IDs.
+type idWithdrawal struct {
+	at, from int32
+	dsts     []int
+}
+
+// withdrawals resolves the observed withdrawals. One naming a router no
+// path visits can trim nothing, so it is dropped.
+func (b *bitEngine) withdrawals() []idWithdrawal {
+	ri := b.e.opts.Routing
+	if ri == nil {
+		return nil
+	}
+	var out []idWithdrawal
+	for _, w := range ri.Withdrawals {
+		at, ok := b.nodes.lookup(w.At)
+		from, fok := b.nodes.lookup(w.From)
+		if ok && fok {
+			out = append(out, idWithdrawal{at: at, from: from, dsts: w.DstSensors})
+		}
+	}
+	return out
+}
+
+// withdrawalCut is trimByWithdrawals over node IDs: the number of leading
+// links of a failed before path that the withdrawals exonerate.
+func (b *bitEngine) withdrawalCut(wds []idWithdrawal, dst int, hops []idHop) int {
+	cut := 0
+	for _, w := range wds {
+		if !containsInt(w.dsts, dst) {
+			continue
+		}
+		atIdx := -1
+		for i, h := range hops {
+			switch h.node {
+			case w.at:
+				if atIdx == -1 {
+					atIdx = i
+				}
+			case w.from:
+				if atIdx < 0 || i <= atIdx {
+					continue
+				}
+				c := i
+				// A logical node before From is From(tag): cut at it, so the
+				// possibly misconfigured sub-link From(tag)->From stays.
+				if c > 0 && b.nodes.isLogical(hops[c-1].node) {
+					c--
+				}
+				cut = max(cut, c)
+			}
+		}
+	}
+	return cut
 }
 
 // pairRow returns link id's pair-incidence row, growing the table and
@@ -206,18 +326,15 @@ func fullMask(n int) (bitset, int) {
 }
 
 func (b *bitEngine) exonerateWithdrawalEdges() {
-	ri := b.e.opts.Routing
-	if ri == nil {
-		return
-	}
-	for _, w := range ri.Withdrawals {
-		setGrow(&b.working, b.in.id(Link{From: w.At, To: w.From}))
-		setGrow(&b.working, b.in.id(Link{From: w.From, To: w.At}))
+	for _, w := range b.withdrawals() {
+		setGrow(&b.working, b.links.id(w.at, w.from))
+		setGrow(&b.working, b.links.id(w.from, w.at))
 	}
 }
 
 func (b *bitEngine) buildCandidates() {
 	e := b.e
+	uh := b.nodes.uh
 	add := func(sets [][]int32) {
 		for _, ids := range sets {
 			for _, id := range ids {
@@ -225,8 +342,8 @@ func (b *bitEngine) buildCandidates() {
 					continue
 				}
 				if !e.opts.KeepUnidentified {
-					l := b.in.links[id]
-					if e.nodeUH[l.From] || e.nodeUH[l.To] {
+					l := b.links.ends[id]
+					if uh[l[0]] || uh[l[1]] {
 						continue
 					}
 				}
@@ -238,48 +355,57 @@ func (b *bitEngine) buildCandidates() {
 	add(b.rerLinks)
 }
 
-// addPhysParents mirrors engine.addPhysParents over interned IDs. Parents
-// are visited in sorted-Link order so interning stays deterministic; a
-// child the interner has never seen was on no path and no constraint, so
+// addPhysParents mirrors engine.addPhysParents over IDs. A physical link's
+// children are the links u->v(W)@u and v(W)@u->v of its logical nodes.
+// Parents go in order of their first logical node: no order is visible,
+// since extra-cover is OR-folded and link IDs never reach the output. A
+// child the link table has never seen was on no path and no constraint, so
 // it is neither working nor a candidate.
 func (b *bitEngine) addPhysParents() {
-	e := b.e
-	if !e.opts.LogicalLinks {
+	if !b.e.opts.LogicalLinks {
 		return
 	}
-	parents := make([]Link, 0, len(e.exp.children))
-	for p := range e.exp.children {
-		parents = append(parents, p)
-	}
-	sort.Slice(parents, func(i, j int) bool {
-		if parents[i].From != parents[j].From {
-			return parents[i].From < parents[j].From
+	t := b.nodes
+	parentOf := map[[2]int32]int32{}
+	var parents [][2]int32
+	var kids [][]int32
+	for k, key := range t.logical {
+		uv := [2]int32{key.u, key.v}
+		p, ok := parentOf[uv]
+		if !ok {
+			p = int32(len(parents))
+			parentOf[uv] = p
+			parents = append(parents, uv)
+			kids = append(kids, nil)
 		}
-		return parents[i].To < parents[j].To
-	})
-	for _, parent := range parents {
-		if pid, ok := b.in.lookup(parent); ok && b.working.has(pid) {
+		kids[p] = append(kids[p], t.nPhys+int32(k))
+	}
+	for p, uv := range parents {
+		if pid, ok := b.links.lookup(uv[0], uv[1]); ok && b.working.has(pid) {
 			continue
 		}
 		exonerated := false
 		var covered []int32
-		for _, c := range e.exp.children[parent] {
-			cid, ok := b.in.lookup(c)
-			if !ok {
-				continue
-			}
-			if b.working.has(cid) {
-				exonerated = true
-				break
-			}
-			if b.cand.has(cid) {
-				covered = append(covered, cid)
+	scan:
+		for _, ln := range kids[p] {
+			for _, c := range [2][2]int32{{uv[0], ln}, {ln, uv[1]}} {
+				cid, ok := b.links.lookup(c[0], c[1])
+				if !ok {
+					continue
+				}
+				if b.working.has(cid) {
+					exonerated = true
+					break scan
+				}
+				if b.cand.has(cid) {
+					covered = append(covered, cid)
+				}
 			}
 		}
 		if exonerated || len(covered) == 0 {
 			continue
 		}
-		pid := b.in.id(parent)
+		pid := b.links.id(uv[0], uv[1])
 		setGrow(&b.cand, pid)
 		b.extraCover[pid] = append(b.extraCover[pid], covered...)
 	}
@@ -289,7 +415,7 @@ func (b *bitEngine) addPhysParents() {
 // rows. It runs after addPhysParents — the last point where new links are
 // interned — so the row tables cover the final ID universe.
 func (b *bitEngine) buildIncidence() {
-	n := b.in.size()
+	n := b.links.size()
 	b.failInc = make([]bitset, n)
 	b.rerInc = make([]bitset, n)
 	nF, nR := len(b.failLinks), len(b.rerLinks)
@@ -320,15 +446,31 @@ func (b *bitEngine) applyIGPDowns() {
 		return
 	}
 	for _, l := range e.opts.Routing.IGPDownLinks {
-		id, ok := b.in.lookup(l)
+		id, ok := b.lookupLink(l)
 		if !ok || !b.all.has(id) {
 			continue
 		}
-		e.hyp = append(e.hyp, l)
+		b.hyp = append(b.hyp, id)
 		b.cand.clear(id)
 		b.retireMask(b.failInc[id], b.unexplF, &b.nUnexplF)
 		b.retireMask(b.rerInc[id], b.unexplR, &b.nUnexplR)
 	}
+}
+
+// lookupLink resolves a link named in the routing inputs.
+func (b *bitEngine) lookupLink(l Link) (int32, bool) {
+	from, ok := b.nodes.lookup(l.From)
+	to, tok := b.nodes.lookup(l.To)
+	if !ok || !tok {
+		return 0, false
+	}
+	return b.links.lookup(from, to)
+}
+
+// link returns the names of link id's endpoints.
+func (b *bitEngine) link(id int32) Link {
+	l := b.links.ends[id]
+	return Link{From: b.nodes.name(l[0]), To: b.nodes.name(l[1])}
 }
 
 // retireMask clears inc's bits from unexpl, decrementing the live count.
@@ -354,7 +496,7 @@ func (b *bitEngine) orderCandidates() {
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool {
-		li, lj := b.in.links[ids[i]], b.in.links[ids[j]]
+		li, lj := b.link(ids[i]), b.link(ids[j])
 		if li.From != lj.From {
 			return li.From < lj.From
 		}
@@ -372,22 +514,19 @@ func (b *bitEngine) orderCandidates() {
 // rule (ii) — never on the same before path — is one AND-any sweep over
 // the pair-incidence rows instead of a per-pair map probe.
 func (b *bitEngine) buildClusters() {
-	e := b.e
+	t := b.nodes
 	var unid []int32
 	for _, id := range b.candOrder {
-		l := b.in.links[id]
-		if e.nodeUH[l.From] || e.nodeUH[l.To] {
+		l := b.links.ends[id]
+		if t.uh[l[0]] || t.uh[l[1]] {
 			unid = append(unid, id)
 		}
 	}
 	keys := make([][2]endpointKey, len(unid))
 	fcounts := make([]int, len(unid))
 	for i, id := range unid {
-		l := b.in.links[id]
-		keys[i] = [2]endpointKey{
-			makeEndpointKey(l.From, e.nodeUH[l.From], e.uhTags),
-			makeEndpointKey(l.To, e.nodeUH[l.To], e.uhTags),
-		}
+		l := b.links.ends[id]
+		keys[i] = [2]endpointKey{t.endpointKey(l[0]), t.endpointKey(l[1])}
 		fcounts[i] = b.failInc[id].popcount()
 	}
 	for i := range unid {
@@ -515,8 +654,7 @@ func (b *bitEngine) greedy() (int, error) {
 		}
 		for i := 0; i < k; i++ {
 			pos := bestBuf[i]
-			id := b.candOrder[pos]
-			e.hyp = append(e.hyp, b.in.links[id])
+			b.hyp = append(b.hyp, b.candOrder[pos])
 			b.alive[pos] = false
 			b.candCount--
 			accumDelta(b.coverF[pos], b.unexplF, scratchF)
@@ -593,4 +731,35 @@ func retireSets(delta, unexpl bitset, coveredBy [][]int32, cnt []int) int {
 		}
 	}
 	return removed
+}
+
+// attribute builds the reported hypothesis entries with physical and AS
+// attribution, sorted by link: engine.attribute over IDs. Only here and in
+// the candidate order do logical nodes get their names.
+func (b *bitEngine) attribute() []HypLink {
+	t := b.nodes
+	seen := newBitset(b.links.size())
+	out := make([]HypLink, 0, len(b.hyp))
+	for _, id := range b.hyp {
+		if seen.has(id) {
+			continue
+		}
+		seen.set(id)
+		l := b.links.ends[id]
+		pu, pv := t.physical(l[0], l[1])
+		h := HypLink{Link: b.link(id)}
+		if !t.uh[pu] && !t.uh[pv] {
+			h.Phys = Link{From: t.name(pu), To: t.name(pv)}
+			h.PhysKnown = true
+		}
+		h.ASes = t.linkASes(pu, pv)
+		out = append(out, h)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Link.From != out[j].Link.From {
+			return out[i].Link.From < out[j].Link.From
+		}
+		return out[i].Link.To < out[j].Link.To
+	})
+	return out
 }

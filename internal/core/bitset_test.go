@@ -161,25 +161,35 @@ func TestTransposeCover(t *testing.T) {
 	check(1)
 }
 
-// TestLinkInterner checks dense ID assignment and lookup-miss semantics.
+// TestLinkInterner checks dense link ID assignment by (from, to) node ID,
+// for map-keyed physical links and slot-keyed logical ones, and
+// lookup-miss semantics.
 func TestLinkInterner(t *testing.T) {
-	in := newLinkInterner()
-	a := Link{From: "a", To: "b"}
-	b := Link{From: "b", To: "c"}
-	if id := in.id(a); id != 0 {
-		t.Fatalf("first id = %d", id)
+	m := &Measurements{NumSensors: 2, Before: []*TracePath{tp(0, 1, true, "a@1", "b@1", "c@2")}}
+	x := readMesh(m)
+	x.expand(m, false)
+	a, b, c, ln := int32(0), int32(1), int32(2), int32(3) // ln is c(2)@b
+	if x.nodes.size() != 4 || x.nodes.name(ln) != "c(2)@b" {
+		t.Fatalf("nodes %v", x.nodes.names)
 	}
-	if id := in.id(b); id != 1 {
-		t.Fatalf("second id = %d", id)
+	in := newLinkTable(x.nodes)
+	for want, l := range [][2]int32{{a, b}, {b, ln}, {ln, c}} {
+		if id := in.id(l[0], l[1]); id != int32(want) {
+			t.Fatalf("id%v = %d, want %d", l, id, want)
+		}
 	}
-	if id := in.id(a); id != 0 {
-		t.Fatalf("re-intern changed id: %d", id)
+	for want, l := range [][2]int32{{a, b}, {b, ln}, {ln, c}} {
+		if id, ok := in.lookup(l[0], l[1]); !ok || id != int32(want) {
+			t.Fatalf("lookup%v = %d, %v", l, id, ok)
+		}
 	}
-	if _, ok := in.lookup(Link{From: "x", To: "y"}); ok {
-		t.Fatal("lookup invented an id")
+	for _, l := range [][2]int32{{b, a}, {ln, b}, {c, ln}, {b, c}} {
+		if _, ok := in.lookup(l[0], l[1]); ok {
+			t.Fatalf("lookup%v invented an id", l)
+		}
 	}
-	if in.size() != 2 || in.links[0] != a || in.links[1] != b {
-		t.Fatalf("table %v size %d", in.links, in.size())
+	if id := in.id(a, ln); id != 3 || in.size() != 4 || in.ends[3] != [2]int32{a, ln} {
+		t.Fatalf("off-pattern link a->ln: id %d, table %v", id, in.ends)
 	}
 }
 

@@ -21,8 +21,10 @@ import (
 // so every logical link maps back to exactly one physical link. The paper's
 // Figure 3 writes the node as "y1(B)"; Display renders that form.
 
-// expander rewrites paths with logical links and records how each logical
-// link maps back to its physical interdomain link. In per-prefix mode
+// expander is the reference engine's (EngineMap) string form of the
+// expansion; the default engine expands node IDs in ids.go. It rewrites
+// paths with logical links and records how each logical link maps back to
+// its physical interdomain link. In per-prefix mode
 // (the finest granularity §3.1 discusses and rejects for scalability, kept
 // here for the ablation study) the logical tag is the destination prefix
 // of the path instead of the next AS.
@@ -134,30 +136,6 @@ func nextASAfter(hops []Hop, idx int) (topology.ASN, bool) {
 		}
 	}
 	return cur, true
-}
-
-// ExpandedSize reports the size of the diagnosis graph after logical-link
-// expansion: distinct nodes and distinct directed links over all paths.
-// With perPrefix true it uses per-prefix granularity. This quantifies the
-// §3.1 scalability trade-off between the two tag granularities.
-func ExpandedSize(m *Measurements, perPrefix bool) (nodes, links int) {
-	e := newExpander(perPrefix)
-	work := e.expandAll(m)
-	nodeSet := map[Node]struct{}{}
-	edgeSet := linkSet{}
-	count := func(paths []*TracePath) {
-		for _, p := range paths {
-			for _, h := range p.Hops {
-				nodeSet[h.Node] = struct{}{}
-			}
-			for _, l := range p.Links() {
-				edgeSet.add(l)
-			}
-		}
-	}
-	count(work.Before)
-	count(work.After)
-	return len(nodeSet), len(edgeSet)
 }
 
 // expandAll rewrites every path of the measurements, sharing one logical

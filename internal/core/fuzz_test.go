@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -9,11 +10,13 @@ import (
 )
 
 // The fuzz targets drive the hitting-set entry points with arbitrary
-// byte strings decoded into small measurement meshes. Two properties
+// byte strings decoded into small measurement meshes. Three properties
 // are enforced: no input may panic (malformed meshes must surface as
-// *ValidationError), and diagnosis is a pure function of its input —
+// *ValidationError), diagnosis is a pure function of its input —
 // decoding and diagnosing the same bytes twice yields identical
-// results, hypothesis order included.
+// results, hypothesis order included — and the default engine agrees
+// with the EngineMap reference byte for byte on the wire and in the
+// error text.
 
 // fuzzReader doles out bytes, yielding zero once the input is spent, so
 // every byte string decodes to some (possibly invalid) measurement set.
@@ -89,17 +92,55 @@ func checkDiagnosis(t *testing.T, name string, run func() (*Result, error)) {
 	}
 }
 
+// checkEngines runs the default engine and the EngineMap reference on the
+// same input and requires identical error text or identical wire bytes.
+func checkEngines(t *testing.T, name string, m *Measurements, opts Options) {
+	t.Helper()
+	got, gerr := Run(m, opts)
+	opts.Engine = EngineMap
+	want, werr := Run(m, opts)
+	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+		t.Fatalf("%s: engines disagree on the error: %v vs reference %v", name, gerr, werr)
+	}
+	if gerr != nil {
+		return
+	}
+	var gb, wb bytes.Buffer
+	if err := got.Wire(name).Encode(&gb); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Wire(name).Encode(&wb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+		t.Fatalf("%s: engines disagree\ndefault: %s\nreference: %s", name, gb.String(), wb.String())
+	}
+}
+
+// fuzzVariants are the option sets the fuzz target diagnoses under: every
+// front-half mode (no expansion, per-neighbor and per-prefix expansion,
+// and partial traces).
+var fuzzVariants = []struct {
+	name string
+	opts Options
+}{
+	{"tomo", Options{}},
+	{"nd-edge", Options{LogicalLinks: true, UseReroutes: true}},
+	{"nd-edge-per-prefix", Options{LogicalLinks: true, UseReroutes: true, PerPrefixLogical: true}},
+	{"nd-edge-partial", Options{LogicalLinks: true, UseReroutes: true, UsePartialTraces: true}},
+}
+
 func FuzzDiagnose(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 0, 1, 1, 0, 2, 1, 2, 3, 1, 0, 2, 1, 1, 0, 1, 4, 5, 1, 3})
 	f.Add([]byte("0123456789abcdef0123456789abcdef0123456789abcdef"))
 	f.Add([]byte{3, 4, 0, 1, 0, 3, 10, 1, 0, 11, 2, 1, 12, 3, 0, 1, 0, 1, 3, 10, 1, 0, 13, 2, 1, 12, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkDiagnosis(t, "Tomo", func() (*Result, error) {
-			return Tomo(decodeMeasurements(data))
-		})
-		checkDiagnosis(t, "NDEdge", func() (*Result, error) {
-			return NDEdge(decodeMeasurements(data))
-		})
+		for _, v := range fuzzVariants {
+			checkDiagnosis(t, v.name, func() (*Result, error) {
+				return Run(decodeMeasurements(data), v.opts)
+			})
+			checkEngines(t, v.name, decodeMeasurements(data), v.opts)
+		}
 	})
 }

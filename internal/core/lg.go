@@ -44,16 +44,28 @@ func (t asTag) equal(o asTag) bool {
 // strictly between them. Runs that cannot be aligned stay untagged.
 func mapUHs(m *Measurements, lg LookingGlass) map[Node]asTag {
 	tags := map[Node]asTag{}
-	for _, p := range m.Before {
-		mapUHsOnPath(p, lg, tags)
-	}
-	for _, p := range m.After {
-		mapUHsOnPath(p, lg, tags)
+	for _, paths := range [][]*TracePath{m.Before, m.After} {
+		for _, p := range paths {
+			mapUHsOnPath(p, lg, func(k int, tag asTag) { tags[p.Hops[k].Node] = tag })
+		}
 	}
 	return tags
 }
 
-func mapUHsOnPath(p *TracePath, lg LookingGlass, tags map[Node]asTag) {
+// mapUHTags is mapUHs over node IDs: the tag of unidentified node id lands
+// in t.tags[id].
+func (t *nodeTable) mapUHTags(m *Measurements, lg LookingGlass) {
+	t.tags = make([]asTag, t.nPhys)
+	for _, paths := range [][]*TracePath{m.Before, m.After} {
+		for _, p := range paths {
+			mapUHsOnPath(p, lg, func(k int, tag asTag) { t.tags[t.ids[p.Hops[k].Node]] = tag })
+		}
+	}
+}
+
+// mapUHsOnPath tags the unidentified runs of one path, calling set with
+// the hop index and tag of every hop it tags, in path order.
+func mapUHsOnPath(p *TracePath, lg LookingGlass, set func(k int, tag asTag)) {
 	hops := p.Hops
 	// Identified ASes along the path, in order, deduplicated.
 	var pathASes []topology.ASN
@@ -79,7 +91,7 @@ func mapUHsOnPath(p *TracePath, lg LookingGlass, tags map[Node]asTag) {
 			a, c := hops[i-1].AS, hops[j+1].AS
 			if tag, ok := alignRun(a, c, pathASes, lg, p.DstSensor); ok {
 				for k := i; k <= j; k++ {
-					tags[hops[k].Node] = tag
+					set(k, tag)
 				}
 			}
 		}
@@ -140,7 +152,11 @@ func makeEndpointKey(n Node, uh bool, tags map[Node]asTag) endpointKey {
 	if !uh {
 		return endpointKey{identified: n, ok: true}
 	}
-	t := tags[n]
+	return tagKey(tags[n])
+}
+
+// tagKey is the endpoint key of an unidentified hop tagged t.
+func tagKey(t asTag) endpointKey {
 	if len(t) == 0 {
 		return endpointKey{ok: false}
 	}

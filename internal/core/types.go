@@ -73,10 +73,11 @@ type Measurements struct {
 	After      []*TracePath
 }
 
-// meshIndex is the per-pair lookup of a measurement set plus the sorted
-// pair universe. It is computed once per diagnosis run — validation and
-// set building share it — and rebound (not resorted) onto the logically
-// expanded copy of the measurements, whose pair space is identical.
+// meshIndex is the reference engine's per-pair lookup of a measurement
+// set plus the sorted pair universe. It is computed once per diagnosis run
+// — validation and set building share it — and rebound (not resorted)
+// onto the logically expanded copy of the measurements, whose pair space
+// is identical. The default engine indexes pairs in ids.go instead.
 type meshIndex struct {
 	before, after map[pair]*TracePath
 	// pairs is the after-pair universe sorted by (src, dst): the
@@ -140,11 +141,12 @@ func (e *ValidationError) Error() string {
 // range, hop lists non-empty, and each After pair also measured Before.
 // A failure is reported as a *ValidationError.
 func (m *Measurements) Validate() error {
-	return m.validateIndexed(m.buildIndex())
+	_, err := m.indexPairs()
+	return err
 }
 
-// validateIndexed is Validate over a prebuilt index, so a diagnosis run
-// indexes its input exactly once.
+// validateIndexed is the reference engine's Validate over its prebuilt
+// index, so a run indexes its input exactly once.
 func (m *Measurements) validateIndexed(idx *meshIndex) error {
 	before := idx.before
 	check := func(p *TracePath, mesh string) *ValidationError {
@@ -223,10 +225,12 @@ type Result struct {
 	UnexplainedFailures int
 	// Iterations is the number of greedy rounds taken.
 	Iterations int
-	// Telemetry holds the timed phase spans of this run (validate, expand,
-	// build_sets, candidates, greedy, and one greedy_iter span per round).
-	// It is populated only when the run was configured with a telemetry
-	// registry or logger (Options.Telemetry / Options.Logger); otherwise nil.
+	// Telemetry holds the timed phase spans of this run: validate (which
+	// also reads the measurements into node and pair IDs), expand (logical
+	// links only), build_sets, candidates, greedy with one greedy_iter span
+	// per round, and attribute. Together they cover the whole run. It is
+	// populated only when the run was configured with a telemetry registry
+	// or logger (Options.Telemetry / Options.Logger); otherwise nil.
 	Telemetry []telemetry.Span
 }
 

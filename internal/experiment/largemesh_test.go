@@ -43,46 +43,81 @@ func TestGenerateLargeMeshShape(t *testing.T) {
 
 // TestLargeMeshEngineEquivalence extends the differential net to the
 // benchmark generator's mesh shape (hub-concentrated overlapping sets) at a
-// size where the map engine is still cheap to run.
+// size where the map engine is still cheap to run: Tomo, ND-edge and
+// per-prefix ND-edge, so both front halves meet every expansion mode.
 func TestLargeMeshEngineEquivalence(t *testing.T) {
+	perPrefix := edgeOpts()
+	perPrefix.PerPrefixLogical = true
+	variants := []struct {
+		name string
+		opts core.Options
+	}{
+		{"tomo", tomoOpts()},
+		{"nd-edge", edgeOpts()},
+		{"nd-edge-per-prefix", perPrefix},
+	}
 	for _, seed := range []int64{7, 19} {
 		m := GenerateLargeMesh(DefaultLargeMesh(300, seed))
-		opts := edgeOpts()
-		res, err := core.Run(m, opts)
-		if err != nil {
-			t.Fatal(err)
+		for _, v := range variants {
+			opts := v.opts
+			res, err := core.Run(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Engine = core.EngineMap
+			ref, err := core.Run(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bb, mb bytes.Buffer
+			if err := res.Wire(v.name).Encode(&bb); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Wire(v.name).Encode(&mb); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bb.Bytes(), mb.Bytes()) {
+				t.Fatalf("seed %d %s: engines diverge on large mesh\nbitset:\n%s\nmap:\n%s",
+					seed, v.name, bb.String(), mb.String())
+			}
 		}
-		opts.Engine = core.EngineMap
-		ref, err := core.Run(m, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var bb, mb bytes.Buffer
-		if err := res.Wire("nd-edge").Encode(&bb); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Wire("nd-edge").Encode(&mb); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(bb.Bytes(), mb.Bytes()) {
-			t.Fatalf("seed %d: engines diverge on large mesh\nbitset:\n%s\nmap:\n%s",
-				seed, bb.String(), mb.String())
+	}
+}
+
+// TestLargeMeshExpandedSize pins the §3.1 graph size of the 2k-sensor
+// benchmark mesh at both tag granularities. The scalability study and the
+// benchmark's expand pass both read core.ExpandedSize; these counts are
+// the string expander's, so a change to the ID expansion that alters the
+// graph shows here.
+func TestLargeMeshExpandedSize(t *testing.T) {
+	m := GenerateLargeMesh(DefaultLargeMesh(2000, 7))
+	for _, c := range []struct {
+		perPrefix    bool
+		nodes, links int
+	}{
+		{false, 6460, 12808},
+		{true, 45116, 90120},
+	} {
+		if n, l := core.ExpandedSize(m, c.perPrefix); n != c.nodes || l != c.links {
+			t.Errorf("ExpandedSize(perPrefix=%v) = (%d, %d), want (%d, %d)",
+				c.perPrefix, n, l, c.nodes, c.links)
 		}
 	}
 }
 
 // benchDiagnose runs a full ND-edge diagnosis of a hub-failure event on an
-// n-sensor mesh. Beyond the standard ns/op it reports the greedy-phase time
-// (from the run's telemetry spans — the phase the bitset engine vectorizes)
-// and a sensors-per-second throughput figure for the scalability curve.
-// benchjson's diagnose section pairs the Map and Bitset series into
-// speedup ratios.
+// n-sensor mesh. Beyond the standard ns/op it reports, from the run's
+// telemetry spans, the front-half time (validate + expand + build_sets:
+// reading the measurements into IDs and building the sets) and the
+// greedy-phase time, and a sensors-per-second throughput figure for the
+// scalability curve. benchjson's diagnose section pairs the Map and Bitset
+// series into speedup ratios.
 func benchDiagnose(b *testing.B, n int, engine core.EngineKind) {
 	m := GenerateLargeMesh(DefaultLargeMesh(n, 7))
 	opts := edgeOpts()
 	opts.Engine = engine
 	opts.Telemetry = telemetry.New()
-	var greedyNs int64
+	var frontNs, greedyNs int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := core.Run(m, opts)
@@ -94,12 +129,16 @@ func benchDiagnose(b *testing.B, n int, engine core.EngineKind) {
 				res.Iterations, len(res.Hypothesis))
 		}
 		for _, sp := range res.Telemetry {
-			if sp.Name == "greedy" {
+			switch sp.Name {
+			case "validate", "expand", "build_sets":
+				frontNs += int64(sp.Duration)
+			case "greedy":
 				greedyNs += int64(sp.Duration)
 			}
 		}
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(frontNs)/float64(b.N), "front-ns/op")
 	b.ReportMetric(float64(greedyNs)/float64(b.N), "greedy-ns/op")
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "sensors/s")
 }

@@ -47,7 +47,7 @@ func TestDiagnoseTelemetrySpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := spanNames(observed.Telemetry)
-	for _, want := range []string{"validate", "expand", "build_sets", "candidates", "greedy"} {
+	for _, want := range []string{"validate", "expand", "build_sets", "candidates", "greedy", "attribute"} {
 		if !names[want] {
 			t.Errorf("Result.Telemetry missing %q span (got %v)", want, observed.Telemetry)
 		}
