@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint lint-cold bench benchdiff smoke allocguard verify
+.PHONY: build test vet race lint bench benchdiff smoke allocguard verify
 
 build:
 	$(GO) build ./...
@@ -16,16 +16,10 @@ race:
 
 # Project-invariant static analysis (see "Enforced invariants" in
 # DESIGN.md). Exit 1 means findings; fix them or suppress in place with
-# an //ndlint:ignore <analyzer> <reason> comment. Uses the incremental
-# result cache in .ndlint-cache/ — clean packages replay persisted
-# findings; output is byte-identical either way.
+# an //ndlint:ignore <analyzer> <reason> comment. Every run analyzes the
+# whole module from source (a few seconds); nothing is cached.
 lint:
 	$(GO) run ./cmd/ndlint ./...
-
-# Full cold lint, bypassing the incremental cache (e.g. when the cache
-# itself is suspect).
-lint-cold:
-	$(GO) run ./cmd/ndlint -cache=off ./...
 
 # Reduced-scale benchmark sweep, including the parallelism comparisons.
 # The results also land in BENCH_pipeline.json (machine-readable, for CI
@@ -33,11 +27,11 @@ lint-cold:
 # failing `go test` fails the target instead of vanishing into a pipe.
 # The Reconverge cold-vs-incremental pairs re-run at higher iteration
 # counts: the "incremental" section's warm_speedup compares microsecond-
-# scale operations, which a single 1x sample cannot resolve. benchjson
-# keeps the highest-iteration sample per benchmark. The stream ingest /
-# event-loop benchmarks re-run likewise so the "stream" section's
-# throughput, event-lag and dirty-pair-fraction metrics come from a
-# multi-iteration sample.
+# scale operations, which a single 1x sample cannot resolve. The stream
+# ingest / event-loop benchmarks re-run likewise so the "stream"
+# section's throughput, event-lag and dirty-pair-fraction metrics come
+# from a multi-iteration sample. benchjson writes each benchmark once,
+# as its highest-iteration sample.
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./... > BENCH_pipeline.txt || (cat BENCH_pipeline.txt; rm -f BENCH_pipeline.txt; exit 1)
 	$(GO) test -run xxx -bench 'BenchmarkReconverge(Cold|Incremental)' -benchtime 200x ./internal/netsim/ >> BENCH_pipeline.txt || (cat BENCH_pipeline.txt; rm -f BENCH_pipeline.txt; exit 1)

@@ -47,8 +47,8 @@ func runCompare(oldPath, newPath string, thresholdPct float64, w io.Writer) (reg
 		return false, err
 	}
 
-	// Reports may carry duplicate rows for one benchmark (the bench target
-	// re-runs the Reconverge pairs at a higher -benchtime); compare the
+	// Older reports may carry several rows for one benchmark (the bench
+	// target re-runs some at a higher -benchtime); compare the
 	// highest-iteration sample from each side.
 	oldBest := bestEntries(oldRep.Benchmarks)
 	newBest := bestEntries(newRep.Benchmarks)

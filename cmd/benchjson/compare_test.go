@@ -70,6 +70,27 @@ func TestIncrementalSectionKeepsHighestIterationSample(t *testing.T) {
 	}
 }
 
+// TestParseWritesEachBenchmarkOnce checks the report itself, not just
+// its derived sections, carries one row per benchmark: the re-run's
+// higher-iteration sample.
+func TestParseWritesEachBenchmarkOnce(t *testing.T) {
+	rep, err := parse(bufio.NewScanner(strings.NewReader(duplicateOutput)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 {
+		t.Fatalf("parsed %d rows, want 2 (one per benchmark): %+v", len(rep.Benchmarks), rep.Benchmarks)
+	}
+	for _, e := range rep.Benchmarks {
+		if e.Iterations != 200 {
+			t.Errorf("%s kept the %d-iteration row, want the 200-iteration re-run", e.Name, e.Iterations)
+		}
+	}
+	if rep.Benchmarks[0].Name != "BenchmarkReconvergeCold/fig1-link" {
+		t.Errorf("first row = %s, want first-appearance order", rep.Benchmarks[0].Name)
+	}
+}
+
 func TestCompareCollapsesDuplicates(t *testing.T) {
 	dir := t.TempDir()
 	slow := entry("p", "BenchmarkA", 60000)

@@ -69,17 +69,6 @@ type SnapshotScenario struct {
 	DecodeNsPerOp float64 `json:"decode_ns_per_op,omitempty"`
 }
 
-// LintSection summarizes the ndlint incremental-cache benchmarks: what a
-// warm, cache-hit run over the repository saves against the cold run
-// that populated the cache, plus the findings count both report (the
-// two must agree — the cache may only change speed, never output).
-type LintSection struct {
-	ColdNsPerOp float64  `json:"cold_ns_per_op"`
-	WarmNsPerOp float64  `json:"warm_ns_per_op"`
-	WarmSpeedup float64  `json:"warm_speedup,omitempty"`
-	Findings    *float64 `json:"findings,omitempty"`
-}
-
 // StreamSection summarizes the streaming-plane benchmarks: NDJSON
 // ingest throughput of both feed endpoints, the cost and latency of a
 // full withdrawal -> correlation -> diagnosis cycle, and the fraction
@@ -115,7 +104,6 @@ type Report struct {
 	Server      *ServerSection        `json:"server,omitempty"`
 	Incremental []IncrementalScenario `json:"incremental,omitempty"`
 	Snapshot    []SnapshotScenario    `json:"snapshot,omitempty"`
-	Lint        *LintSection          `json:"lint,omitempty"`
 	Stream      *StreamSection        `json:"stream,omitempty"`
 	Diagnose    []DiagnoseScenario    `json:"diagnose,omitempty"`
 }
@@ -176,7 +164,8 @@ func bestEntries(entries []Entry) []*Entry {
 func incrementalSection(entries []Entry) []IncrementalScenario {
 	cold := map[string]*Entry{}
 	warm := map[string]*Entry{}
-	for _, e := range bestEntries(entries) {
+	for i := range entries {
+		e := &entries[i]
 		if name, ok := strings.CutPrefix(e.Name, "BenchmarkReconvergeCold/"); ok {
 			cold[name] = e
 		} else if name, ok := strings.CutPrefix(e.Name, "BenchmarkReconvergeIncremental/"); ok {
@@ -214,7 +203,8 @@ func snapshotSection(entries []Entry) []SnapshotScenario {
 	load := map[string]*Entry{}
 	encode := map[string]*Entry{}
 	decode := map[string]*Entry{}
-	for _, e := range bestEntries(entries) {
+	for i := range entries {
+		e := &entries[i]
 		if name, ok := strings.CutPrefix(e.Name, "BenchmarkWorkerStartCold/"); ok {
 			cold[name] = e
 		} else if name, ok := strings.CutPrefix(e.Name, "BenchmarkWorkerStartLoad/"); ok {
@@ -250,39 +240,13 @@ func snapshotSection(entries []Entry) []SnapshotScenario {
 	return out
 }
 
-// lintSection derives the lint summary from the BenchmarkLintCold and
-// BenchmarkLintWarm entries; nil when either is absent. The findings
-// metric comes from the warm entry (cold and warm must agree; the warm
-// value is the one a cached CI run actually reports).
-func lintSection(entries []Entry) *LintSection {
-	var cold, warm *Entry
-	for _, e := range bestEntries(entries) {
-		switch e.Name {
-		case "BenchmarkLintCold":
-			cold = e
-		case "BenchmarkLintWarm":
-			warm = e
-		}
-	}
-	if cold == nil || warm == nil {
-		return nil
-	}
-	s := &LintSection{ColdNsPerOp: cold.NsPerOp, WarmNsPerOp: warm.NsPerOp}
-	if warm.NsPerOp > 0 {
-		s.WarmSpeedup = cold.NsPerOp / warm.NsPerOp
-	}
-	if f, ok := warm.Extra["findings"]; ok {
-		s.Findings = &f
-	}
-	return s
-}
-
 // streamSection derives the streaming-plane summary from the
 // BenchmarkIngestTraceroute / BenchmarkIngestBGP / BenchmarkEventLoop
 // entries; nil when either ingest benchmark is absent.
 func streamSection(entries []Entry) *StreamSection {
 	var trace, bgp, loop *Entry
-	for _, e := range bestEntries(entries) {
+	for i := range entries {
+		e := &entries[i]
 		switch e.Name {
 		case "BenchmarkIngestTraceroute":
 			trace = e
@@ -319,7 +283,8 @@ func streamSection(entries []Entry) *StreamSection {
 func diagnoseSection(entries []Entry) []DiagnoseScenario {
 	bit := map[string]*Entry{}
 	ref := map[string]*Entry{}
-	for _, e := range bestEntries(entries) {
+	for i := range entries {
+		e := &entries[i]
 		if name, ok := strings.CutPrefix(e.Name, "BenchmarkDiagnoseBitset/"); ok {
 			bit[name] = e
 		} else if name, ok := strings.CutPrefix(e.Name, "BenchmarkDiagnoseMap/"); ok {
@@ -454,10 +419,17 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 			}
 		}
 	}
+	// Each benchmark appears once in the report: rows the bench target
+	// re-ran at a higher -benchtime collapse to their best sample, which
+	// is also what every derived section reads.
+	best := bestEntries(rep.Benchmarks)
+	rep.Benchmarks = make([]Entry, len(best))
+	for i, e := range best {
+		rep.Benchmarks[i] = *e
+	}
 	rep.Server = serverSection(rep.Benchmarks)
 	rep.Incremental = incrementalSection(rep.Benchmarks)
 	rep.Snapshot = snapshotSection(rep.Benchmarks)
-	rep.Lint = lintSection(rep.Benchmarks)
 	rep.Stream = streamSection(rep.Benchmarks)
 	rep.Diagnose = diagnoseSection(rep.Benchmarks)
 	return rep, sc.Err()

@@ -67,40 +67,3 @@ func TestParseWithoutServerBenchmarks(t *testing.T) {
 		t.Fatalf("report = %+v, want 1 benchmark and no server section", rep)
 	}
 }
-
-const lintOutput = `pkg: netdiag/internal/lint
-BenchmarkLintCold 	       1	2304941938 ns/op	         0 findings
-BenchmarkLintWarm 	     100	  13137304 ns/op	         0 findings
-PASS
-ok  	netdiag/internal/lint	4.321s
-`
-
-func TestParseLintSection(t *testing.T) {
-	rep, err := parse(bufio.NewScanner(strings.NewReader(lintOutput)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Lint == nil {
-		t.Fatal("lint section missing")
-	}
-	if rep.Lint.ColdNsPerOp != 2304941938 || rep.Lint.WarmNsPerOp != 13137304 {
-		t.Fatalf("lint section = %+v", rep.Lint)
-	}
-	want := 2304941938.0 / 13137304.0
-	if diff := rep.Lint.WarmSpeedup - want; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("warm speedup = %v, want %v", rep.Lint.WarmSpeedup, want)
-	}
-	if rep.Lint.Findings == nil || *rep.Lint.Findings != 0 {
-		t.Fatalf("findings = %v, want 0", rep.Lint.Findings)
-	}
-}
-
-func TestParseWithoutLintBenchmarks(t *testing.T) {
-	rep, err := parse(bufio.NewScanner(strings.NewReader(sampleOutput)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Lint != nil {
-		t.Fatalf("lint section should be nil without lint benchmarks, got %+v", rep.Lint)
-	}
-}

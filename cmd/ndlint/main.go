@@ -6,25 +6,16 @@
 //
 // Usage:
 //
-//	ndlint [-enable a,b] [-disable a,b] [-json] [-parallelism N]
-//	       [-cache on|off] [-baseline FILE [-update-baseline]] [packages]
+//	ndlint [-enable a,b] [-disable a,b] [-json] [-parallelism N] [packages]
 //
-// Packages default to ./... relative to the enclosing module. Findings
-// print as file:line:col: message [analyzer], sorted and deduplicated,
-// byte-identically at any parallelism and with the cache on or off.
+// Packages default to ./... relative to the enclosing module. Every run
+// analyzes every matched package from source. Findings print as
+// file:line:col: message [analyzer], sorted and deduplicated,
+// byte-identically at any parallelism.
 //
-// The incremental cache (default on) persists per-package findings under
-// <module>/.ndlint-cache keyed by a content hash of the package's
-// sources, its module-local transitive imports, the analyzer set and the
-// ndlint version; -cache=off forces a full cold run.
-//
-// With -baseline FILE, findings present in the baseline (a -json report,
-// e.g. LINT_baseline.json) are accepted and only new findings print and
-// fail the run; -update-baseline rewrites FILE with the current findings
-// instead. Exit status: 0 when clean (including an empty package list),
-// 1 when (non-baselined) findings exist, 2 on usage or load errors.
-// Suppress a finding in place with //ndlint:ignore <analyzer> <reason>
-// on or above the flagged line.
+// Exit status: 0 when clean (including an empty package list), 1 when
+// findings exist, 2 on usage or load errors. Suppress a finding in place
+// with //ndlint:ignore <analyzer> <reason> on or above the flagged line.
 package main
 
 import (
@@ -40,14 +31,11 @@ import (
 
 func main() {
 	var (
-		enable   = flag.String("enable", "", "comma-separated analyzers to run (default: all)")
-		disable  = flag.String("disable", "", "comma-separated analyzers to skip")
-		jsonOut  = flag.Bool("json", false, "emit machine-readable findings (LINT_baseline.json style)")
-		par      = flag.Int("parallelism", 0, "analysis worker count (0 = GOMAXPROCS); output is identical at any setting")
-		list     = flag.Bool("list", false, "list analyzers and exit")
-		cacheArg = flag.String("cache", "on", "incremental result cache under .ndlint-cache: on|off")
-		baseline = flag.String("baseline", "", "baseline report (ndlint -json output); only findings not in it fail the run")
-		updateBl = flag.Bool("update-baseline", false, "rewrite the -baseline file with the current findings and exit clean")
+		enable  = flag.String("enable", "", "comma-separated analyzers to run (default: all)")
+		disable = flag.String("disable", "", "comma-separated analyzers to skip")
+		jsonOut = flag.Bool("json", false, "emit machine-readable findings")
+		par     = flag.Int("parallelism", 0, "analysis worker count (0 = GOMAXPROCS); output is identical at any setting")
+		list    = flag.Bool("list", false, "list analyzers and exit")
 	)
 	flag.Parse()
 
@@ -56,20 +44,6 @@ func main() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-
-	var cacheOn bool
-	switch *cacheArg {
-	case "on":
-		cacheOn = true
-	case "off":
-	default:
-		fmt.Fprintf(os.Stderr, "ndlint: -cache must be on or off, got %q\n", *cacheArg)
-		os.Exit(2)
-	}
-	if *updateBl && *baseline == "" {
-		fmt.Fprintln(os.Stderr, "ndlint: -update-baseline requires -baseline FILE")
-		os.Exit(2)
 	}
 
 	analyzers, err := selectAnalyzers(*enable, *disable)
@@ -86,35 +60,10 @@ func main() {
 	diags, err := lint.Run(cwd, flag.Args(), lint.Config{
 		Analyzers:   analyzers,
 		Parallelism: *par,
-		Cache:       cacheOn,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ndlint:", err)
 		os.Exit(2)
-	}
-
-	if *updateBl {
-		f, err := os.Create(*baseline)
-		if err == nil {
-			err = writeJSON(f, analyzers, diags)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ndlint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "ndlint: wrote %d finding(s) to %s\n", len(diags), *baseline)
-		return
-	}
-	if *baseline != "" {
-		base, err := readBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ndlint:", err)
-			os.Exit(2)
-		}
-		diags = filterBaseline(diags, base)
 	}
 
 	if *jsonOut {
@@ -171,8 +120,7 @@ func selectAnalyzers(enable, disable string) ([]*lint.Analyzer, error) {
 }
 
 // report is the -json document: same machine-readable style as
-// BENCH_pipeline.json, so CI can diff lint results across PRs. It is
-// also the -baseline input format.
+// BENCH_pipeline.json, so CI can diff lint results across PRs.
 type report struct {
 	Tool      string            `json:"tool"`
 	Analyzers []string          `json:"analyzers"`
@@ -191,34 +139,4 @@ func writeJSON(w io.Writer, analyzers []*lint.Analyzer, diags []lint.Diagnostic)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// readBaseline loads the accepted findings of a baseline report.
-func readBaseline(path string) (map[lint.Diagnostic]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %v", path, err)
-	}
-	base := make(map[lint.Diagnostic]bool, len(r.Findings))
-	for _, d := range r.Findings {
-		base[d] = true
-	}
-	return base, nil
-}
-
-// filterBaseline drops findings present in the baseline, keeping the
-// relative order of the rest. Baselined findings that no longer occur
-// are simply ignored: fixing an accepted finding never breaks the run.
-func filterBaseline(diags []lint.Diagnostic, base map[lint.Diagnostic]bool) []lint.Diagnostic {
-	var out []lint.Diagnostic
-	for _, d := range diags {
-		if !base[d] {
-			out = append(out, d)
-		}
-	}
-	return out
 }

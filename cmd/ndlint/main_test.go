@@ -2,74 +2,13 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"netdiag/internal/lint"
 )
 
-func diag(file string, line int, analyzer, msg string) lint.Diagnostic {
-	return lint.Diagnostic{File: file, Line: line, Col: 1, Analyzer: analyzer, Message: msg}
-}
-
-// TestBaselineRoundTrip writes a baseline through the same encoder the
-// -update-baseline path uses, reads it back, and checks filtering keeps
-// only findings outside it.
-func TestBaselineRoundTrip(t *testing.T) {
-	accepted := []lint.Diagnostic{
-		diag("internal/server/flight.go", 10, "locksafe", "known finding"),
-		diag("internal/igp/igp.go", 20, "hotalloc", "accepted alloc"),
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeJSON(f, lint.All(), accepted); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	base, err := readBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base) != len(accepted) {
-		t.Fatalf("baseline has %d findings, want %d", len(base), len(accepted))
-	}
-
-	fresh := diag("internal/core/algorithms.go", 5, "goleak", "new finding")
-	got := filterBaseline([]lint.Diagnostic{accepted[0], fresh, accepted[1]}, base)
-	if len(got) != 1 || got[0] != fresh {
-		t.Fatalf("filterBaseline = %v, want only the new finding", got)
-	}
-
-	// A baselined finding that no longer occurs does not resurface.
-	if got := filterBaseline([]lint.Diagnostic{fresh}, base); len(got) != 1 || got[0] != fresh {
-		t.Fatalf("filterBaseline with fixed baseline entries = %v", got)
-	}
-	if got := filterBaseline(accepted, base); got != nil {
-		t.Fatalf("fully baselined run should filter to nothing, got %v", got)
-	}
-}
-
-// TestBaselineRejectsGarbage checks a malformed baseline is a load
-// error, not silently an empty baseline.
-func TestBaselineRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readBaseline(path); err == nil {
-		t.Fatal("malformed baseline accepted")
-	}
-}
-
-// TestWriteJSONEmptyFindings pins the empty-report shape the committed
-// LINT_baseline.json uses: findings is [], never null.
+// TestWriteJSONEmptyFindings pins the -json shape of a clean run:
+// findings is [], never null.
 func TestWriteJSONEmptyFindings(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeJSON(&buf, lint.All(), nil); err != nil {

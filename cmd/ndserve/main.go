@@ -25,7 +25,8 @@
 // paper's deployment model (§6): the watched scenario is measured every
 // -watch-interval, and alarms confirmed by the transient-filtering
 // detector are diagnosed through the same admission queue as the HTTP
-// requests.
+// requests. Under -ingest a round reads the streaming plane's delta
+// overlay instead of re-measuring the mesh.
 //
 // A fleet splits the scenario set across worker processes and puts a
 // routing tier in front: every worker gets the same -scenarios list plus
@@ -142,11 +143,21 @@ func main() {
 		if !reg.Has(*watch) {
 			fatal(fmt.Errorf("-watch scenario %q is not registered", *watch))
 		}
+		name := *watch
+		measure := func(ctx context.Context) (*probe.Mesh, error) { return srv.MeshScenario(ctx, name) }
 		if *ingest {
-			go runWatchPull(ctx, srv, tele, logger, *watch, *watchEvery)
-		} else {
-			go runWatch(ctx, srv, tele, logger, *watch, *watchEvery)
+			// Pull the streaming plane's delta overlay instead of
+			// re-measuring: a quiet tick runs zero traceroutes, and only
+			// pairs dirtied by ingested routing events are re-probed.
+			measure = func(ctx context.Context) (*probe.Mesh, error) {
+				proc, err := srv.StreamProcessor(ctx, name)
+				if err != nil {
+					return nil, err
+				}
+				return proc.CurrentMesh(), nil
+			}
 		}
+		go runWatch(ctx, srv, tele, logger, name, *watchEvery, measure)
 	}
 
 	if err := srv.Serve(ctx, ln); err != nil {
@@ -268,9 +279,10 @@ func runFront(addr, shards string, drainTimeout time.Duration, logger *slog.Logg
 
 // runWatch drives the monitor.Watcher: one measurement round of the
 // watched scenario per tick, confirmed alarms posted into the server's
-// admission queue.
+// admission queue. A failed measurement is logged and the tick skipped.
 func runWatch(ctx context.Context, srv *server.Server, tele *telemetry.Registry,
-	logger *slog.Logger, name string, every time.Duration) {
+	logger *slog.Logger, name string, every time.Duration,
+	measure func(context.Context) (*probe.Mesh, error)) {
 	w := monitor.NewWatcher(monitor.Config{Telemetry: tele})
 	rounds := make(chan *probe.Mesh)
 	go func() {
@@ -283,7 +295,7 @@ func runWatch(ctx context.Context, srv *server.Server, tele *telemetry.Registry,
 				return
 			case <-tick.C:
 			}
-			m, err := srv.MeshScenario(ctx, name)
+			m, err := measure(ctx)
 			if err != nil {
 				logger.Warn("watch measurement failed", "scenario", name, "err", err)
 				continue
@@ -296,42 +308,6 @@ func runWatch(ctx context.Context, srv *server.Server, tele *telemetry.Registry,
 		}
 	}()
 	if err := w.Run(ctx, rounds, srv.AlarmSink(name, netdiag.NDEdgeAlgo)); err != nil && ctx.Err() == nil {
-		logger.Warn("watch loop ended", "err", err)
-	}
-}
-
-// runWatchPull is the -ingest variant of runWatch: instead of
-// re-measuring the full mesh every tick, the watcher pulls the streaming
-// plane's delta overlay, so a quiet tick runs zero traceroutes and only
-// pairs dirtied by ingested routing events are ever re-probed.
-func runWatchPull(ctx context.Context, srv *server.Server, tele *telemetry.Registry,
-	logger *slog.Logger, name string, every time.Duration) {
-	proc, err := srv.StreamProcessor(ctx, name)
-	if err != nil {
-		logger.Warn("watch could not open stream processor", "scenario", name, "err", err)
-		return
-	}
-	w := monitor.NewWatcher(monitor.Config{Telemetry: tele})
-	ticks := make(chan struct{})
-	go func() {
-		defer close(ticks)
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-			}
-			select {
-			case ticks <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	source := func(context.Context) (*probe.Mesh, error) { return proc.CurrentMesh(), nil }
-	if err := w.RunPull(ctx, ticks, source, srv.AlarmSink(name, netdiag.NDEdgeAlgo)); err != nil && ctx.Err() == nil {
 		logger.Warn("watch loop ended", "err", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -275,4 +276,59 @@ func TestSmokeFleet(t *testing.T) {
 	for i, w := range workers {
 		sigtermClean(t, fmt.Sprintf("shard %d", i), w)
 	}
+}
+
+// TestSmokeWatch is the end-to-end monitoring check behind `make smoke`:
+// the real binary runs the -watch loop on fig2 every 50ms, measuring the
+// mesh directly and, under -ingest, reading the streaming overlay. Each
+// mode must observe at least three rounds (monitor_rounds_observed on
+// /metrics) and then drain cleanly on SIGTERM.
+func TestSmokeWatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the ndserve binary")
+	}
+	bin := buildNdserve(t)
+	for _, mode := range []struct {
+		name  string
+		extra []string
+	}{
+		{"mesh", nil},
+		{"ingest", []string{"-ingest"}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			args := append([]string{"-addr", "127.0.0.1:0", "-scenarios", "fig2",
+				"-watch", "fig2", "-watch-interval", "50ms"}, mode.extra...)
+			cmd, base := startNdserve(t, bin, args...)
+			client := &http.Client{Timeout: 5 * time.Second}
+			deadline := time.Now().Add(30 * time.Second)
+			for {
+				rounds, err := roundsObserved(client, base)
+				if err == nil && rounds >= 3 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("monitor_rounds_observed never reached 3 (last %d, err %v)", rounds, err)
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+			sigtermClean(t, "ndserve -watch", cmd)
+		})
+	}
+}
+
+// roundsObserved reads the watcher's round counter off /metrics; zero
+// until the first round registers it.
+func roundsObserved(client *http.Client, base string) (int, error) {
+	resp, err := client.Get(base + "/metrics")
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), "monitor_rounds_observed "); ok {
+			return strconv.Atoi(v)
+		}
+	}
+	return 0, sc.Err()
 }

@@ -206,12 +206,6 @@ func (d *Diagnoser) Diagnose(ctx context.Context, m *Measurements) (*Result, err
 	return core.RunCtx(ctx, m, o)
 }
 
-// RunCtx executes a custom engine configuration with cancellation support;
-// it is Run with a context.
-func RunCtx(ctx context.Context, m *Measurements, opts Options) (*Result, error) {
-	return core.RunCtx(ctx, m, opts)
-}
-
 // NetworkOption configures a simulated Network at construction time.
 type NetworkOption = netsim.Option
 

@@ -43,13 +43,16 @@ func fig2Measurements(t *testing.T) (*netdiag.Measurements, *netdiag.RoutingInfo
 	return netdiag.ToMeasurements(before, after), routing
 }
 
-// TestDiagnoserMatchesWrappers asserts the session API and the legacy
-// wrappers produce identical hypothesis sets.
+// TestDiagnoserMatchesWrappers asserts each Algorithm preset is a thin
+// wrapper over the engine Options it names: New(WithAlgorithm(a)) and
+// New(WithOptions(o)) produce identical hypothesis sets.
 func TestDiagnoserMatchesWrappers(t *testing.T) {
 	meas, routing := fig2Measurements(t)
 	ctx := context.Background()
 
-	wantEdge, err := netdiag.NDEdge(meas)
+	wantEdge, err := netdiag.New(netdiag.WithOptions(netdiag.Options{
+		LogicalLinks: true, UseReroutes: true,
+	})).Diagnose(ctx, meas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +64,9 @@ func TestDiagnoserMatchesWrappers(t *testing.T) {
 		t.Fatalf("ND-edge session result differs:\n%v\nvs\n%v", gotEdge, wantEdge)
 	}
 
-	wantBI, err := netdiag.NDBgpIgp(meas, routing)
+	wantBI, err := netdiag.New(netdiag.WithOptions(netdiag.Options{
+		LogicalLinks: true, UseReroutes: true, Routing: routing,
+	})).Diagnose(ctx, meas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +112,8 @@ func TestDiagnoseParallelismIdentical(t *testing.T) {
 }
 
 // TestDiagnoseValidation asserts malformed measurements surface as a typed
-// *ValidationError through errors.As, for both the session API and the
-// legacy wrappers.
+// *ValidationError through errors.As, for the default session, an
+// Algorithm preset and a custom Options session alike.
 func TestDiagnoseValidation(t *testing.T) {
 	bad := &netdiag.Measurements{
 		NumSensors: 2,
@@ -124,11 +129,12 @@ func TestDiagnoseValidation(t *testing.T) {
 	if verr.Mesh != "before" || verr.Src != 0 || verr.Dst != 5 {
 		t.Fatalf("ValidationError fields = %+v", verr)
 	}
-	if _, err := netdiag.Tomo(bad); !errors.As(err, &verr) {
+	ctx := context.Background()
+	if _, err := netdiag.New(netdiag.WithAlgorithm(netdiag.TomoAlgo)).Diagnose(ctx, bad); !errors.As(err, &verr) {
 		t.Fatalf("Tomo error = %v, want *ValidationError", err)
 	}
-	if _, err := netdiag.Run(bad, netdiag.Options{}); !errors.As(err, &verr) {
-		t.Fatalf("Run error = %v, want *ValidationError", err)
+	if _, err := netdiag.New(netdiag.WithOptions(netdiag.Options{})).Diagnose(ctx, bad); !errors.As(err, &verr) {
+		t.Fatalf("WithOptions error = %v, want *ValidationError", err)
 	}
 }
 

@@ -47,11 +47,6 @@ type Options struct {
 	// identical at any setting because scores land in per-candidate slots
 	// and selection scans them in deterministic order.
 	Parallelism int
-	// Engine selects the diagnosis engine implementation. The zero value
-	// (EngineBitset) is the packed-bitset engine; EngineMap selects the
-	// original map-based implementation, kept as the reference for
-	// differential testing. Both produce byte-identical results.
-	Engine EngineKind
 	// Telemetry receives the run's metrics: the "diagnose.runs" counter,
 	// per-phase latency histograms ("diagnose.phase.<name>_ns") and the
 	// pool metrics of the candidate-scoring fan-out. Setting it (or Logger)
@@ -62,26 +57,6 @@ type Options struct {
 	// summary per run, and enables Result.Telemetry like Telemetry does.
 	Logger *slog.Logger
 }
-
-// EngineKind selects between the two diagnosis engine implementations.
-// Both compute the identical hypothesis (the differential harness pins
-// byte-identical wire output across every algorithm variant); they differ
-// only in representation and speed.
-type EngineKind int
-
-const (
-	// EngineBitset is the default: every link is interned to a dense int
-	// ID during set building, failure/reroute sets and link incidences
-	// become packed []uint64 bitsets, greedy scoring is popcount over
-	// word-ANDs, and the greedy loop maintains incremental per-candidate
-	// scores updated only for candidates touched by each selection.
-	EngineBitset EngineKind = iota
-	// EngineMap is the original map-based implementation — per-link Go
-	// maps and full per-iteration rescoring. It is kept as the readable
-	// reference the bitset engine is differentially tested against, and
-	// as the map side of the diagnose benchmarks.
-	EngineMap
-)
 
 // Tomo runs the multi-AS Boolean tomography baseline of §2.
 func Tomo(m *Measurements) (*Result, error) { return Run(m, Options{}) }
@@ -125,8 +100,8 @@ func newObsSet(links []Link) *obsSet {
 
 // engine carries the state of one diagnosis run shared by both engine
 // implementations; the fields from exp on belong to the map-based
-// reference path (EngineMap), which runMap initializes. The bitset path
-// keeps its own interned state in bitEngine.
+// reference path (RunReference), which runMap initializes. The bitset
+// path keeps its own interned state in bitEngine.
 type engine struct {
 	ctx     context.Context
 	workers int
@@ -162,11 +137,30 @@ func Run(m *Measurements, opts Options) (*Result, error) {
 	return RunCtx(context.Background(), m, opts)
 }
 
-// RunCtx executes the configured diagnosis, honoring ctx: cancellation is
-// checked on entry, between pipeline phases and on every greedy iteration,
-// so a long run aborts promptly with ctx.Err(). The result is identical to
-// Run for an uncancelled context.
+// RunCtx executes the configured diagnosis on the default (bitset) engine,
+// honoring ctx: cancellation is checked on entry, between pipeline phases
+// and on every greedy iteration, so a long run aborts promptly with
+// ctx.Err(). The result is identical to Run for an uncancelled context.
 func RunCtx(ctx context.Context, m *Measurements, opts Options) (*Result, error) {
+	return runWith(ctx, m, opts, func(e *engine, m *Measurements) (*Result, error) {
+		return newBitEngine(e).run(m)
+	})
+}
+
+// RunReference runs the original map-based engine: per-link Go maps, the
+// string front half and full per-iteration rescoring. It is the readable
+// oracle the default engine is differentially tested against, and the map
+// side of the diagnose benchmarks. Option defaults, phase spans and
+// telemetry match RunCtx, and so does the hypothesis, byte for byte on
+// the wire.
+func RunReference(ctx context.Context, m *Measurements, opts Options) (*Result, error) {
+	return runWith(ctx, m, opts, (*engine).runMap)
+}
+
+// runWith applies the option defaults, sets up the run's telemetry and
+// hands the measurements to one engine implementation.
+func runWith(ctx context.Context, m *Measurements, opts Options,
+	run func(*engine, *Measurements) (*Result, error)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -192,13 +186,7 @@ func RunCtx(ctx context.Context, m *Measurements, opts Options) (*Result, error)
 		return nil, err
 	}
 
-	var res *Result
-	var err error
-	if opts.Engine == EngineMap {
-		res, err = e.runMap(m)
-	} else {
-		res, err = newBitEngine(e).run(m)
-	}
+	res, err := run(e, m)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ import (
 // incremental per-candidate scores instead of rescoring every candidate
 // each round.
 //
-// Equivalence with the map-based reference (EngineMap) is structural, not
+// Equivalence with the map-based reference (RunReference) is structural, not
 // accidental: every user-visible iteration (candidate scan, cluster pairs,
 // hypothesis order) runs in the same sorted-Link order as the reference,
 // scores are the same float expression over the same integer counts, and

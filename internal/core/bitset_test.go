@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -209,13 +210,11 @@ func TestEngineEquivalenceSynthetic(t *testing.T) {
 		} {
 			for _, par := range []int{1, 8} {
 				opts.Parallelism = par
-				optsMap := opts
-				optsMap.Engine = EngineMap
 				got, err := Run(m, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := Run(m, optsMap)
+				want, err := RunReference(context.Background(), m, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -21,7 +21,7 @@ import (
 // so every logical link maps back to exactly one physical link. The paper's
 // Figure 3 writes the node as "y1(B)"; Display renders that form.
 
-// expander is the reference engine's (EngineMap) string form of the
+// expander is the reference engine's (RunReference) string form of the
 // expansion; the default engine expands node IDs in ids.go. It rewrites
 // paths with logical links and records how each logical link maps back to
 // its physical interdomain link. In per-prefix mode

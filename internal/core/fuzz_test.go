@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // *ValidationError), diagnosis is a pure function of its input —
 // decoding and diagnosing the same bytes twice yields identical
 // results, hypothesis order included — and the default engine agrees
-// with the EngineMap reference byte for byte on the wire and in the
+// with the RunReference oracle byte for byte on the wire and in the
 // error text.
 
 // fuzzReader doles out bytes, yielding zero once the input is spent, so
@@ -92,13 +93,12 @@ func checkDiagnosis(t *testing.T, name string, run func() (*Result, error)) {
 	}
 }
 
-// checkEngines runs the default engine and the EngineMap reference on the
+// checkEngines runs the default engine and the RunReference oracle on the
 // same input and requires identical error text or identical wire bytes.
 func checkEngines(t *testing.T, name string, m *Measurements, opts Options) {
 	t.Helper()
 	got, gerr := Run(m, opts)
-	opts.Engine = EngineMap
-	want, werr := Run(m, opts)
+	want, werr := RunReference(context.Background(), m, opts)
 	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
 		t.Fatalf("%s: engines disagree on the error: %v vs reference %v", name, gerr, werr)
 	}

@@ -10,7 +10,7 @@ import (
 // runs on. Sensor pairs are indexed by sorting (src, dst) tuples, every
 // hop becomes a node ID in one arena, and the §3.1 logical-link expansion
 // rewrites that arena rather than copying the measurements. The reference
-// engine (EngineMap) keeps the string front half in types.go and
+// engine (RunReference) keeps the string front half in types.go and
 // expand.go; the differential tests compare the two.
 
 // pathKey places one path of a mesh in (src, dst) order; i is its index

@@ -125,16 +125,19 @@ func TestRunCtxCancelledSkipsFrontHalf(t *testing.T) {
 	m := synthMeasurements(8, 6, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, engine := range []EngineKind{EngineBitset, EngineMap} {
+	for _, engine := range []struct {
+		name string
+		run  func(context.Context, *Measurements, Options) (*Result, error)
+	}{{"default", RunCtx}, {"reference", RunReference}} {
 		reg := telemetry.New()
-		opts := Options{LogicalLinks: true, UseReroutes: true, Engine: engine, Telemetry: reg}
-		if _, err := RunCtx(ctx, m, opts); !errors.Is(err, context.Canceled) {
-			t.Fatalf("engine %d: RunCtx = %v, want context.Canceled", engine, err)
+		opts := Options{LogicalLinks: true, UseReroutes: true, Telemetry: reg}
+		if _, err := engine.run(ctx, m, opts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s engine = %v, want context.Canceled", engine.name, err)
 		}
 		snap := reg.Snapshot()
 		for _, phase := range []string{"expand", "build_sets"} {
 			if h := snap.Histograms["diagnose.phase."+phase+"_ns"]; h.Count != 0 {
-				t.Errorf("engine %d: %s observed %d times after cancellation", engine, phase, h.Count)
+				t.Errorf("%s engine: %s observed %d times after cancellation", engine.name, phase, h.Count)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -72,13 +73,11 @@ func engineDiffTrial(t *testing.T, td *TrialData, label string) {
 		for _, par := range []int{1, 8} {
 			opts := v.opts
 			opts.Parallelism = par
-			opts.Engine = core.EngineBitset
 			bitRes, err := core.Run(td.Meas, opts)
 			if err != nil {
 				t.Fatalf("%s %s par=%d: bitset engine: %v", label, v.name, par, err)
 			}
-			opts.Engine = core.EngineMap
-			mapRes, err := core.Run(td.Meas, opts)
+			mapRes, err := core.RunReference(context.Background(), td.Meas, opts)
 			if err != nil {
 				t.Fatalf("%s %s par=%d: map engine: %v", label, v.name, par, err)
 			}

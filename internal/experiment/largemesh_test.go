@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -64,8 +65,7 @@ func TestLargeMeshEngineEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.Engine = core.EngineMap
-			ref, err := core.Run(m, opts)
+			ref, err := core.RunReference(context.Background(), m, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,15 +112,14 @@ func TestLargeMeshExpandedSize(t *testing.T) {
 // greedy-phase time, and a sensors-per-second throughput figure for the
 // scalability curve. benchjson's diagnose section pairs the Map and Bitset
 // series into speedup ratios.
-func benchDiagnose(b *testing.B, n int, engine core.EngineKind) {
+func benchDiagnose(b *testing.B, n int, run func(context.Context, *core.Measurements, core.Options) (*core.Result, error)) {
 	m := GenerateLargeMesh(DefaultLargeMesh(n, 7))
 	opts := edgeOpts()
-	opts.Engine = engine
 	opts.Telemetry = telemetry.New()
 	var frontNs, greedyNs int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(m, opts)
+		res, err := run(context.Background(), m, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,13 +148,13 @@ func benchDiagnose(b *testing.B, n int, engine core.EngineKind) {
 // README performance table), and `make bench` runs every benchmark.
 func BenchmarkDiagnoseBitset(b *testing.B) {
 	for _, n := range []int{600, 2000, 10000} {
-		b.Run(fmt.Sprint(n), func(b *testing.B) { benchDiagnose(b, n, core.EngineBitset) })
+		b.Run(fmt.Sprint(n), func(b *testing.B) { benchDiagnose(b, n, core.RunCtx) })
 	}
 }
 
 // BenchmarkDiagnoseMap is the reference series for the speedup ratios.
 func BenchmarkDiagnoseMap(b *testing.B) {
 	for _, n := range []int{600, 2000} {
-		b.Run(fmt.Sprint(n), func(b *testing.B) { benchDiagnose(b, n, core.EngineMap) })
+		b.Run(fmt.Sprint(n), func(b *testing.B) { benchDiagnose(b, n, core.RunReference) })
 	}
 }

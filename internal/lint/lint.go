@@ -42,9 +42,9 @@
 //
 // Diagnostics are deterministic: sorted by file, line, column, analyzer
 // and message, deduplicated across the test/non-test variants of a
-// package, and byte-identical at any parallelism — and, via the
-// incremental result cache (cache.go), identical with caching on or
-// off. Findings are suppressed in place with
+// package, and byte-identical at any parallelism. Every run analyzes
+// every matched package from source. Findings are suppressed in place
+// with
 //
 //	//ndlint:ignore <analyzer>[,<analyzer>...] <reason>
 //

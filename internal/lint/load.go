@@ -216,9 +216,7 @@ func newInfo() *types.Info {
 // loadUnits type-checks each package directory as up to three units:
 // the plain package, the package augmented with its in-package test
 // files, and the external _test package. Dirs must already be sorted
-// (expandPatterns sorts) so downstream work is deterministic; with the
-// incremental cache on, Run passes only the dirty subset here and the
-// clean directories are never parsed or type-checked at all.
+// (expandPatterns sorts) so downstream work is deterministic.
 func (ld *loader) loadUnits(dirs []string) ([]*unit, error) {
 	var units []*unit
 	for _, dir := range dirs {

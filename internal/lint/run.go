@@ -2,8 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"path"
-	"path/filepath"
 	"sort"
 
 	"netdiag/internal/pool"
@@ -16,21 +14,13 @@ type Config struct {
 	// Parallelism bounds the worker count for the analysis phase
 	// (loading is sequential). <= 0 means GOMAXPROCS.
 	Parallelism int
-	// Cache enables the incremental result cache (see cache.go): clean
-	// packages answer from persisted findings without being parsed or
-	// type-checked. Output is byte-identical with the cache on or off.
-	Cache bool
-	// CacheDir overrides the cache location; empty means
-	// <module>/.ndlint-cache.
-	CacheDir string
 }
 
 // Run loads the packages matching patterns (relative to the module
 // containing dir) and applies the analyzers. Diagnostics come back
 // deduplicated across the test/non-test variants of each package and
 // sorted by file, line, column, analyzer and message — the output is
-// byte-deterministic at any parallelism, and with the incremental cache
-// on or off, cold or warm.
+// byte-deterministic at any parallelism.
 func Run(dir string, patterns []string, cfg Config) ([]Diagnostic, error) {
 	analyzers := cfg.Analyzers
 	if len(analyzers) == 0 {
@@ -45,24 +35,7 @@ func Run(dir string, patterns []string, cfg Config) ([]Diagnostic, error) {
 		return nil, err
 	}
 
-	// Split the directories into cache hits (findings replayed verbatim)
-	// and the dirty rest, which alone is loaded and analyzed.
-	var out []Diagnostic
-	dirty := dirs
-	var c *lintCache
-	if cfg.Cache {
-		c = newLintCache(ld, cfg.CacheDir, analyzers)
-		dirty = nil
-		for _, d := range dirs {
-			if ds, ok := c.lookup(d); ok {
-				out = append(out, ds...)
-			} else {
-				dirty = append(dirty, d)
-			}
-		}
-	}
-
-	units, err := ld.loadUnits(dirty)
+	units, err := ld.loadUnits(dirs)
 	if err != nil {
 		return nil, err
 	}
@@ -80,34 +53,15 @@ func Run(dir string, patterns []string, cfg Config) ([]Diagnostic, error) {
 	}
 
 	seen := map[Diagnostic]bool{}
-	var fresh []Diagnostic
+	var out []Diagnostic
 	for _, ds := range perUnit {
 		for _, d := range ds {
 			if !seen[d] {
 				seen[d] = true
-				fresh = append(fresh, d)
+				out = append(out, d)
 			}
 		}
 	}
-
-	if c != nil {
-		// Persist per-directory results, keyed by the diagnostic's file
-		// directory (a pass only reports positions inside its own files).
-		byDir := map[string][]Diagnostic{}
-		for _, d := range fresh {
-			rel := path.Dir(d.File)
-			byDir[rel] = append(byDir[rel], d)
-		}
-		for _, d := range dirty {
-			rel, err := filepath.Rel(ld.modRoot, d)
-			if err != nil {
-				continue
-			}
-			c.store(d, byDir[filepath.ToSlash(rel)])
-		}
-	}
-
-	out = append(out, fresh...)
 	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
 	return out, nil
 }

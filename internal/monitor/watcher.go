@@ -51,29 +51,3 @@ func (w *Watcher) Run(ctx context.Context, rounds <-chan *probe.Mesh, sink func(
 		}
 	}
 }
-
-// RunPull drives the detector from a pull source instead of pre-measured
-// rounds: each tick reads the current mesh from source — in ndserve's
-// ingest mode, the streaming plane's delta overlay, which costs zero
-// probing on a quiet tick because the overlay only re-traces pairs that
-// routing events dirtied. Same backpressure and termination contract as
-// Run; a source error ends the loop.
-func (w *Watcher) RunPull(ctx context.Context, ticks <-chan struct{}, source func(context.Context) (*probe.Mesh, error), sink func(context.Context, *Alarm)) error {
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case _, ok := <-ticks:
-			if !ok {
-				return nil
-			}
-			m, err := source(ctx)
-			if err != nil {
-				return err
-			}
-			if a := w.det.Observe(m); a != nil && sink != nil {
-				sink(ctx, a)
-			}
-		}
-	}
-}

@@ -210,10 +210,11 @@ func TestStreamReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamQuietTickNoReprobe is the regression test for the -watch
-// fix: with the watcher pulling the streaming overlay, a tick with no
-// intervening routing event must not trace a single pair — the old
-// timer loop re-measured the full mesh every round.
+// TestStreamQuietTickNoReprobe is the regression test for -watch under
+// -ingest: with each round read from the streaming overlay
+// (Processor.CurrentMesh), a tick with no intervening routing event must
+// not trace a single pair — re-measuring would trace the full mesh every
+// round.
 func TestStreamQuietTickNoReprobe(t *testing.T) {
 	reg := telemetry.New()
 	s := New(Config{Telemetry: reg, Ingest: true})
@@ -229,18 +230,17 @@ func TestStreamQuietTickNoReprobe(t *testing.T) {
 	baseTraced, baseReprobed := pairsTraced.Value(), reprobed.Value()
 
 	w := monitor.NewWatcher(monitor.Config{Confirm: 2})
-	ticks := make(chan struct{})
+	rounds := make(chan *probe.Mesh)
 	alarms := 0
 	done := make(chan error, 1)
 	go func() {
-		done <- w.RunPull(context.Background(), ticks,
-			func(context.Context) (*probe.Mesh, error) { return proc.CurrentMesh(), nil },
+		done <- w.Run(context.Background(), rounds,
 			func(context.Context, *monitor.Alarm) { alarms++ })
 	}()
 	for i := 0; i < 5; i++ {
-		ticks <- struct{}{}
+		rounds <- proc.CurrentMesh()
 	}
-	close(ticks)
+	close(rounds)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -256,10 +256,10 @@ func TestStreamQuietTickNoReprobe(t *testing.T) {
 	}
 }
 
-// TestStreamIngestAlarmPath covers the live half of the -watch fix: a
-// withdrawal arriving over ingest dirties the overlay, and the pulled
-// watcher confirms and diagnoses the resulting alarm through the same
-// sink as the timer loop — while re-probing only the dirtied pairs.
+// TestStreamIngestAlarmPath covers the live half of -watch under
+// -ingest: a withdrawal arriving over ingest dirties the overlay, and the
+// watcher fed from it confirms and diagnoses the resulting alarm through
+// the server's alarm sink — while re-probing only the dirtied pairs.
 func TestStreamIngestAlarmPath(t *testing.T) {
 	reg := telemetry.New()
 	s := New(Config{Telemetry: reg, Ingest: true})
@@ -276,17 +276,16 @@ func TestStreamIngestAlarmPath(t *testing.T) {
 	diagnosed := reg.Counter("server.alarms_diagnosed")
 
 	w := monitor.NewWatcher(monitor.Config{Confirm: 2})
-	source := func(context.Context) (*probe.Mesh, error) { return proc.CurrentMesh(), nil }
 	sink := s.AlarmSink("fig2", netdiag.NDEdgeAlgo)
 	runTicks := func(n int) {
 		t.Helper()
-		ticks := make(chan struct{})
+		rounds := make(chan *probe.Mesh)
 		done := make(chan error, 1)
-		go func() { done <- w.RunPull(context.Background(), ticks, source, sink) }()
+		go func() { done <- w.Run(context.Background(), rounds, sink) }()
 		for i := 0; i < n; i++ {
-			ticks <- struct{}{}
+			rounds <- proc.CurrentMesh()
 		}
-		close(ticks)
+		close(rounds)
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}

@@ -25,8 +25,6 @@
 package netdiag
 
 import (
-	"context"
-
 	"netdiag/internal/bgp"
 	"netdiag/internal/core"
 	"netdiag/internal/experiment"
@@ -51,7 +49,7 @@ type (
 	TracePath = core.TracePath
 	// Measurements is a full diagnosis input (T- and T+ meshes).
 	Measurements = core.Measurements
-	// Options selects diagnosis features for Run.
+	// Options is a custom diagnosis feature set for WithOptions.
 	Options = core.Options
 	// Result is a diagnosis output: the hypothesis set H.
 	Result = core.Result
@@ -92,51 +90,6 @@ type (
 	// Prefix names an announced destination prefix.
 	Prefix = bgp.Prefix
 )
-
-// Tomo runs the multi-AS Boolean tomography baseline (paper §2). It is a
-// thin wrapper over New(WithAlgorithm(TomoAlgo)).
-//
-// Deprecated: use New(WithAlgorithm(TomoAlgo)).Diagnose — the session
-// API takes a context, reuses its configuration across calls and is what
-// every option (parallelism, telemetry, routing info) attaches to.
-func Tomo(m *Measurements) (*Result, error) {
-	return New(WithAlgorithm(TomoAlgo)).Diagnose(context.Background(), m)
-}
-
-// NDEdge runs NetDiagnoser with logical links and reroute information
-// (paper §3.1–3.2). It is a thin wrapper over New(WithAlgorithm(NDEdgeAlgo)).
-//
-// Deprecated: use New(WithAlgorithm(NDEdgeAlgo)).Diagnose — see Tomo.
-func NDEdge(m *Measurements) (*Result, error) {
-	return New(WithAlgorithm(NDEdgeAlgo)).Diagnose(context.Background(), m)
-}
-
-// NDBgpIgp runs ND-edge augmented with IGP link-down events and BGP
-// withdrawals from the troubleshooter's AS (paper §3.3). It is a thin
-// wrapper over New(WithAlgorithm(NDBgpIgpAlgo), WithRoutingInfo(ri)).
-//
-// Deprecated: use New(WithAlgorithm(NDBgpIgpAlgo), WithRoutingInfo(ri)).
-// Diagnose — see Tomo.
-func NDBgpIgp(m *Measurements, ri *RoutingInfo) (*Result, error) {
-	return New(WithAlgorithm(NDBgpIgpAlgo), WithRoutingInfo(ri)).Diagnose(context.Background(), m)
-}
-
-// NDLG runs the full NetDiagnoser with Looking-Glass support for
-// traceroute-blocking ASes (paper §3.4). It is a thin wrapper over
-// New(WithAlgorithm(NDLGAlgo), WithRoutingInfo(ri), WithLookingGlass(lg)).
-//
-// Deprecated: use New(WithAlgorithm(NDLGAlgo), WithRoutingInfo(ri),
-// WithLookingGlass(lg)).Diagnose — see Tomo.
-func NDLG(m *Measurements, ri *RoutingInfo, lg LookingGlass) (*Result, error) {
-	return New(WithAlgorithm(NDLGAlgo), WithRoutingInfo(ri), WithLookingGlass(lg)).
-		Diagnose(context.Background(), m)
-}
-
-// Run executes a custom configuration of the diagnosis engine.
-//
-// Deprecated: use New with the matching options and Diagnose; Options is
-// the engine-internal form that the Diagnoser options assemble for you.
-func Run(m *Measurements, opts Options) (*Result, error) { return core.Run(m, opts) }
 
 // SCFS runs Duffield's single-source tree baseline (paper §2.1).
 func SCFS(paths []*TracePath) ([]Link, error) { return core.SCFS(paths) }

@@ -1,6 +1,7 @@
 package netdiag_test
 
 import (
+	"context"
 	"testing"
 
 	"netdiag"
@@ -28,7 +29,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	after := net.Mesh(sensors)
 
 	meas := netdiag.ToMeasurements(before, after)
-	res, err := netdiag.NDEdge(meas)
+	res, err := netdiag.New(netdiag.WithAlgorithm(netdiag.NDEdgeAlgo)).Diagnose(context.Background(), meas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,8 @@ func TestFacadeCustomTopology(t *testing.T) {
 	}
 }
 
-// TestFacadeVariants exercises every facade wrapper at least once.
+// TestFacadeVariants exercises every algorithm variant and the facade's
+// metric wrappers at least once.
 func TestFacadeVariants(t *testing.T) {
 	fig := netdiag.BuildFig2()
 	net, err := netdiag.NewNetwork(fig.Topo, []netdiag.ASN{fig.ASA, fig.ASB, fig.ASC})
@@ -124,13 +126,21 @@ func TestFacadeVariants(t *testing.T) {
 	}
 	lg := netdiag.NewLookingGlassRegistry(net.BGP(), beforeBGP, nil, fig.ASX, prefixes)
 
-	if _, err := netdiag.Tomo(meas); err != nil {
+	ctx := context.Background()
+	if _, err := netdiag.New(netdiag.WithAlgorithm(netdiag.TomoAlgo)).Diagnose(ctx, meas); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := netdiag.NDBgpIgp(meas, routing); err != nil {
+	if _, err := netdiag.New(
+		netdiag.WithAlgorithm(netdiag.NDBgpIgpAlgo),
+		netdiag.WithRoutingInfo(routing),
+	).Diagnose(ctx, meas); err != nil {
 		t.Fatal(err)
 	}
-	res, err := netdiag.NDLG(meas, routing, lg)
+	res, err := netdiag.New(
+		netdiag.WithAlgorithm(netdiag.NDLGAlgo),
+		netdiag.WithRoutingInfo(routing),
+		netdiag.WithLookingGlass(lg),
+	).Diagnose(ctx, meas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +155,8 @@ func TestFacadeVariants(t *testing.T) {
 	if !found {
 		t.Fatalf("ND-LG ASes = %v, expected Y or B", res.ASes())
 	}
-	if _, err := netdiag.Run(meas, netdiag.Options{UseReroutes: true, UsePartialTraces: true}); err != nil {
+	custom := netdiag.Options{UseReroutes: true, UsePartialTraces: true}
+	if _, err := netdiag.New(netdiag.WithOptions(custom)).Diagnose(ctx, meas); err != nil {
 		t.Fatal(err)
 	}
 

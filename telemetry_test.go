@@ -85,7 +85,7 @@ func TestDiagnoseWithLogger(t *testing.T) {
 	meas, _ := fig2Measurements(t)
 	lg := slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelDebug}))
 
-	plain, err := netdiag.NDEdge(meas)
+	plain, err := netdiag.New(netdiag.WithAlgorithm(netdiag.NDEdgeAlgo)).Diagnose(context.Background(), meas)
 	if err != nil {
 		t.Fatal(err)
 	}
