@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint bench benchdiff smoke allocguard verify
+.PHONY: build test vet vet-ndbench race lint bench benchdiff smoke allocguard verify
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,14 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# cmd/ndbench is a nested module, which the root ./... patterns skip.
+# Vetting it compiles it against the root module's current API, so a
+# deleted root API that ndbench still uses fails here rather than at
+# the next benchmark run. Offline: its only dependency is the root
+# module, through a replace directive.
+vet-ndbench:
+	cd cmd/ndbench && $(GO) vet ./...
 
 race:
 	$(GO) test -race ./...
@@ -52,8 +60,10 @@ benchdiff:
 	$(GO) run ./cmd/benchjson -compare -threshold 300 BENCH_pipeline.json BENCH_diff.json || (rm -f BENCH_diff.json; exit 1)
 	@rm -f BENCH_diff.json
 
-# End-to-end service check: build the real ndserve binary, start it on a
-# random port, diagnose over HTTP, drain it with SIGTERM.
+# End-to-end service checks: build the real ndserve binary, start it on a
+# random port, diagnose over HTTP (single server, then a sharded fleet),
+# turn ingested BGP records into a diagnosed /v1/events entry, and drain
+# every process with SIGTERM.
 smoke:
 	$(GO) test -run TestSmoke -count=1 ./cmd/ndserve
 
@@ -65,7 +75,8 @@ allocguard:
 	$(GO) test -run xxx -bench 'BenchmarkHotLoopDisabled' -benchtime 100x ./internal/telemetry/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkHotLoopDisabled'
 	$(GO) test -run xxx -bench 'BenchmarkGreedyScoreKernel' -benchtime 100x ./internal/core/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkGreedyScoreKernel'
 
-# The full verify loop: tier-1 (build + test) plus vet, the project
-# linter, the race detector, the service smoke test and the telemetry
-# alloc guard. Run before every commit.
-verify: build vet lint test race smoke allocguard
+# The full verify loop: tier-1 (build + test) plus vet (the root module
+# and the ndbench module), the project linter, the race detector, the
+# service smoke test and the telemetry alloc guard. Run before every
+# commit.
+verify: build vet vet-ndbench lint test race smoke allocguard

@@ -21,12 +21,11 @@
 // followed by the front to the owning shard. -slow-ms promotes slow
 // requests to a per-phase access-log breakdown.
 //
-// With -watch, ndserve also runs the continuous monitoring loop of the
-// paper's deployment model (§6): the watched scenario is measured every
-// -watch-interval, and alarms confirmed by the transient-filtering
-// detector are diagnosed through the same admission queue as the HTTP
-// requests. Under -ingest a round reads the streaming plane's delta
-// overlay instead of re-measuring the mesh.
+// With -ingest, ndserve also runs the streaming diagnosis plane, its one
+// trouble-detection path: sensors POST traceroute and BGP records to
+// /v1/ingest/{traceroute,bgp}, the plane correlates the ones that show
+// trouble into events, and each closed event is diagnosed through the
+// same admission queue as the HTTP requests and listed on /v1/events.
 //
 // A fleet splits the scenario set across worker processes and puts a
 // routing tier in front: every worker gets the same -scenarios list plus
@@ -51,9 +50,6 @@ import (
 	"syscall"
 	"time"
 
-	"netdiag"
-	"netdiag/internal/monitor"
-	"netdiag/internal/probe"
 	"netdiag/internal/server"
 	"netdiag/internal/telemetry"
 )
@@ -68,8 +64,6 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "bound on the graceful drain after SIGINT/SIGTERM")
 		scenarios    = flag.String("scenarios", "fig1,fig2", "comma-separated scenarios to register: fig1, fig2, research-<seed>")
 		debugAddr    = flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof for the telemetry registry on this address")
-		watch        = flag.String("watch", "", "scenario to measure continuously, diagnosing confirmed alarms through the queue")
-		watchEvery   = flag.Duration("watch-interval", 5*time.Second, "measurement round period for -watch")
 		ingest       = flag.Bool("ingest", false, "enable the streaming plane: POST /v1/ingest/{traceroute,bgp} and GET /v1/events")
 		eventWindow  = flag.Duration("event-window", 2*time.Second, "record-time correlation window bucketing streamed observations into one event")
 		eventIdle    = flag.Duration("event-idle-close", 5*time.Second, "record-time idle gap after which a streaming event closes and is diagnosed")
@@ -138,27 +132,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *watch != "" {
-		if !reg.Has(*watch) {
-			fatal(fmt.Errorf("-watch scenario %q is not registered", *watch))
-		}
-		name := *watch
-		measure := func(ctx context.Context) (*probe.Mesh, error) { return srv.MeshScenario(ctx, name) }
-		if *ingest {
-			// Pull the streaming plane's delta overlay instead of
-			// re-measuring: a quiet tick runs zero traceroutes, and only
-			// pairs dirtied by ingested routing events are re-probed.
-			measure = func(ctx context.Context) (*probe.Mesh, error) {
-				proc, err := srv.StreamProcessor(ctx, name)
-				if err != nil {
-					return nil, err
-				}
-				return proc.CurrentMesh(), nil
-			}
-		}
-		go runWatch(ctx, srv, tele, logger, name, *watchEvery, measure)
-	}
 
 	if err := srv.Serve(ctx, ln); err != nil {
 		fatal(err)
@@ -275,41 +248,6 @@ func runFront(addr, shards string, drainTimeout time.Duration, logger *slog.Logg
 	err = srv.Shutdown(sctx)
 	<-serveErr // always http.ErrServerClosed after Shutdown
 	return err
-}
-
-// runWatch drives the monitor.Watcher: one measurement round of the
-// watched scenario per tick, confirmed alarms posted into the server's
-// admission queue. A failed measurement is logged and the tick skipped.
-func runWatch(ctx context.Context, srv *server.Server, tele *telemetry.Registry,
-	logger *slog.Logger, name string, every time.Duration,
-	measure func(context.Context) (*probe.Mesh, error)) {
-	w := monitor.NewWatcher(monitor.Config{Telemetry: tele})
-	rounds := make(chan *probe.Mesh)
-	go func() {
-		defer close(rounds)
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-			}
-			m, err := measure(ctx)
-			if err != nil {
-				logger.Warn("watch measurement failed", "scenario", name, "err", err)
-				continue
-			}
-			select {
-			case rounds <- m:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	if err := w.Run(ctx, rounds, srv.AlarmSink(name, netdiag.NDEdgeAlgo)); err != nil && ctx.Err() == nil {
-		logger.Warn("watch loop ended", "err", err)
-	}
 }
 
 func fatal(err error) {

@@ -8,7 +8,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -278,57 +277,56 @@ func TestSmokeFleet(t *testing.T) {
 	}
 }
 
-// TestSmokeWatch is the end-to-end monitoring check behind `make smoke`:
-// the real binary runs the -watch loop on fig2 every 50ms, measuring the
-// mesh directly and, under -ingest, reading the streaming overlay. Each
-// mode must observe at least three rounds (monitor_rounds_observed on
-// /metrics) and then drain cleanly on SIGTERM.
-func TestSmokeWatch(t *testing.T) {
+// TestSmokeIngest is the end-to-end streaming check behind `make smoke`:
+// the real binary runs with -ingest, two withdrawals and a keepalive
+// posted to /v1/ingest/bgp close one event, GET /v1/events lists it as
+// diagnosed, and the server drains cleanly on SIGTERM.
+func TestSmokeIngest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the ndserve binary")
 	}
-	bin := buildNdserve(t)
-	for _, mode := range []struct {
-		name  string
-		extra []string
-	}{
-		{"mesh", nil},
-		{"ingest", []string{"-ingest"}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			args := append([]string{"-addr", "127.0.0.1:0", "-scenarios", "fig2",
-				"-watch", "fig2", "-watch-interval", "50ms"}, mode.extra...)
-			cmd, base := startNdserve(t, bin, args...)
-			client := &http.Client{Timeout: 5 * time.Second}
-			deadline := time.Now().Add(30 * time.Second)
-			for {
-				rounds, err := roundsObserved(client, base)
-				if err == nil && rounds >= 3 {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("monitor_rounds_observed never reached 3 (last %d, err %v)", rounds, err)
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
-			sigtermClean(t, "ndserve -watch", cmd)
-		})
-	}
-}
+	cmd, base := startNdserve(t, buildNdserve(t), "-addr", "127.0.0.1:0", "-ingest", "-scenarios", "fig2")
+	client := &http.Client{Timeout: 30 * time.Second}
 
-// roundsObserved reads the watcher's round counter off /metrics; zero
-// until the first round registers it.
-func roundsObserved(client *http.Client, base string) (int, error) {
-	resp, err := client.Get(base + "/metrics")
+	// Disconnect s3 (both y3 links); the keepalive moves record time past
+	// the idle close, which closes the event and queues its diagnosis.
+	feed := `{"ts":1000,"type":"withdrawal","a":"y3","b":"y4"}
+{"ts":1200,"type":"withdrawal","a":"y2","b":"y3"}
+{"ts":20000,"type":"keepalive"}
+`
+	resp, err := client.Post(base+"/v1/ingest/bgp?scenario=fig2", "application/x-ndjson", strings.NewReader(feed))
 	if err != nil {
-		return 0, err
+		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		if v, ok := strings.CutPrefix(sc.Text(), "monitor_rounds_observed "); ok {
-			return strconv.Atoi(v)
+	var ingested struct{ Accepted, Rejected int }
+	err = json.NewDecoder(resp.Body).Decode(&ingested)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || ingested.Accepted != 3 || ingested.Rejected != 0 {
+		t.Fatalf("ingest = %d %+v (%v), want 200 with 3 accepted", resp.StatusCode, ingested, err)
+	}
+
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resp, err := client.Get(base + "/v1/events?scenario=fig2")
+		if err != nil {
+			t.Fatal(err)
 		}
+		var evs []struct {
+			Status     string          `json:"status"`
+			Hypothesis json.RawMessage `json:"hypothesis"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&evs)
+		resp.Body.Close()
+		if err != nil || len(evs) != 1 {
+			t.Fatalf("events = %+v (%v), want exactly one", evs, err)
+		}
+		if evs[0].Status == "diagnosed" && len(evs[0].Hypothesis) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("event never diagnosed (status %q)", evs[0].Status)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
-	return 0, sc.Err()
+	sigtermClean(t, "ndserve -ingest", cmd)
 }

@@ -99,6 +99,19 @@ type WireError struct {
 	RetryAfterS int    `json:"retry_after_s,omitempty"`
 }
 
+// NewWireError builds the WireError a response with the given HTTP status
+// carries. The retryable statuses — 429 (shed), 502 (a shard the front
+// could not reach) and 503 (draining) — get RetryAfterS 1, the value
+// every v1 seam also sends as the Retry-After header.
+func NewWireError(status int, code, msg string) *WireError {
+	we := &WireError{Code: code, Message: msg}
+	switch status {
+	case 429, 502, 503:
+		we.RetryAfterS = 1
+	}
+	return we
+}
+
 // WireObservation is one contributing observation of a streaming event:
 // an ingested record that indicated trouble (a failing streamed
 // traceroute, a withdrawal/announcement feed record). Key is the

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"netdiag"
 	"netdiag/internal/core"
@@ -87,11 +86,6 @@ func (s *Server) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch has %d items, limit is %d", len(req.Items), maxBatchItems))
 		return
 	}
-	timeout := s.requestTimeout
-	if t := time.Duration(req.TimeoutMS) * time.Millisecond; t > 0 && t < timeout {
-		timeout = t
-	}
-
 	acc := accessFrom(r.Context())
 	acc.scenario, acc.algo = req.Scenario, algo.Slug()
 
@@ -102,48 +96,9 @@ func (s *Server) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 		keys[i] = canonicalKey(req.Scenario, algo, it.FailLinks, it.FailRouters)
 	}
 	key := "batch|" + strings.Join(keys, "||")
-	tr := acc.tr
-	endWait := tr.StartSpan("admission_wait")
-	f, leader, ok := s.flights.do(key, acc.id, s.queue.TrySubmit, func() ([]byte, error) {
-		endWait()
-		if s.draining.Load() {
-			return nil, errDraining
-		}
-		if s.testJobStart != nil {
-			s.testJobStart()
-		}
-		ctx, cancel := context.WithTimeout(s.lifeCtx, timeout)
-		defer cancel()
-		return s.computeBatch(telemetry.ContextWithTrace(ctx, tr), &req, algo)
+	s.serveQueued(w, r, acc, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
+		return s.computeBatch(ctx, &req, algo)
 	})
-	if !ok {
-		s.shed.Inc()
-		writeError(w, http.StatusTooManyRequests, core.ErrQueueFull, "diagnosis queue full")
-		return
-	}
-	acc.coalesced, acc.leaderTrace = !leader, f.leaderTrace
-	endAttach := noSpan
-	if !leader {
-		endAttach = tr.StartSpan("coalesce_wait")
-	}
-	select {
-	case <-f.done:
-		endAttach()
-	case <-r.Context().Done():
-		endAttach()
-		writeError(w, http.StatusGatewayTimeout, core.ErrTimeout, "request context ended while waiting for diagnosis")
-		return
-	}
-	acc.queueWait = f.queueWaitNs
-	if f.err != nil {
-		status, code := statusFor(f.err)
-		writeError(w, status, code, f.err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(f.body); err != nil && s.log != nil {
-		s.log.Warn("writing batch response", "err", err)
-	}
 }
 
 // computeBatch diagnoses every item over one fork: checkpoint the healthy

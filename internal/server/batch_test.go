@@ -71,6 +71,9 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 	// The whole batch costs one queued job; each distinct single request
 	// (the invalid one included — it fails inside its job) costs its own.
+	// Queue.worker counts a job only after it returns, which can be after
+	// its response arrived: wait for the count, then assert it exactly.
+	waitCounter(t, reg, "pool.queue_executed", 1+4)
 	if got := reg.Snapshot().Counters["pool.queue_executed"]; got != 1+4 {
 		t.Errorf("queue executed %d jobs, want 5 (1 batch + 4 singles)", got)
 	}

@@ -10,10 +10,8 @@ import (
 	"strings"
 
 	"netdiag"
-	"netdiag/internal/core"
 	"netdiag/internal/experiment"
 	"netdiag/internal/lookingglass"
-	"netdiag/internal/monitor"
 	"netdiag/internal/netsim"
 	"netdiag/internal/telemetry"
 )
@@ -176,31 +174,6 @@ func (s *Server) diagnoseFork(ctx context.Context, snap *Snapshot, fork *netsim.
 	return encodeWire(res, algo)
 }
 
-// computeAlarm diagnoses a monitor alarm: the alarm's own T-/T+ meshes
-// are the measurements, so no fault is injected — the failure is already
-// in the data. Only the measurement-only algorithms apply here (the
-// control-plane feeds of nd-bgpigp/nd-lg come from fault injection, which
-// an observed alarm does not have).
-func (s *Server) computeAlarm(ctx context.Context, scenarioName string, algo netdiag.Algorithm, a *monitor.Alarm) ([]byte, error) {
-	if algo != netdiag.TomoAlgo && algo != netdiag.NDEdgeAlgo {
-		return nil, badRequestf("alarm diagnosis supports tomo and nd-edge, not %s", algo.Slug())
-	}
-	snap, err := s.store.Get(ctx, scenarioName)
-	if err != nil {
-		return nil, err
-	}
-	meas := experiment.ToMeasurementsMapped(a.Baseline, a.Current, snap.IP2AS.Lookup)
-	res, err := netdiag.New(
-		netdiag.WithAlgorithm(algo),
-		netdiag.WithParallelism(s.par),
-		netdiag.WithTelemetry(s.tele),
-	).Diagnose(ctx, meas)
-	if err != nil {
-		return nil, err
-	}
-	return encodeWire(res, algo)
-}
-
 // encodeWire renders a result in the shared wire form — the exact bytes
 // the netdiagnoser CLI's -json flag prints.
 func encodeWire(res *netdiag.Result, algo netdiag.Algorithm) ([]byte, error) {
@@ -209,72 +182,4 @@ func encodeWire(res *netdiag.Result, algo netdiag.Algorithm) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// DiagnoseAlarm routes a confirmed monitor alarm through the same
-// admission queue, coalescing group and telemetry as the HTTP requests,
-// so monitoring-triggered diagnoses contend fairly with operator ones.
-// It blocks until the diagnosis completes or ctx ends, and returns
-// errShed when the queue refuses admission.
-func (s *Server) DiagnoseAlarm(ctx context.Context, scenarioName string, algo netdiag.Algorithm, a *monitor.Alarm) (*core.WireResult, error) {
-	if s.draining.Load() {
-		return nil, errDraining
-	}
-	// Alarms trace like HTTP requests: reuse a trace already on ctx (so a
-	// caller can correlate), otherwise mint one for this diagnosis.
-	tr := telemetry.TraceFromContext(ctx)
-	if tr.ID() == "" {
-		tr = telemetry.NewRequestTrace(telemetry.NewTraceID())
-	}
-	key := fmt.Sprintf("alarm|%s|%s|round%d", scenarioName, algo.Slug(), a.Round)
-	f, _, ok := s.flights.do(key, tr.ID(), s.queue.TrySubmit, func() ([]byte, error) {
-		if s.draining.Load() {
-			return nil, errDraining
-		}
-		if s.testJobStart != nil {
-			s.testJobStart()
-		}
-		cctx, cancel := context.WithTimeout(s.lifeCtx, s.requestTimeout)
-		defer cancel()
-		return s.computeAlarm(telemetry.ContextWithTrace(cctx, tr), scenarioName, algo, a)
-	})
-	if !ok {
-		s.shed.Inc()
-		return nil, errShed
-	}
-	select {
-	case <-f.done:
-		if f.err != nil {
-			return nil, f.err
-		}
-		return decodeWire(f.body)
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// AlarmSink adapts DiagnoseAlarm to the monitor.Watcher sink signature,
-// logging each outcome and feeding the "server.alarms_diagnosed" /
-// "server.alarms_failed" counters. This is what ndserve's -watch mode
-// wires between the watcher and the queue.
-func (s *Server) AlarmSink(scenarioName string, algo netdiag.Algorithm) func(context.Context, *monitor.Alarm) {
-	diagnosed := s.tele.Counter("server.alarms_diagnosed")
-	failed := s.tele.Counter("server.alarms_failed")
-	return func(ctx context.Context, a *monitor.Alarm) {
-		res, err := s.DiagnoseAlarm(ctx, scenarioName, algo, a)
-		if err != nil {
-			failed.Inc()
-			if s.log != nil {
-				s.log.Warn("alarm diagnosis failed",
-					"scenario", scenarioName, "round", a.Round, "err", err)
-			}
-			return
-		}
-		diagnosed.Inc()
-		if s.log != nil {
-			s.log.Info("alarm diagnosed", "scenario", scenarioName,
-				"round", a.Round, "algorithm", algo.Slug(),
-				"hypothesis", len(res.Hypothesis), "unexplained", res.Unexplained)
-		}
-	}
 }

@@ -14,20 +14,14 @@ import (
 
 	"netdiag/internal/core"
 	"netdiag/internal/pool"
-	"netdiag/internal/probe"
 	"netdiag/internal/stream"
 	"netdiag/internal/telemetry"
 	"netdiag/internal/topology"
 )
 
-var (
-	// errDraining is returned for work refused because the server is
-	// shutting down; it surfaces as HTTP 503.
-	errDraining = errors.New("server: draining")
-	// errShed is returned when the admission queue refuses a request; it
-	// surfaces as HTTP 429 with a Retry-After header.
-	errShed = errors.New("server: queue full")
-)
+// errDraining is returned for work refused because the server is
+// shutting down; it surfaces as HTTP 503.
+var errDraining = errors.New("server: draining")
 
 // Config parameterizes a Server. The zero value of every field selects a
 // sensible default.
@@ -239,17 +233,6 @@ func (s *Server) drain(ctx context.Context, srv *http.Server) error {
 	return err
 }
 
-// MeshScenario measures the scenario's current full mesh off the warm
-// snapshot — the measurement source for ndserve's -watch loop, standing
-// in for a real sensor overlay's periodic round.
-func (s *Server) MeshScenario(ctx context.Context, name string) (*probe.Mesh, error) {
-	snap, err := s.store.Get(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	return snap.Net.MeshCtx(ctx, snap.Scenario.Sensors)
-}
-
 // Close force-stops the server's computations without the graceful
 // sequence; it is the test/teardown counterpart of Serve's drain.
 func (s *Server) Close() {
@@ -335,45 +318,36 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, core.ErrNotFound, fmt.Sprintf("unknown scenario %q", req.Scenario))
 		return
 	}
-	timeout := s.requestTimeout
-	if t := time.Duration(req.TimeoutMS) * time.Millisecond; t > 0 && t < timeout {
-		timeout = t
-	}
 	acc := accessFrom(r.Context())
 	acc.scenario, acc.algo = req.Scenario, algo.Slug()
-
 	key := canonicalKey(req.Scenario, algo, req.FailLinks, req.FailRouters)
-	tr := acc.tr
-	endWait := tr.StartSpan("admission_wait")
-	f, leader, ok := s.flights.do(key, acc.id, s.queue.TrySubmit, func() ([]byte, error) {
-		endWait()
-		// A job that reaches a worker only after the drain began is
-		// "queued work" in the shutdown contract: reject it. The hook
-		// below stands in for a long computation in tests.
-		if s.draining.Load() {
-			return nil, errDraining
-		}
-		if s.testJobStart != nil {
-			s.testJobStart()
-		}
-		// The computation runs under the server's lifetime context plus
-		// the (leader's) timeout, never an individual request context:
-		// coalesced followers must not lose the result because the leader
-		// disconnected. The leader's trace rides along so pipeline spans
-		// land on it.
-		ctx, cancel := context.WithTimeout(s.lifeCtx, timeout)
-		defer cancel()
-		return s.compute(telemetry.ContextWithTrace(ctx, tr), &req, algo)
+	s.serveQueued(w, r, acc, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
+		return s.compute(ctx, &req, algo)
 	})
+}
+
+// serveQueued is the shared tail of the diagnosis handlers: it hands the
+// validated request to enqueue, capping the computation at timeoutMS
+// when that is below the server's request timeout, and writes the
+// outcome — 429 when the queue sheds it, 504 when the client leaves
+// before the flight completes, otherwise the flight's error envelope or
+// body. A follower of a coalesced flight times its wait as the
+// coalesce_wait span.
+func (s *Server) serveQueued(w http.ResponseWriter, r *http.Request, acc *access, key string,
+	timeoutMS int64, compute func(context.Context) ([]byte, error)) {
+	timeout := s.requestTimeout
+	if t := time.Duration(timeoutMS) * time.Millisecond; t > 0 && t < timeout {
+		timeout = t
+	}
+	f, leader, ok := s.enqueue(key, acc.tr, timeout, compute)
 	if !ok {
-		s.shed.Inc()
 		writeError(w, http.StatusTooManyRequests, core.ErrQueueFull, "diagnosis queue full")
 		return
 	}
 	acc.coalesced, acc.leaderTrace = !leader, f.leaderTrace
 	endAttach := noSpan
 	if !leader {
-		endAttach = tr.StartSpan("coalesce_wait")
+		endAttach = acc.tr.StartSpan("coalesce_wait")
 	}
 	select {
 	case <-f.done:
@@ -391,8 +365,42 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if _, err := w.Write(f.body); err != nil && s.log != nil {
-		s.log.Warn("writing diagnosis response", "err", err)
+		s.log.Warn("writing diagnosis response", "op", acc.op, "err", err)
 	}
+}
+
+// enqueue is the one hand-off from a diagnosis request or a closed
+// stream event to the coalescing group and the admission queue. key is
+// the flight's coalescing identity; tr is the caller's trace, kept as
+// the flight's leader trace and handed to compute on its context. ok is
+// false when the queue shed the job, which enqueue has already counted.
+func (s *Server) enqueue(key string, tr *telemetry.Trace, timeout time.Duration,
+	compute func(context.Context) ([]byte, error)) (f *flight, leader, ok bool) {
+	endWait := tr.StartSpan("admission_wait")
+	f, leader, ok = s.flights.do(key, tr.ID(), s.queue.TrySubmit, func() ([]byte, error) {
+		endWait()
+		// A job that reaches a worker only after the drain began is
+		// "queued work" in the shutdown contract: reject it. The hook
+		// below stands in for a long computation in tests.
+		if s.draining.Load() {
+			return nil, errDraining
+		}
+		if s.testJobStart != nil {
+			s.testJobStart()
+		}
+		// The computation runs under the server's lifetime context plus
+		// the (leader's) timeout, never an individual request context:
+		// coalesced followers must not lose the result because the leader
+		// disconnected. The leader's trace rides along so pipeline spans
+		// land on it.
+		ctx, cancel := context.WithTimeout(s.lifeCtx, timeout)
+		defer cancel()
+		return compute(telemetry.ContextWithTrace(ctx, tr))
+	})
+	if !ok {
+		s.shed.Inc()
+	}
+	return f, leader, ok
 }
 
 // statusFor maps computation errors to an HTTP status and wire error code.
@@ -406,8 +414,6 @@ func statusFor(err error) (int, string) {
 		return re.status, core.ErrBadRequest
 	case errors.Is(err, errDraining):
 		return http.StatusServiceUnavailable, core.ErrDraining
-	case errors.Is(err, errShed):
-		return http.StatusTooManyRequests, core.ErrQueueFull
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, core.ErrTimeout
 	case errors.Is(err, context.Canceled):
@@ -421,17 +427,10 @@ func statusFor(err error) (int, string) {
 var noSpan = func() {}
 
 // errorEnvelope builds the WireError a status/code/message triple puts on
-// the wire. Retryable statuses — shed (429), draining (503) and a shard
-// the front could not reach (502, typically a restarting worker) — carry
-// retry_after_s so the body alone tells a client what the Retry-After
-// header would.
+// the wire (core.NewWireError holds the retry rule), for writeError and
+// for the error slots of a batch response.
 func errorEnvelope(status int, code, msg string) *core.WireError {
-	we := &core.WireError{Code: code, Message: msg}
-	switch status {
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusBadGateway:
-		we.RetryAfterS = 1
-	}
-	return we
+	return core.NewWireError(status, code, msg)
 }
 
 // writeError emits the v1 error envelope. The retryable statuses get a
@@ -444,14 +443,4 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(we.Envelope())
-}
-
-// decodeWire parses the wire JSON back into its struct form (the alarm
-// sink consumes results in process rather than over HTTP).
-func decodeWire(body []byte) (*core.WireResult, error) {
-	var res core.WireResult
-	if err := json.Unmarshal(body, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"netdiag"
-	"netdiag/internal/monitor"
+	"netdiag/internal/experiment"
 	"netdiag/internal/probe"
 	"netdiag/internal/stream"
 	"netdiag/internal/telemetry"
@@ -14,8 +14,8 @@ import (
 // Streaming-plane wiring: the stream.Service owns the per-scenario
 // processors (journal, delta overlay, event correlation); the server
 // contributes the warm snapshots they fork from and the diagnosis
-// callback that routes closed events through the same admission queue,
-// coalescing group and telemetry as the HTTP diagnosis requests.
+// callback that routes closed events through enqueue, the same admission
+// queue, coalescing group and telemetry as the HTTP diagnosis requests.
 
 // newStreamService builds the streaming facade over this server's
 // snapshot store.
@@ -55,34 +55,23 @@ func (s *Server) openStreamProcessor(ctx context.Context, name string) (*stream.
 	}), nil
 }
 
-// streamDiagnoser adapts one scenario's closed events onto the
-// queue/flight diagnosis path. The flight key is the event ID, so a
-// re-closed event (journal reset) coalesces with its own in-flight
-// diagnosis instead of recomputing; the event ID is also the trace ID,
-// keeping replayed runs byte-identical with tracing on or off. A shed
-// reports retry=true and the processor parks the event as pending.
+// streamDiagnoser adapts one scenario's closed events onto enqueue. The
+// flight key is the event ID, so a re-closed event (journal reset)
+// coalesces with its own in-flight diagnosis instead of recomputing; the
+// event ID is also the trace ID, keeping replayed runs byte-identical
+// with tracing on or off. A shed reports retry=true and the processor
+// parks the event as pending.
 func (s *Server) streamDiagnoser(scenarioName string) stream.Diagnoser {
-	algo := netdiag.NDEdgeAlgo
 	return func(eventID string, tminus, tplus *probe.Mesh) ([]byte, bool, error) {
 		if s.draining.Load() {
 			return nil, false, errDraining
 		}
-		tr := telemetry.NewRequestTrace(eventID)
-		key := "event|" + scenarioName + "|" + algo.Slug() + "|" + eventID
-		f, _, ok := s.flights.do(key, tr.ID(), s.queue.TrySubmit, func() ([]byte, error) {
-			if s.draining.Load() {
-				return nil, errDraining
-			}
-			if s.testJobStart != nil {
-				s.testJobStart()
-			}
-			ctx, cancel := context.WithTimeout(s.lifeCtx, s.requestTimeout)
-			defer cancel()
-			return s.computeAlarm(telemetry.ContextWithTrace(ctx, tr), scenarioName, algo,
-				&monitor.Alarm{Baseline: tminus, Current: tplus})
-		})
+		key := "event|" + scenarioName + "|" + netdiag.NDEdgeAlgo.Slug() + "|" + eventID
+		f, _, ok := s.enqueue(key, telemetry.NewRequestTrace(eventID), s.requestTimeout,
+			func(ctx context.Context) ([]byte, error) {
+				return s.diagnoseEvent(ctx, scenarioName, tminus, tplus)
+			})
 		if !ok {
-			s.shed.Inc()
 			return nil, true, nil
 		}
 		select {
@@ -92,6 +81,27 @@ func (s *Server) streamDiagnoser(scenarioName string) stream.Diagnoser {
 			return nil, false, s.lifeCtx.Err()
 		}
 	}
+}
+
+// diagnoseEvent runs ND-edge on a closed event's healthy (T−) and failed
+// (T+) meshes. No fault is injected: the failure is already in the
+// measurements, so the control-plane feeds of nd-bgpigp and nd-lg do not
+// apply.
+func (s *Server) diagnoseEvent(ctx context.Context, scenarioName string, tminus, tplus *probe.Mesh) ([]byte, error) {
+	snap, err := s.store.Get(ctx, scenarioName)
+	if err != nil {
+		return nil, err
+	}
+	meas := experiment.ToMeasurementsMapped(tminus, tplus, snap.IP2AS.Lookup)
+	res, err := netdiag.New(
+		netdiag.WithAlgorithm(netdiag.NDEdgeAlgo),
+		netdiag.WithParallelism(s.par),
+		netdiag.WithTelemetry(s.tele),
+	).Diagnose(ctx, meas)
+	if err != nil {
+		return nil, err
+	}
+	return encodeWire(res, netdiag.NDEdgeAlgo)
 }
 
 // StreamProcessor returns (building on first use) the streaming

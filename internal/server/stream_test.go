@@ -15,10 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"netdiag"
 	"netdiag/internal/core"
-	"netdiag/internal/monitor"
-	"netdiag/internal/probe"
 	"netdiag/internal/telemetry"
 )
 
@@ -210,114 +207,79 @@ func TestStreamReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamQuietTickNoReprobe is the regression test for -watch under
-// -ingest: with each round read from the streaming overlay
-// (Processor.CurrentMesh), a tick with no intervening routing event must
-// not trace a single pair — re-measuring would trace the full mesh every
-// round.
-func TestStreamQuietTickNoReprobe(t *testing.T) {
+// TestStreamEventHandOff drives a closed event through the server's
+// queue hand-off while the only worker is busy and nothing may wait: the
+// diagnosis is shed and counted, the event lists as pending, and once
+// the worker is free a listing retries it to diagnosed through the queue.
+func TestStreamEventHandOff(t *testing.T) {
 	reg := telemetry.New()
-	s := New(Config{Telemetry: reg, Ingest: true})
+	s := New(Config{Workers: 1, QueueDepth: -1, Telemetry: reg, Ingest: true})
 	defer s.Close()
-
-	proc, err := s.StreamProcessor(context.Background(), "fig2")
-	if err != nil {
+	if err := s.WarmAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-
-	pairsTraced := reg.Counter("probe.pairs_traced")
-	reprobed := reg.Counter("stream.pairs_reprobed")
-	baseTraced, baseReprobed := pairsTraced.Value(), reprobed.Value()
-
-	w := monitor.NewWatcher(monitor.Config{Confirm: 2})
-	rounds := make(chan *probe.Mesh)
-	alarms := 0
-	done := make(chan error, 1)
-	go func() {
-		done <- w.Run(context.Background(), rounds,
-			func(context.Context, *monitor.Alarm) { alarms++ })
-	}()
-	for i := 0; i < 5; i++ {
-		rounds <- proc.CurrentMesh()
-	}
-	close(rounds)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-
-	if got := pairsTraced.Value(); got != baseTraced {
-		t.Fatalf("quiet ticks traced %d pairs, want 0", got-baseTraced)
-	}
-	if got := reprobed.Value(); got != baseReprobed {
-		t.Fatalf("quiet ticks re-probed %d pairs, want 0", got-baseReprobed)
-	}
-	if alarms != 0 {
-		t.Fatalf("quiet ticks raised %d alarms, want 0", alarms)
-	}
-}
-
-// TestStreamIngestAlarmPath covers the live half of -watch under
-// -ingest: a withdrawal arriving over ingest dirties the overlay, and the
-// watcher fed from it confirms and diagnoses the resulting alarm through
-// the server's alarm sink — while re-probing only the dirtied pairs.
-func TestStreamIngestAlarmPath(t *testing.T) {
-	reg := telemetry.New()
-	s := New(Config{Telemetry: reg, Ingest: true})
-	defer s.Close()
 	h := s.Handler()
+	gate := make(chan struct{})
+	started := make(chan struct{}, 2) // one per job: the held request, the event
+	s.testJobStart = func() {
+		started <- struct{}{}
+		<-gate
+	}
+	held := make(chan int, 1)
+	go func() { held <- post(t, h, `{"scenario":"fig2","fail_links":[["b1","b2"]]}`).Code }()
+	<-started // the worker is busy; the queue has no waiting room
 
-	proc, err := s.StreamProcessor(context.Background(), "fig2")
-	if err != nil {
+	// Disconnect s3 (both y3 links); the keepalive moves record time past
+	// the idle close, which closes the event and submits its diagnosis.
+	feed := `{"ts":1000,"type":"withdrawal","a":"y3","b":"y4"}
+{"ts":1200,"type":"withdrawal","a":"y2","b":"y3"}
+{"ts":20000,"type":"keepalive"}
+`
+	req := httptest.NewRequest(http.MethodPost, "/v1/ingest/bgp?scenario=fig2", strings.NewReader(feed))
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("ingest = %d: %s", w.Code, w.Body.String())
+	}
+	waitCounter(t, reg, "server.requests_shed", 1)
+	if got := reg.Snapshot().Counters["server.requests_shed"]; got != 1 {
+		t.Fatalf("requests_shed = %d before any retry, want 1", got)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		w := get(t, h, "/v1/events?scenario=fig2")
+		var evs []core.WireEvent
+		if err := json.Unmarshal(w.Body.Bytes(), &evs); err != nil {
+			t.Fatalf("decoding events: %v", err)
+		}
+		if len(evs) != 1 || evs[0].Status == core.EventDiagnosed || evs[0].Status == core.EventFailed {
+			t.Fatalf("with the worker held, events = %s, want one undiagnosed event", w.Body.String())
+		}
+		if evs[0].Status == core.EventPending {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shed event never listed as pending: %s", w.Body.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	close(gate)
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held diagnosis = %d, want 200", code)
+	}
+	var evs []core.WireEvent
+	if err := json.Unmarshal(pollEvents(t, h, "fig2"), &evs); err != nil {
 		t.Fatal(err)
 	}
-
-	pairsTraced := reg.Counter("probe.pairs_traced")
-	baseTraced := pairsTraced.Value()
-	diagnosed := reg.Counter("server.alarms_diagnosed")
-
-	w := monitor.NewWatcher(monitor.Config{Confirm: 2})
-	sink := s.AlarmSink("fig2", netdiag.NDEdgeAlgo)
-	runTicks := func(n int) {
-		t.Helper()
-		rounds := make(chan *probe.Mesh)
-		done := make(chan error, 1)
-		go func() { done <- w.Run(context.Background(), rounds, sink) }()
-		for i := 0; i < n; i++ {
-			rounds <- proc.CurrentMesh()
-		}
-		close(rounds)
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
+	if len(evs) != 1 || evs[0].Status != core.EventDiagnosed || evs[0].Hypothesis == nil {
+		t.Fatalf("after the worker freed, events = %+v, want one diagnosed event", evs)
 	}
-
-	// One healthy tick seeds the detector's baseline.
-	runTicks(1)
-
-	// Disconnect s3: both y3 links go, dirtying only the s3 pairs.
-	for _, line := range []string{
-		`{"ts":1000,"type":"withdrawal","a":"y3","b":"y4"}`,
-		`{"ts":1200,"type":"withdrawal","a":"y2","b":"y3"}`,
-	} {
-		req := httptest.NewRequest(http.MethodPost, "/v1/ingest/bgp?scenario=fig2", strings.NewReader(line+"\n"))
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
-		if w.Code != http.StatusOK {
-			t.Fatalf("ingest = %d: %s", w.Code, w.Body.String())
-		}
-	}
-
-	// Two failing ticks confirm the streak and raise exactly one alarm.
-	runTicks(2)
-
-	if got := diagnosed.Value(); got != 1 {
-		t.Fatalf("alarms diagnosed = %d, want 1", got)
-	}
-	// The two withdrawals dirtied at most the four s3 pairs twice over;
-	// the ticks themselves trace nothing (the overlay is pull-only), and
-	// a single full re-mesh would have traced all 6 pairs.
-	if delta := pairsTraced.Value() - baseTraced; delta == 0 || delta > 8 {
-		t.Fatalf("ingest re-traced %d pairs, want >0 and at most the dirtied pairs", delta)
+	// One job for the held request, one for the event: the shed attempts
+	// never reached a worker. Queue.worker counts a job after it returns.
+	waitCounter(t, reg, "pool.queue_executed", 2)
+	if got := reg.Snapshot().Counters["pool.queue_executed"]; got != 2 {
+		t.Fatalf("queue executed %d jobs, want 2", got)
 	}
 }
 
@@ -355,11 +317,29 @@ func TestStreamIngestErrors(t *testing.T) {
 		}
 	}
 
+	// A draining server refuses ingest with the retryable 503 envelope.
+	s.draining.Store(true)
+	req := httptest.NewRequest(http.MethodPost, "/v1/ingest/bgp?scenario=fig2", strings.NewReader("{}\n"))
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	var env struct {
+		Error core.WireError `json:"error"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+		t.Fatalf("draining ingest: decoding envelope: %v (%s)", err, w.Body.String())
+	}
+	if w.Code != http.StatusServiceUnavailable || env.Error.Code != core.ErrDraining {
+		t.Fatalf("draining ingest = %d %+v, want 503 draining", w.Code, env.Error)
+	}
+	if ra := w.Result().Header.Get("Retry-After"); ra != "1" || env.Error.RetryAfterS != 1 {
+		t.Fatalf("draining ingest Retry-After = %q, retry_after_s = %d, want 1 and 1", ra, env.Error.RetryAfterS)
+	}
+
 	// Ingest endpoints are absent entirely when Config.Ingest is off.
 	plain := New(Config{Telemetry: telemetry.New()})
 	defer plain.Close()
-	req := httptest.NewRequest(http.MethodPost, "/v1/ingest/bgp?scenario=fig2", strings.NewReader("{}\n"))
-	w := httptest.NewRecorder()
+	req = httptest.NewRequest(http.MethodPost, "/v1/ingest/bgp?scenario=fig2", strings.NewReader("{}\n"))
+	w = httptest.NewRecorder()
 	plain.Handler().ServeHTTP(w, req)
 	if w.Code == http.StatusOK {
 		t.Fatal("ingest should not be routed without Config.Ingest")

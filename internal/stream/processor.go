@@ -200,7 +200,6 @@ type Processor struct {
 	journal   []*entry
 	keys      map[string]bool
 	cursor    int
-	watermark int64
 	pending   map[string]*probeBuild
 	open      []*event
 	closed    []*event
@@ -244,7 +243,6 @@ func NewProcessor(cfg Config) *Processor {
 		results:   map[string]*diagOutcome{},
 		inflight:  map[string]bool{},
 		sensorIdx: map[topology.RouterID]int{},
-		watermark: -1,
 	}
 	p.baseCP = p.fork.Checkpoint()
 	for i, s := range cfg.View.Sensors {
@@ -486,22 +484,19 @@ func (p *Processor) reset() {
 	p.fork.Restore(p.baseCP)
 	p.overlay = p.view.Baseline.Clone()
 	p.cursor = 0
-	p.watermark = -1
 	p.open = nil
 	p.closed = nil
 	p.met.sweepResets.Inc()
 }
 
 // sweep applies journal entries from the cursor to the end. Record time
-// (the watermark) advances entry by entry; events idle past their
-// closure deadline close before the entry that proves the idleness
-// applies.
+// advances entry by entry; events idle past their closure deadline close
+// before the entry that proves the idleness applies.
 func (p *Processor) sweep() {
 	for p.stopped == nil && p.cursor < len(p.journal) {
 		e := p.journal[p.cursor]
 		p.closeIdleBefore(e.ts)
 		p.apply(e)
-		p.watermark = e.ts
 		p.cursor++
 	}
 	p.retryPending()
@@ -804,30 +799,13 @@ func (p *Processor) digest(ev *event) string {
 	return "ev-" + hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// CurrentMesh returns a snapshot of the live T− overlay — the
-// measurement source the event-driven watch loop reads instead of
-// re-probing the full mesh on a timer.
-func (p *Processor) CurrentMesh() *probe.Mesh {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.overlay.Clone()
-}
-
-// Watermark returns the record time of the last swept entry (-1 before
-// any).
-func (p *Processor) Watermark() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.watermark
-}
-
 // Events renders every event, closed and open, sorted by (first_ts,
-// id). Listing also retries pending diagnoses, so a client polling the
-// endpoint drives shed events to completion.
+// id). Listing then retries pending diagnoses, so a client polling the
+// endpoint sees a shed event as pending and drives it to completion.
 func (p *Processor) Events() []*core.WireEvent {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.retryPending()
+	defer p.retryPending()
 	evs := make([]*core.WireEvent, 0, len(p.closed)+len(p.open))
 	for _, ev := range p.closed {
 		evs = append(evs, p.wireEvent(ev))
@@ -845,11 +823,12 @@ func (p *Processor) Events() []*core.WireEvent {
 }
 
 // EventByID returns one event's wire form, or nil if no event (closed
-// or open) has that ID right now.
+// or open) has that ID right now. Like Events, it renders first and then
+// retries pending diagnoses.
 func (p *Processor) EventByID(id string) *core.WireEvent {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.retryPending()
+	defer p.retryPending()
 	for _, ev := range p.closed {
 		if ev.id == id {
 			return p.wireEvent(ev)

@@ -261,7 +261,9 @@ func TestAnnouncementRestores(t *testing.T) {
 		bgpLine(10000, BGPAnnouncement, "y4", "b1"),
 		bgpLine(30000, BGPKeepalive, "", ""))
 
-	cur := p.CurrentMesh()
+	p.mu.Lock()
+	cur := p.overlay.Clone()
+	p.mu.Unlock()
 	for i := range cur.Paths {
 		for j, path := range cur.Paths[i] {
 			if i == j {

@@ -253,11 +253,7 @@ func writeJSON(w http.ResponseWriter, v any, log *slog.Logger) {
 // streaming surface flows through here, carrying the stable code and
 // the Retry-After header on retryable statuses.
 func writeError(w http.ResponseWriter, status int, code, msg string) {
-	we := &core.WireError{Code: code, Message: msg}
-	switch status {
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusBadGateway:
-		we.RetryAfterS = 1
-	}
+	we := core.NewWireError(status, code, msg)
 	if we.RetryAfterS > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(we.RetryAfterS))
 	}
