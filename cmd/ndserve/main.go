@@ -31,9 +31,11 @@
 // routing tier in front: every worker gets the same -scenarios list plus
 // -shard-of i/N (so it converges only the scenarios rendezvous hashing
 // assigns to shard i), and one more ndserve runs with -shards listing
-// the workers' base URLs, serving the same v1 API by proxying each
-// request to the owning shard. -snapshot-dir lets the workers persist
-// converged scenarios and skip convergence on restart.
+// the workers' base URLs. The front proxies /v1/diagnose and
+// /v1/diagnose/batch to the owning shard, merges /v1/scenarios and
+// aggregates /readyz; /v1/ingest/* and /v1/events are worker-only, so
+// -shards refuses -ingest (and -shard-of). -snapshot-dir lets the
+// workers persist converged scenarios and skip convergence on restart.
 package main
 
 import (
@@ -77,8 +79,11 @@ func main() {
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	if *shards != "" {
-		if *shardOf != "" {
+		switch {
+		case *shardOf != "":
 			fatal(fmt.Errorf("-shards and -shard-of are mutually exclusive: the front runs no diagnoses"))
+		case *ingest:
+			fatal(fmt.Errorf("-shards and -ingest are mutually exclusive: the streaming plane runs on the workers only"))
 		}
 		if err := runFront(*addr, *shards, *drainTimeout, logger,
 			time.Duration(*slowMS)*time.Millisecond, *traceBuffer); err != nil {

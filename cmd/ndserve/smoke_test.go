@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -129,6 +131,36 @@ func buildNdserve(t *testing.T) string {
 		t.Fatalf("building ndserve: %v\n%s", err, out)
 	}
 	return bin
+}
+
+// TestFrontFlagConflicts runs the real binary with each flag that the
+// -shards front cannot honour: each must exit 1 at start-up, naming the
+// conflict, instead of serving a front without the surface it asked for.
+func TestFrontFlagConflicts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the ndserve binary")
+	}
+	bin := buildNdserve(t)
+	cases := []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-shard-of", "0/2"}, "-shards and -shard-of are mutually exclusive"},
+		{[]string{"-ingest"}, "-shards and -ingest are mutually exclusive"},
+	}
+	for _, c := range cases {
+		args := append([]string{"-addr", "127.0.0.1:0", "-shards", "127.0.0.1:1"}, c.flags...)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("ndserve %v: err %v, want exit status 1\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), c.want) {
+			t.Fatalf("ndserve %v output lacks %q:\n%s", args, c.want, out)
+		}
+	}
 }
 
 // startNdserve launches the binary with args, parses the listen marker

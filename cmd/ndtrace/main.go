@@ -108,7 +108,7 @@ func main() {
 		res.Topo.AS(asx).Name, len(td.Routing.Withdrawals), len(td.Routing.IGPDownLinks))
 
 	if *diagnose {
-		r, err := core.NDBgpIgp(td.Meas, td.Routing)
+		r, err := core.Run(td.Meas, core.Options{LogicalLinks: true, UseReroutes: true, Routing: td.Routing})
 		if err != nil {
 			fatal(err)
 		}

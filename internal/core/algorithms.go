@@ -11,8 +11,8 @@ import (
 )
 
 // Options selects the diagnosis features. The zero value is the plain
-// multi-AS Boolean tomography algorithm (Tomo, paper §2.4); the named
-// constructors below configure the paper's algorithm variants.
+// multi-AS Boolean tomography algorithm (Tomo, paper §2.4); the paper's
+// named variants are the netdiag.Algorithm presets.
 type Options struct {
 	// LogicalLinks enables the per-neighbor logical-link expansion of
 	// §3.1, which lets the algorithm localize BGP export
@@ -56,30 +56,6 @@ type Options struct {
 	// Logger, when non-nil, receives a debug-level record per phase and a
 	// summary per run, and enables Result.Telemetry like Telemetry does.
 	Logger *slog.Logger
-}
-
-// Tomo runs the multi-AS Boolean tomography baseline of §2.
-func Tomo(m *Measurements) (*Result, error) { return Run(m, Options{}) }
-
-// NDEdge runs NetDiagnoser with logical links and reroute information
-// (§3.1–3.2) — the variant deployable without ISP cooperation.
-func NDEdge(m *Measurements) (*Result, error) {
-	return Run(m, Options{LogicalLinks: true, UseReroutes: true})
-}
-
-// NDBgpIgp runs ND-edge augmented with AS-X's IGP link-down events and BGP
-// withdrawals (§3.3).
-func NDBgpIgp(m *Measurements, ri *RoutingInfo) (*Result, error) {
-	return Run(m, Options{LogicalLinks: true, UseReroutes: true, Routing: ri})
-}
-
-// NDLG runs the full NetDiagnoser with Looking-Glass support for
-// traceroute-blocking ASes (§3.4).
-func NDLG(m *Measurements, ri *RoutingInfo, lg LookingGlass) (*Result, error) {
-	return Run(m, Options{
-		LogicalLinks: true, UseReroutes: true,
-		Routing: ri, LG: lg, KeepUnidentified: true,
-	})
 }
 
 // obsSet is one constraint set: the failure set of a broken path or the
@@ -626,6 +602,7 @@ func (e *engine) greedy() (int, error) {
 
 // coverCounts returns how many unexplained failure and reroute sets link l
 // (together with its cluster) intersects.
+//
 //ndlint:hotpath
 func (e *engine) coverCounts(l Link) (fails, reroutes int) {
 	cover := append([]Link{l}, e.extraCover[l]...)

@@ -57,7 +57,7 @@ func BenchmarkTomo(b *testing.B) {
 	m := synthMeasurements(10, 8, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Tomo(m); err != nil {
+		if _, err := Run(m, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func BenchmarkNDEdge(b *testing.B) {
 	m := synthMeasurements(10, 8, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NDEdge(m); err != nil {
+		if _, err := Run(m, Options{LogicalLinks: true, UseReroutes: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

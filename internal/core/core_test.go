@@ -73,7 +73,7 @@ func TestTomoFig1Chain(t *testing.T) {
 			tp(0, 2, true, toS3...),
 		},
 	}
-	res, err := Tomo(m)
+	res, err := Run(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +106,14 @@ func TestTomoMissesReroutedFailureNDEdgeCatchesIt(t *testing.T) {
 			tp(0, 2, false, "A"),
 		},
 	}
-	tomo, err := Tomo(m)
+	tomo, err := Run(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hypLinks(tomo)[link("A", "m")] {
 		t.Fatal("Tomo should exonerate A->m (it only knows the pre-failure route of the working pair)")
 	}
-	edge, err := NDEdge(m)
+	edge, err := Run(m, Options{LogicalLinks: true, UseReroutes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestMisconfigTomoFailsNDEdgeSucceeds(t *testing.T) {
 	// Ground truth: the "partially failed" physical link is x2->y1.
 	f := link("x2", "y1")
 
-	tomo, err := Tomo(m)
+	tomo, err := Run(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestMisconfigTomoFailsNDEdgeSucceeds(t *testing.T) {
 		t.Fatal("Tomo cannot see a partial failure of a link on a working path (§2.5 item 1)")
 	}
 
-	edge, err := NDEdge(m)
+	edge, err := Run(m, Options{LogicalLinks: true, UseReroutes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestWithdrawalTrimming(t *testing.T) {
 			{At: "x1", From: "a2", DstSensors: []int{0}},
 		},
 	}
-	res, err := NDBgpIgp(m, ri)
+	res, err := Run(m, Options{LogicalLinks: true, UseReroutes: true, Routing: ri})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestWithdrawalTrimming(t *testing.T) {
 	}
 
 	// Without the withdrawal, the upstream links stay in H (bigger set).
-	plain, err := NDEdge(m)
+	plain, err := Run(m, Options{LogicalLinks: true, UseReroutes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestIGPDownGoesStraightToHypothesis(t *testing.T) {
 		After:      []*TracePath{tp(0, 1, false, "s1@1")},
 	}
 	ri := &RoutingInfo{ASX: 10, IGPDownLinks: []Link{link("x1", "x2"), link("x2", "x1")}}
-	res, err := NDBgpIgp(m, ri)
+	res, err := Run(m, Options{LogicalLinks: true, UseReroutes: true, Routing: ri})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestNDLGMapsUHsAndClusters(t *testing.T) {
 			},
 		},
 	}
-	res, err := NDLG(m, &RoutingInfo{ASX: 10}, lg)
+	res, err := Run(m, Options{LogicalLinks: true, UseReroutes: true, Routing: &RoutingInfo{ASX: 10}, LG: lg, KeepUnidentified: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestNDLGAmbiguousTag(t *testing.T) {
 			10: {1: {10, 20, 25, 30}},
 		},
 	}
-	res, err := NDLG(m, &RoutingInfo{ASX: 10}, lg)
+	res, err := Run(m, Options{LogicalLinks: true, UseReroutes: true, Routing: &RoutingInfo{ASX: 10}, LG: lg, KeepUnidentified: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func TestUnexplainableFailureReported(t *testing.T) {
 			tp(0, 2, true, "a", "b"),
 		},
 	}
-	res, err := Tomo(m)
+	res, err := Run(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func TestWithdrawalIgnoredWhenEdgeNotOnPath(t *testing.T) {
 	// Withdrawal names nodes not on the path: no trimming, H must still
 	// explain the failure with the path's links.
 	ri := &RoutingInfo{ASX: 1, Withdrawals: []Withdrawal{{At: "x", From: "y", DstSensors: []int{1}}}}
-	res, err := NDBgpIgp(m, ri)
+	res, err := Run(m, Options{LogicalLinks: true, UseReroutes: true, Routing: ri})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestWithdrawalIgnoredWhenEdgeNotOnPath(t *testing.T) {
 		After:      []*TracePath{tp(0, 1, false, "a")},
 	}
 	ri2 := &RoutingInfo{ASX: 1, Withdrawals: []Withdrawal{{At: "c", From: "a", DstSensors: []int{1}}}}
-	res2, err := NDBgpIgp(m2, ri2)
+	res2, err := Run(m2, Options{LogicalLinks: true, UseReroutes: true, Routing: ri2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestWithdrawalTrimmingEntirePathUnexplained(t *testing.T) {
 		After:      []*TracePath{tp(0, 1, false, "a")},
 	}
 	ri := &RoutingInfo{ASX: 1, Withdrawals: []Withdrawal{{At: "b", From: "c", DstSensors: []int{1}}}}
-	res, err := NDBgpIgp(m, ri)
+	res, err := Run(m, Options{LogicalLinks: true, UseReroutes: true, Routing: ri})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestClusteringRequiresMatchingTags(t *testing.T) {
 			11: {3: {11, 25, 31}},
 		},
 	}
-	res, err := NDLG(m, &RoutingInfo{ASX: 10}, lg)
+	res, err := Run(m, Options{LogicalLinks: true, UseReroutes: true, Routing: &RoutingInfo{ASX: 10}, LG: lg, KeepUnidentified: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestWithdrawalKeepsMisconfigLogicalLink(t *testing.T) {
 		ASX:         10,
 		Withdrawals: []Withdrawal{{At: "x2", From: "y1", DstSensors: []int{2}}},
 	}
-	res, err := NDBgpIgp(m, ri)
+	res, err := Run(m, Options{LogicalLinks: true, UseReroutes: true, Routing: ri})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestGreedyTieAddsAllMaxScoreLinks(t *testing.T) {
 		Before:     []*TracePath{tp(0, 1, true, "a", "b", "c", "d")},
 		After:      []*TracePath{tp(0, 1, false, "a")},
 	}
-	res, err := Tomo(m)
+	res, err := Run(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestGreedyPrefersHigherCoverage(t *testing.T) {
 			tp(0, 2, false, "a"),
 		},
 	}
-	res, err := Tomo(m)
+	res, err := Run(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,10 @@ import (
 	"netdiag/internal/core"
 )
 
-// ExampleTomo diagnoses the paper's Figure 1 scenario: the path s1->s2
-// breaks while s1->s3 keeps working, so only the four links the working
-// path cannot exonerate remain suspects.
-func ExampleTomo() {
+// ExampleRun diagnoses the paper's Figure 1 scenario with Tomo, the zero
+// Options: the path s1->s2 breaks while s1->s3 keeps working, so only
+// the four links the working path cannot exonerate remain suspects.
+func ExampleRun() {
 	hops := func(names ...string) []core.Hop {
 		var hs []core.Hop
 		for _, n := range names {
@@ -32,7 +32,7 @@ func ExampleTomo() {
 				Hops: hops("s1", "r1", "r3", "r6", "r8", "r10", "s3")},
 		},
 	}
-	res, err := core.Tomo(m)
+	res, err := core.Run(m, core.Options{})
 	if err != nil {
 		panic(err)
 	}

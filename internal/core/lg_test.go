@@ -26,7 +26,7 @@ func TestLGFirstAvailableOnPath(t *testing.T) {
 			15: {1: {15, 20, 30}},
 		},
 	}
-	res, err := NDLG(m, &RoutingInfo{ASX: 99}, lg)
+	res, err := Run(m, Options{LogicalLinks: true, UseReroutes: true, Routing: &RoutingInfo{ASX: 99}, LG: lg, KeepUnidentified: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestLGNoAlignmentLeavesUntagged(t *testing.T) {
 			10: {1: {10, 77}},
 		},
 	}
-	res, err := NDLG(m, &RoutingInfo{ASX: 10}, lg)
+	res, err := Run(m, Options{LogicalLinks: true, UseReroutes: true, Routing: &RoutingInfo{ASX: 10}, LG: lg, KeepUnidentified: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestLGAdjacentInLGPath(t *testing.T) {
 			30: {1: {30}},     // origin view: useless for alignment
 		},
 	}
-	res, err := NDLG(m, &RoutingInfo{ASX: 10}, lg)
+	res, err := Run(m, Options{LogicalLinks: true, UseReroutes: true, Routing: &RoutingInfo{ASX: 10}, LG: lg, KeepUnidentified: true})
 	if err != nil {
 		t.Fatal(err)
 	}

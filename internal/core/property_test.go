@@ -84,7 +84,7 @@ func TestPropertyGreedyFindsInjectedLink(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m, failed := randomScenario(rng)
-		res, err := Tomo(m)
+		res, err := Run(m, Options{})
 		if err != nil {
 			return false
 		}
@@ -162,11 +162,11 @@ func TestPropertyDeterministic(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m, _ := randomScenario(rng)
-		a, err := NDEdge(m)
+		a, err := Run(m, Options{LogicalLinks: true, UseReroutes: true})
 		if err != nil {
 			return false
 		}
-		b, err := NDEdge(m)
+		b, err := Run(m, Options{LogicalLinks: true, UseReroutes: true})
 		if err != nil {
 			return false
 		}
@@ -192,7 +192,7 @@ func TestPropertyHypothesisCoversSomething(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m, _ := randomScenario(rng)
-		res, err := Tomo(m)
+		res, err := Run(m, Options{})
 		if err != nil {
 			return false
 		}

@@ -31,10 +31,10 @@ func TestTrialThroughput(t *testing.T) {
 			continue
 		}
 		n++
-		if _, err := core.NDEdge(td.Meas); err != nil {
+		if _, err := core.Run(td.Meas, core.Options{LogicalLinks: true, UseReroutes: true}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := core.Tomo(td.Meas); err != nil {
+		if _, err := core.Run(td.Meas, core.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -65,15 +65,15 @@ func TestSingleLinkFailureTrialAllAlgorithms(t *testing.T) {
 			t.Fatal("ground truth empty for impactful fault")
 		}
 
-		tomo, err := core.Tomo(td.Meas)
+		tomo, err := core.Run(td.Meas, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		edge, err := core.NDEdge(td.Meas)
+		edge, err := core.Run(td.Meas, core.Options{LogicalLinks: true, UseReroutes: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bgpigp, err := core.NDBgpIgp(td.Meas, td.Routing)
+		bgpigp, err := core.Run(td.Meas, core.Options{LogicalLinks: true, UseReroutes: true, Routing: td.Routing})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestMisconfigTrial(t *testing.T) {
 			t.Fatal(err)
 		}
 		ran = true
-		edge, err := core.NDEdge(td.Meas)
+		edge, err := core.Run(td.Meas, core.Options{LogicalLinks: true, UseReroutes: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestRouterFailureTrial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		edge, err := core.NDEdge(td.Meas)
+		edge, err := core.Run(td.Meas, core.Options{LogicalLinks: true, UseReroutes: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestBlockedTracerouteTrial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lgRes, err := core.NDLG(td.Meas, td.Routing, td.LG)
+		lgRes, err := core.Run(td.Meas, core.Options{LogicalLinks: true, UseReroutes: true, Routing: td.Routing, LG: td.LG, KeepUnidentified: true})
 		if err != nil {
 			t.Fatal(err)
 		}

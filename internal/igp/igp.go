@@ -101,6 +101,7 @@ func (c *Cache) Len() int {
 
 // key canonically names one AS's intra-domain failure state. This runs on
 // every (AS, reconvergence) pair, so it avoids fmt.
+//
 //ndlint:hotpath
 func cacheKey(asn topology.ASN, failed []topology.LinkID) string {
 	b := make([]byte, 0, 16+8*len(failed))

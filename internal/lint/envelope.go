@@ -68,13 +68,7 @@ func runEnvelope(p *Pass) {
 
 // isEnvelopeSeam reports whether the declaration is the envelope seam
 // itself, which is allowed to touch the wire directly.
-func isEnvelopeSeam(fn *ast.FuncDecl) bool {
-	switch fn.Name.Name {
-	case "writeError", "errorEnvelope":
-		return true
-	}
-	return false
-}
+func isEnvelopeSeam(fn *ast.FuncDecl) bool { return fn.Name.Name == "writeError" }
 
 // constStatusWrite matches w.WriteHeader(<integer constant>) and returns
 // the status.

@@ -544,6 +544,7 @@ func (n *Network) Restore(cp Checkpoint) {
 
 // forward computes the next hop from cur towards destination router dst,
 // or ok=false on a blackhole.
+//
 //ndlint:hotpath
 func (n *Network) forward(cur, dst topology.RouterID) (topology.RouterID, bool) {
 	topo := n.topo

@@ -215,11 +215,11 @@ func TestFromMeasurementsRoundTrip(t *testing.T) {
 		t.Fatalf("routing lost in round trip: %+v", ri2)
 	}
 	// Diagnosis on both sides must agree.
-	ra, err := core.NDBgpIgp(m, ri)
+	ra, err := core.Run(m, core.Options{LogicalLinks: true, UseReroutes: true, Routing: ri})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := core.NDBgpIgp(m2, ri2)
+	rb, err := core.Run(m2, core.Options{LogicalLinks: true, UseReroutes: true, Routing: ri2})
 	if err != nil {
 		t.Fatal(err)
 	}

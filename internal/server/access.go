@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"net/http"
+	"time"
 
 	"netdiag/internal/core"
 	"netdiag/internal/telemetry"
@@ -76,26 +78,36 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// observe wraps a worker handler with the per-request observability
-// envelope: trace ID assignment and echo, status capture, the request
-// counter and latency histogram (for the diagnosis ops, preserving their
-// pre-tracing semantics), and the finishing access log + trace record.
-func (s *Server) observe(op string, counted bool, h http.HandlerFunc) http.Handler {
+// edge is the request-observability state a worker Server and the
+// fleet Front share: both are edges, where a request gets its trace ID.
+type edge struct {
+	log    *slog.Logger
+	traces *telemetry.TraceRing
+	slowNs int64
+}
+
+// newEdge sizes the trace ring (0 selects 64) and keeps the slow-request
+// threshold (0 disables promotion).
+func newEdge(log *slog.Logger, slow time.Duration, traceBuffer int) edge {
+	return edge{log: log, traces: telemetry.NewTraceRing(traceBuffer), slowNs: slow.Nanoseconds()}
+}
+
+// observe wraps a handler with the per-request observability envelope:
+// trace ID assignment and echo, status capture, the request counter and
+// latency histogram (non-nil only for a worker's diagnosis ops), and the
+// finishing access log + trace record.
+func (e *edge) observe(op string, requests *telemetry.Counter, latency *telemetry.Histogram, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := telemetry.Now()
-		if counted {
-			s.requests.Inc()
-		}
+		requests.Inc()
 		acc := &access{op: op, id: requestTraceID(r)}
 		acc.tr = telemetry.NewRequestTrace(acc.id)
 		w.Header().Set(core.TraceHeader, acc.id)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r.WithContext(contextWithAccess(r.Context(), acc)))
 		durNs := telemetry.Since(start).Nanoseconds()
-		if counted {
-			s.latency.Observe(durNs)
-		}
-		finishAccess(s.log, s.traces, s.slowNs, acc, sw.status, durNs)
+		latency.Observe(durNs)
+		e.finishAccess(acc, sw.status, durNs)
 	})
 }
 
@@ -103,8 +115,7 @@ func (s *Server) observe(op string, counted bool, h http.HandlerFunc) http.Handl
 // ring and emit the structured access line. Durations are logged in
 // seconds (see telemetry/units.go). A request slower than slowNs (> 0)
 // is promoted to a second line carrying the per-phase span breakdown.
-func finishAccess(log *slog.Logger, ring *telemetry.TraceRing, slowNs int64,
-	acc *access, status int, durNs int64) {
+func (e *edge) finishAccess(acc *access, status int, durNs int64) {
 	rec := telemetry.TraceRecord{
 		TraceID:   acc.id,
 		Op:        acc.op,
@@ -116,8 +127,8 @@ func finishAccess(log *slog.Logger, ring *telemetry.TraceRing, slowNs int64,
 		DurationS: telemetry.Seconds(durNs),
 		Spans:     acc.tr.Views(),
 	}
-	ring.Add(rec)
-	if log == nil {
+	e.traces.Add(rec)
+	if e.log == nil {
 		return
 	}
 	attrs := []any{
@@ -136,10 +147,16 @@ func finishAccess(log *slog.Logger, ring *telemetry.TraceRing, slowNs int64,
 	if acc.coalesced && acc.leaderTrace != "" {
 		attrs = append(attrs, "leader_trace", acc.leaderTrace)
 	}
-	log.Info("access", attrs...)
-	if slowNs > 0 && durNs >= slowNs {
-		log.Warn("slow request",
+	e.log.Info("access", attrs...)
+	if e.slowNs > 0 && durNs >= e.slowNs {
+		e.log.Warn("slow request",
 			"trace", acc.id, "op", acc.op, "scenario", acc.scenario,
 			"duration_s", rec.DurationS, "spans", rec.Spans)
 	}
+}
+
+// handleHealthz is the liveness probe of both tiers.
+func handleHealthz(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintln(w, "ok")
 }

@@ -142,7 +142,7 @@ func (s *Server) computeBatch(ctx context.Context, req *BatchRequest, algo netdi
 		if err != nil {
 			var code string
 			status, code = statusFor(err)
-			body = errorEnvelope(status, code, err.Error()).Envelope()
+			body = core.NewWireError(status, code, err.Error()).Envelope()
 		}
 		fmt.Fprintf(&buf, `{"status":%d,"body":`, status)
 		buf.Write(bytes.TrimSuffix(body, []byte("\n")))

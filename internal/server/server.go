@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -80,6 +81,7 @@ type Config struct {
 // queue; Handler exposes the HTTP API and Serve runs the full lifecycle
 // including graceful drain.
 type Server struct {
+	edge
 	reg            *Registry
 	store          *Store
 	queue          *pool.Queue
@@ -88,13 +90,12 @@ type Server struct {
 	requestTimeout time.Duration
 	drainTimeout   time.Duration
 	tele           *telemetry.Registry
-	log            *slog.Logger
-	traces         *telemetry.TraceRing
-	slowNs         int64
 	mux            *http.ServeMux
 
-	// Streaming plane (nil unless Config.Ingest).
-	streamSvc        *stream.Service
+	// Streaming plane: one processor per scenario, built by
+	// StreamProcessor. procs is nil unless Config.Ingest.
+	procMu           sync.Mutex
+	procs            map[string]*stream.Processor
 	eventWindowMS    int64
 	eventIdleCloseMS int64
 
@@ -134,6 +135,7 @@ func New(cfg Config) *Server {
 		cfg.DrainTimeout = 10 * time.Second
 	}
 	s := &Server{
+		edge:           newEdge(cfg.Logger, cfg.SlowThreshold, cfg.TraceBuffer),
 		reg:            cfg.Scenarios,
 		store:          NewStore(cfg.Scenarios, cfg.Parallelism, cfg.SnapshotDir, cfg.Telemetry),
 		queue:          pool.NewQueue(cfg.Workers, cfg.QueueDepth, cfg.Telemetry),
@@ -142,9 +144,6 @@ func New(cfg Config) *Server {
 		requestTimeout: cfg.RequestTimeout,
 		drainTimeout:   cfg.DrainTimeout,
 		tele:           cfg.Telemetry,
-		log:            cfg.Logger,
-		traces:         telemetry.NewTraceRing(cfg.TraceBuffer),
-		slowNs:         cfg.SlowThreshold.Nanoseconds(),
 		requests:       cfg.Telemetry.Counter("server.requests_total"),
 		shed:           cfg.Telemetry.Counter("server.requests_shed"),
 		latency:        cfg.Telemetry.Histogram("server.request_ns", telemetry.DurationBuckets),
@@ -154,21 +153,21 @@ func New(cfg Config) *Server {
 		return telemetry.Ratio(snap.Counters["server.coalesce_hits"], snap.Counters["server.coalesce_misses"])
 	})
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	mux.HandleFunc("GET /healthz", handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.Handle("GET /v1/scenarios", s.observe("scenarios", false, s.handleScenarios))
-	mux.Handle("POST /v1/diagnose", s.observe("diagnose", true, s.handleDiagnose))
-	mux.Handle("POST /v1/diagnose/batch", s.observe("batch", true, s.handleDiagnoseBatch))
+	mux.Handle("GET /v1/scenarios", s.observe("scenarios", nil, nil, s.handleScenarios))
+	mux.Handle("POST /v1/diagnose", s.observe("diagnose", s.requests, s.latency, s.handleDiagnose))
+	mux.Handle("POST /v1/diagnose/batch", s.observe("batch", s.requests, s.latency, s.handleDiagnoseBatch))
 	mux.Handle("GET /metrics", telemetry.PromHandler(cfg.Telemetry))
 	mux.Handle("GET /debug/traces", s.traces)
 	if cfg.Ingest {
+		s.procs = map[string]*stream.Processor{}
 		s.eventWindowMS = cfg.EventWindow.Milliseconds()
 		s.eventIdleCloseMS = cfg.EventIdleClose.Milliseconds()
-		s.streamSvc = s.newStreamService()
-		mux.Handle("POST /v1/ingest/traceroute", s.observe("ingest_traceroute", false, s.streamSvc.HandleIngestTraceroute))
-		mux.Handle("POST /v1/ingest/bgp", s.observe("ingest_bgp", false, s.streamSvc.HandleIngestBGP))
-		mux.Handle("GET /v1/events", s.observe("events", false, s.streamSvc.HandleEvents))
-		mux.Handle("GET /v1/events/{id}", s.observe("event", false, s.streamSvc.HandleEvent))
+		mux.Handle("POST /v1/ingest/traceroute", s.observe("ingest_traceroute", nil, nil, s.handleIngest((*stream.Processor).IngestTraceroute)))
+		mux.Handle("POST /v1/ingest/bgp", s.observe("ingest_bgp", nil, nil, s.handleIngest((*stream.Processor).IngestBGP)))
+		mux.Handle("GET /v1/events", s.observe("events", nil, nil, s.handleEvents))
+		mux.Handle("GET /v1/events/{id}", s.observe("event", nil, nil, s.handleEvent))
 	}
 	s.mux = mux
 	return s
@@ -241,11 +240,6 @@ func (s *Server) Close() {
 	go s.queue.Close()
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	switch {
@@ -289,12 +283,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 			Warm:    s.store.IsWarm(name),
 		})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(infos); err != nil && s.log != nil {
-		s.log.Warn("encoding scenario listing", "err", err)
-	}
+	writeJSON(w, s.log, "scenario listing", infos)
 }
 
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
@@ -426,17 +415,22 @@ func statusFor(err error) (int, string) {
 // noSpan is the no-op span end for paths that conditionally open one.
 var noSpan = func() {}
 
-// errorEnvelope builds the WireError a status/code/message triple puts on
-// the wire (core.NewWireError holds the retry rule), for writeError and
-// for the error slots of a batch response.
-func errorEnvelope(status int, code, msg string) *core.WireError {
-	return core.NewWireError(status, code, msg)
+// writeJSON writes v as an indented JSON 200 body; what names the body
+// in the log line of a failed encode.
+func writeJSON(w http.ResponseWriter, log *slog.Logger, what string, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil && log != nil {
+		log.Warn("encoding "+what, "err", err)
+	}
 }
 
-// writeError emits the v1 error envelope. The retryable statuses get a
-// Retry-After header matching the envelope's retry_after_s.
+// writeError emits the v1 error envelope (core.NewWireError holds the
+// retry rule). The retryable statuses get a Retry-After header matching
+// the envelope's retry_after_s.
 func writeError(w http.ResponseWriter, status int, code, msg string) {
-	we := errorEnvelope(status, code, msg)
+	we := core.NewWireError(status, code, msg)
 	if we.RetryAfterS > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(we.RetryAfterS))
 	}

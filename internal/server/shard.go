@@ -64,15 +64,13 @@ type FrontConfig struct {
 // Front is the fleet's routing tier: a thin, stateless proxy that owns no
 // snapshots and runs no diagnoses. It routes each diagnosis to the shard
 // that owns its scenario (see ShardIndex), merges the per-shard scenario
-// listings, and aggregates readiness, so clients see one v1 API over the
-// whole fleet.
+// listings, and aggregates readiness. The streaming plane is not
+// proxied: sensors feed the worker that owns their scenario.
 type Front struct {
+	edge
 	backends []string
 	client   *http.Client
-	log      *slog.Logger
 	tele     *telemetry.Registry
-	traces   *telemetry.TraceRing
-	slowNs   int64
 	mux      *http.ServeMux
 
 	proxied     *telemetry.Counter
@@ -91,42 +89,26 @@ func NewFront(cfg FrontConfig) *Front {
 		client = &http.Client{}
 	}
 	f := &Front{
+		edge:        newEdge(cfg.Logger, cfg.SlowThreshold, cfg.TraceBuffer),
 		backends:    cfg.Backends,
 		client:      client,
-		log:         cfg.Logger,
 		tele:        cfg.Telemetry,
-		traces:      telemetry.NewTraceRing(cfg.TraceBuffer),
-		slowNs:      cfg.SlowThreshold.Nanoseconds(),
 		proxied:     cfg.Telemetry.Counter("front.proxied"),
 		backendErrs: cfg.Telemetry.Counter("front.backend_errors"),
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", f.handleHealthz)
+	mux.HandleFunc("GET /healthz", handleHealthz)
 	mux.HandleFunc("GET /readyz", f.handleReadyz)
-	mux.Handle("GET /v1/scenarios", f.observe("scenarios", f.handleScenarios))
-	mux.Handle("POST /v1/diagnose", f.observe("proxy", f.handleProxy))
-	mux.Handle("POST /v1/diagnose/batch", f.observe("proxy", f.handleProxy))
+	// The front is an edge too: requests hitting it directly get their
+	// trace ID here, and it follows them to the owning shard. The
+	// request counter and latency histogram are worker-only.
+	mux.Handle("GET /v1/scenarios", f.observe("scenarios", nil, nil, f.handleScenarios))
+	mux.Handle("POST /v1/diagnose", f.observe("proxy", nil, nil, f.handleProxy))
+	mux.Handle("POST /v1/diagnose/batch", f.observe("proxy", nil, nil, f.handleProxy))
 	mux.HandleFunc("GET /metrics", f.handleMetrics)
 	mux.Handle("GET /debug/traces", f.traces)
 	f.mux = mux
 	return f
-}
-
-// observe is the front's per-request observability envelope: the same
-// trace-ID assignment, header echo, access log and trace-ring retention
-// the workers apply (see access.go), minus the worker-only queue
-// metrics. The front is an edge too — requests hitting it directly get
-// their ID here, and it follows them to the owning shard.
-func (f *Front) observe(op string, h http.HandlerFunc) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := telemetry.Now()
-		acc := &access{op: op, id: requestTraceID(r)}
-		acc.tr = telemetry.NewRequestTrace(acc.id)
-		w.Header().Set(core.TraceHeader, acc.id)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r.WithContext(contextWithAccess(r.Context(), acc)))
-		finishAccess(f.log, f.traces, f.slowNs, acc, sw.status, telemetry.Since(start).Nanoseconds())
-	})
 }
 
 // handleMetrics serves the front's Prometheus exposition. Before
@@ -150,14 +132,10 @@ func (f *Front) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	telemetry.PromHandler(f.tele).ServeHTTP(w, r)
 }
 
-// Handler returns the front's HTTP API — the same v1 surface a single
-// worker serves.
+// Handler returns the front's HTTP API: the worker's diagnosis and
+// scenario endpoints over the whole fleet. The streaming plane
+// (/v1/ingest/*, /v1/events) is worker-only.
 func (f *Front) Handler() http.Handler { return f.mux }
-
-func (f *Front) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
 
 // handleReadyz aggregates shard readiness: the fleet is ready only when
 // every shard answers /readyz with 200. The body names the first shard
@@ -204,12 +182,7 @@ func (f *Front) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		infos = append(infos, part...)
 	}
 	sort.Slice(infos, func(a, b int) bool { return infos[a].Name < infos[b].Name })
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(infos); err != nil && f.log != nil {
-		f.log.Warn("encoding merged scenario listing", "err", err)
-	}
+	writeJSON(w, f.log, "merged scenario listing", infos)
 }
 
 // handleProxy forwards a diagnosis (single or batch — the two bodies

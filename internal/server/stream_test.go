@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"netdiag/internal/core"
+	"netdiag/internal/stream"
 	"netdiag/internal/telemetry"
 )
 
@@ -343,5 +344,188 @@ func TestStreamIngestErrors(t *testing.T) {
 	plain.Handler().ServeHTTP(w, req)
 	if w.Code == http.StatusOK {
 		t.Fatal("ingest should not be routed without Config.Ingest")
+	}
+}
+
+// feedOutage posts the BGP records that disconnect fig2's sensor s3
+// (both y3 links) from record time ts on, then a keepalive far enough
+// past them to close the event and submit its diagnosis.
+func feedOutage(t *testing.T, h http.Handler, scenario string, ts int64) {
+	t.Helper()
+	feed := fmt.Sprintf(`{"ts":%d,"type":"withdrawal","a":"y3","b":"y4"}
+{"ts":%d,"type":"withdrawal","a":"y2","b":"y3"}
+{"ts":%d,"type":"keepalive"}
+`, ts, ts+200, ts+19000)
+	req := httptest.NewRequest(http.MethodPost, "/v1/ingest/bgp?scenario="+scenario, strings.NewReader(feed))
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("ingest into %s = %d: %s", scenario, w.Code, w.Body.String())
+	}
+}
+
+// listingElements splits a /v1/events body into its raw elements (as
+// rendered inside the listing) and their decoded forms.
+func listingElements(t *testing.T, body []byte) ([]json.RawMessage, []core.WireEvent) {
+	t.Helper()
+	var raw []json.RawMessage
+	var evs []core.WireEvent
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatalf("decoding listing: %v: %s", err, body)
+	}
+	if err := json.Unmarshal(body, &evs); err != nil {
+		t.Fatalf("decoding listing: %v: %s", err, body)
+	}
+	return raw, evs
+}
+
+// wantNotFound asserts the 404 not_found envelope.
+func wantNotFound(t *testing.T, w *httptest.ResponseRecorder, what string) {
+	t.Helper()
+	var env struct {
+		Error core.WireError `json:"error"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+		t.Fatalf("%s: decoding envelope: %v (%s)", what, err, w.Body.String())
+	}
+	if w.Code != http.StatusNotFound || env.Error.Code != core.ErrNotFound {
+		t.Fatalf("%s = %d %+v, want 404 %s", what, w.Code, env.Error, core.ErrNotFound)
+	}
+	if ra := w.Result().Header.Get("Retry-After"); ra != "" || env.Error.RetryAfterS != 0 {
+		t.Fatalf("%s carries Retry-After %q / retry_after_s %d; a 404 is not retryable", what, ra, env.Error.RetryAfterS)
+	}
+}
+
+// TestStreamEventsListing pins GET /v1/events across scenarios: without
+// ?scenario= the listing merges every fed scenario's events, element for
+// element as each scenario lists them, sorted by (first_ts, id) rather
+// than by scenario; a registered scenario no feed has reached lists [];
+// an unknown one is a 404.
+func TestStreamEventsListing(t *testing.T) {
+	reg := NewRegistry()
+	for _, name := range []string{"a", "b", "idle"} {
+		if err := reg.Register(name, Fig2Scenario); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(Config{Scenarios: reg, Telemetry: telemetry.New(), Ingest: true})
+	defer s.Close()
+	h := s.Handler()
+
+	// b's outage starts first in record time, so b's event must lead the
+	// merged listing although a sorts first by name.
+	feedOutage(t, h, "a", 3000)
+	feedOutage(t, h, "b", 1000)
+	rawA, evsA := listingElements(t, pollEvents(t, h, "a"))
+	rawB, evsB := listingElements(t, pollEvents(t, h, "b"))
+	if len(evsA) != 1 || len(evsB) != 1 {
+		t.Fatalf("events a=%d b=%d, want one each", len(evsA), len(evsB))
+	}
+	if evsA[0].ID == evsB[0].ID {
+		t.Fatalf("scenarios a and b share event id %q", evsA[0].ID)
+	}
+
+	w := get(t, h, "/v1/events")
+	if w.Code != http.StatusOK {
+		t.Fatalf("GET /v1/events = %d: %s", w.Code, w.Body.String())
+	}
+	raw, evs := listingElements(t, w.Body.Bytes())
+	if len(raw) != 2 {
+		t.Fatalf("merged listing has %d events, want 2: %s", len(raw), w.Body.String())
+	}
+	if evs[0].ID != evsB[0].ID || evs[1].ID != evsA[0].ID {
+		t.Fatalf("merged order = [%s %s], want b's event (first_ts %d) before a's (first_ts %d)",
+			evs[0].ID, evs[1].ID, evsB[0].FirstTS, evsA[0].FirstTS)
+	}
+	if !bytes.Equal(raw[0], rawB[0]) || !bytes.Equal(raw[1], rawA[0]) {
+		t.Fatalf("merged elements differ from the per-scenario listings:\n%s\n--- a ---\n%s\n--- b ---\n%s",
+			w.Body.String(), rawA[0], rawB[0])
+	}
+
+	w = get(t, h, "/v1/events?scenario=idle")
+	if w.Code != http.StatusOK || w.Body.String() != "[]\n" {
+		t.Fatalf("never-fed scenario lists %d %q, want 200 %q", w.Code, w.Body.String(), "[]\n")
+	}
+	wantNotFound(t, get(t, h, "/v1/events?scenario=nope"), "GET /v1/events?scenario=nope")
+}
+
+// TestStreamEventByID: GET /v1/events/{id} renders a listed event exactly
+// as its listing element (modulo the listing's indentation), and an
+// unknown ID is the 404 envelope.
+func TestStreamEventByID(t *testing.T) {
+	s := New(Config{Telemetry: telemetry.New(), Ingest: true})
+	defer s.Close()
+	h := s.Handler()
+
+	feedOutage(t, h, "fig2", 1000)
+	raw, evs := listingElements(t, pollEvents(t, h, "fig2"))
+	if len(evs) != 1 {
+		t.Fatalf("events = %d, want 1", len(evs))
+	}
+	w := get(t, h, "/v1/events/"+evs[0].ID)
+	if w.Code != http.StatusOK {
+		t.Fatalf("GET /v1/events/%s = %d: %s", evs[0].ID, w.Code, w.Body.String())
+	}
+	if ct := w.Result().Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type = %q, want application/json", ct)
+	}
+	var want, got bytes.Buffer
+	if err := json.Compact(&want, raw[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&got, w.Body.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("event by id differs from its listing element:\n got %s\nwant %s", got.Bytes(), want.Bytes())
+	}
+	wantNotFound(t, get(t, h, "/v1/events/ev-0000000000000000"), "GET /v1/events/ev-0000000000000000")
+}
+
+// TestStreamProcessorSharedBuild: concurrent first StreamProcessor calls
+// on a cold scenario converge its snapshot once and return one shared
+// processor; unknown scenarios and servers without Config.Ingest error.
+func TestStreamProcessorSharedBuild(t *testing.T) {
+	reg := telemetry.New()
+	s := New(Config{Telemetry: reg, Ingest: true})
+	defer s.Close()
+
+	const callers = 8
+	procs := make([]*stream.Processor, callers)
+	errs := make([]error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range procs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			procs[i], errs[i] = s.StreamProcessor(context.Background(), "fig2")
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range procs {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if procs[i] == nil || procs[i] != procs[0] {
+			t.Fatalf("caller %d got processor %p, caller 0 got %p; want one shared processor", i, procs[i], procs[0])
+		}
+	}
+	if got := reg.Snapshot().Counters["server.cold_converges"]; got != 1 {
+		t.Fatalf("cold_converges = %d, want 1", got)
+	}
+	if again, err := s.StreamProcessor(context.Background(), "fig2"); err != nil || again != procs[0] {
+		t.Fatalf("warm StreamProcessor = %p, %v; want the shared processor %p", again, err, procs[0])
+	}
+
+	if _, err := s.StreamProcessor(context.Background(), "nope"); err == nil {
+		t.Fatal("StreamProcessor on an unknown scenario should error")
+	}
+	plain := New(Config{Telemetry: telemetry.New()})
+	defer plain.Close()
+	if _, err := plain.StreamProcessor(context.Background(), "fig2"); err == nil {
+		t.Fatal("StreamProcessor without Config.Ingest should error")
 	}
 }

@@ -6,7 +6,8 @@
 // path. Determinism is the contract throughout: the processor state is a
 // pure function of the sorted record journal, so a recorded feed
 // replayed at any ingest parallelism yields byte-identical event sets
-// and hypotheses.
+// and hypotheses. The package has no HTTP: internal/server owns one
+// Processor per scenario and serves the ingest and event endpoints.
 package stream
 
 import (
