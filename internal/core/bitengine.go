@@ -11,10 +11,10 @@ import (
 // bitEngine is the default diagnosis pipeline. Nodes and sensor pairs get
 // dense IDs while the measurements are read, the logical expansion and set
 // building run over those IDs (ids.go), every link is a dense int32 ID
-// keyed by its endpoint IDs, set membership becomes packed bitsets, greedy
-// scoring is popcount over word-ANDs, and the greedy loop maintains
-// incremental per-candidate scores instead of rescoring every candidate
-// each round.
+// keyed by its endpoint IDs, link→set incidence becomes sorted int32 rows
+// (csr) tested against dense unexplained-set masks, and the greedy loop
+// maintains incremental per-candidate scores instead of rescoring every
+// candidate each round.
 //
 // Equivalence with the map-based reference (RunReference) is structural, not
 // accidental: every user-visible iteration (candidate scan, cluster pairs,
@@ -29,8 +29,6 @@ type bitEngine struct {
 	nodes *nodeTable
 	links *linkTable
 
-	nPairs int
-
 	all     bitset // before-path links: the diagnosis space
 	working bitset
 	cand    bitset
@@ -40,13 +38,14 @@ type bitEngine struct {
 	failLinks [][]int32
 	rerLinks  [][]int32
 
-	// failInc / rerInc transpose the sets: per link ID, the bitset of
-	// failure / reroute set indices containing that link. Rows are nil for
-	// links in no set. pairInc is the per-link before-path pair incidence,
-	// built only for ND-LG (the sole consumer, clustering rule ii).
-	failInc []bitset
-	rerInc  []bitset
-	pairInc []bitset
+	// failInc / rerInc transpose the sets: per link ID, the ascending
+	// failure / reroute set indices containing that link. Rows are empty
+	// for links in no set. pairInc is the per-link before-path pair
+	// incidence, built only for ND-LG (the sole consumer, clustering rule
+	// ii).
+	failInc csr
+	rerInc  csr
+	pairInc csr
 
 	// unexplF / unexplR mask the not-yet-explained set indices; the counts
 	// are maintained alongside so the greedy termination check is O(1).
@@ -65,13 +64,14 @@ type bitEngine struct {
 	candCount int
 
 	// coverF / coverR give each candidate position its full cover incidence
-	// ({link} ∪ extraCover, OR-folded). Candidates without extraCover share
-	// the failInc/rerInc row pointer — no per-candidate allocation.
-	coverF, coverR []bitset
+	// ({link} ∪ extraCover, as a sorted union). Candidates without
+	// extraCover share the failInc/rerInc row — no per-candidate
+	// allocation.
+	coverF, coverR [][]int32
 	// coveredByF / coveredByR transpose the covers: per set index, the
 	// candidate positions covering it. Each (position, set) pair appears
 	// exactly once, so the delta decrement in retireSets is exact.
-	coveredByF, coveredByR [][]int32
+	coveredByF, coveredByR csr
 	// fCnt / rCnt are the incremental integer scores: how many unexplained
 	// failure / reroute sets each candidate position currently covers.
 	fCnt, rCnt []int
@@ -151,7 +151,6 @@ func (b *bitEngine) run(m *Measurements) (*Result, error) {
 // over the pairs in (src, dst) order, interning every link on first sight.
 func (b *bitEngine) buildSets(pairs []pairRef) {
 	e, x, m := b.e, b.mesh, b.m
-	b.nPairs = len(pairs)
 	lgMode := e.opts.LG != nil
 	wds := b.withdrawals()
 	// Every pair's before-path link IDs live in one arena: the failure sets
@@ -164,7 +163,8 @@ func (b *bitEngine) buildSets(pairs []pairRef) {
 	}
 	arena := make([]int32, 0, n)
 	var aIDs []int32
-	for pi, pr := range pairs {
+	var pairLinks [][]int32 // per pair, its before-path link IDs (ND-LG)
+	for _, pr := range pairs {
 		bp, ap := m.Before[pr.b], m.After[pr.a]
 		bHops, aHops := x.path(x.before[pr.b]), x.path(x.after[pr.a])
 		off := len(arena)
@@ -172,9 +172,9 @@ func (b *bitEngine) buildSets(pairs []pairRef) {
 		bIDs := arena[off:len(arena):len(arena)]
 		for _, id := range bIDs {
 			setGrow(&b.all, id)
-			if lgMode {
-				b.pairRow(id).set(int32(pi))
-			}
+		}
+		if lgMode {
+			pairLinks = append(pairLinks, bIDs)
 		}
 		if !bp.OK {
 			continue // no pre-failure baseline for this pair
@@ -209,6 +209,9 @@ func (b *bitEngine) buildSets(pairs []pairRef) {
 	}
 	b.unexplF, b.nUnexplF = fullMask(len(b.failLinks))
 	b.unexplR, b.nUnexplR = fullMask(len(b.rerLinks))
+	if lgMode {
+		b.pairInc = transpose(pairLinks, b.links.size())
+	}
 }
 
 // equivalentHops is pathsEquivalent over node IDs: same length, identified
@@ -291,29 +294,6 @@ func (b *bitEngine) withdrawalCut(wds []idWithdrawal, dst int, hops []idHop) int
 		}
 	}
 	return cut
-}
-
-// pairRow returns link id's pair-incidence row, growing the table and
-// allocating the row on demand.
-func (b *bitEngine) pairRow(id int32) bitset {
-	if int(id) >= len(b.pairInc) {
-		rows := make([]bitset, int(id)+1+int(id)/2)
-		copy(rows, b.pairInc)
-		b.pairInc = rows
-	}
-	if b.pairInc[id] == nil {
-		b.pairInc[id] = newBitset(b.nPairs)
-	}
-	return b.pairInc[id]
-}
-
-// pairAt is pairRow without allocation: nil when the link never appeared on
-// a before path (its pair incidence is empty).
-func (b *bitEngine) pairAt(id int32) bitset {
-	if int(id) < len(b.pairInc) {
-		return b.pairInc[id]
-	}
-	return nil
 }
 
 // fullMask returns a bitset with bits 0..n-1 set, and n.
@@ -413,28 +393,13 @@ func (b *bitEngine) addPhysParents() {
 
 // buildIncidence transposes the constraint sets into per-link incidence
 // rows. It runs after addPhysParents — the last point where new links are
-// interned — so the row tables cover the final ID universe.
+// interned — so the row tables cover the final ID universe. A path that
+// crosses a link twice puts it in its set twice; the transpose records
+// the set once, so a row's length is the link's set count.
 func (b *bitEngine) buildIncidence() {
 	n := b.links.size()
-	b.failInc = make([]bitset, n)
-	b.rerInc = make([]bitset, n)
-	nF, nR := len(b.failLinks), len(b.rerLinks)
-	for s, ids := range b.failLinks {
-		for _, id := range ids {
-			if b.failInc[id] == nil {
-				b.failInc[id] = newBitset(nF)
-			}
-			b.failInc[id].set(int32(s))
-		}
-	}
-	for s, ids := range b.rerLinks {
-		for _, id := range ids {
-			if b.rerInc[id] == nil {
-				b.rerInc[id] = newBitset(nR)
-			}
-			b.rerInc[id].set(int32(s))
-		}
-	}
+	b.failInc = transpose(b.failLinks, n)
+	b.rerInc = transpose(b.rerLinks, n)
 }
 
 // applyIGPDowns adds AS-X's directly observed failed links to the
@@ -452,8 +417,8 @@ func (b *bitEngine) applyIGPDowns() {
 		}
 		b.hyp = append(b.hyp, id)
 		b.cand.clear(id)
-		b.retireMask(b.failInc[id], b.unexplF, &b.nUnexplF)
-		b.retireMask(b.rerInc[id], b.unexplR, &b.nUnexplR)
+		retireMask(b.failInc.row(id), b.unexplF, &b.nUnexplF)
+		retireMask(b.rerInc.row(id), b.unexplR, &b.nUnexplR)
 	}
 }
 
@@ -473,12 +438,12 @@ func (b *bitEngine) link(id int32) Link {
 	return Link{From: b.nodes.name(l[0]), To: b.nodes.name(l[1])}
 }
 
-// retireMask clears inc's bits from unexpl, decrementing the live count.
-func (b *bitEngine) retireMask(inc, unexpl bitset, n *int) {
-	for w, v := range inc {
-		if d := v & unexpl[w]; d != 0 {
-			unexpl[w] &^= d
-			*n -= bits.OnesCount64(d)
+// retireMask clears inc's sets from unexpl, decrementing the live count.
+func retireMask(inc []int32, unexpl bitset, n *int) {
+	for _, s := range inc {
+		if unexpl.has(s) {
+			unexpl.clear(s)
+			*n--
 		}
 	}
 }
@@ -511,8 +476,8 @@ func (b *bitEngine) orderCandidates() {
 }
 
 // buildClusters groups unidentified candidate links under the §3.4 rules;
-// rule (ii) — never on the same before path — is one AND-any sweep over
-// the pair-incidence rows instead of a per-pair map probe.
+// rule (ii) — never on the same before path — is one merge walk over two
+// sorted pair-incidence rows instead of a per-pair map probe.
 func (b *bitEngine) buildClusters() {
 	t := b.nodes
 	var unid []int32
@@ -527,7 +492,7 @@ func (b *bitEngine) buildClusters() {
 	for i, id := range unid {
 		l := b.links.ends[id]
 		keys[i] = [2]endpointKey{t.endpointKey(l[0]), t.endpointKey(l[1])}
-		fcounts[i] = b.failInc[id].popcount()
+		fcounts[i] = len(b.failInc.row(id))
 	}
 	for i := range unid {
 		if !keys[i][0].ok || !keys[i][1].ok {
@@ -543,7 +508,7 @@ func (b *bitEngine) buildClusters() {
 			if fcounts[i] != fcounts[j] {
 				continue // rule (iii): same number of failure sets
 			}
-			if andAny(b.pairAt(unid[i]), b.pairAt(unid[j])) {
+			if intersects(b.pairInc.row(unid[i]), b.pairInc.row(unid[j])) {
 				continue // rule (ii): never on the same path
 			}
 			b.extraCover[unid[i]] = append(b.extraCover[unid[i]], unid[j])
@@ -553,59 +518,35 @@ func (b *bitEngine) buildClusters() {
 
 // prepareCover materializes each candidate's cover incidence and the
 // set→candidates transpose driving the incremental score updates. A
-// candidate without extraCover shares its incidence row pointer — the
+// candidate without extraCover shares its incidence row — the
 // per-candidate cover union costs nothing (this replaces the reference
 // engine's per-candidate-per-iteration append in coverCounts).
 func (b *bitEngine) prepareCover() {
-	nF, nR := len(b.failLinks), len(b.rerLinks)
 	n := len(b.candOrder)
-	b.coverF = make([]bitset, n)
-	b.coverR = make([]bitset, n)
+	b.coverF = make([][]int32, n)
+	b.coverR = make([][]int32, n)
 	for pos, id := range b.candOrder {
 		ex := b.extraCover[id]
-		if len(ex) == 0 {
-			b.coverF[pos] = b.failInc[id]
-			b.coverR[pos] = b.rerInc[id]
-			continue
-		}
-		cf := newBitset(nF)
-		if row := b.failInc[id]; row != nil {
-			copy(cf, row)
-		}
-		cr := newBitset(nR)
-		if row := b.rerInc[id]; row != nil {
-			copy(cr, row)
-		}
-		for _, cid := range ex {
-			if row := b.failInc[cid]; row != nil {
-				orInto(cf, row)
-			}
-			if row := b.rerInc[cid]; row != nil {
-				orInto(cr, row)
-			}
-		}
-		b.coverF[pos] = cf
-		b.coverR[pos] = cr
+		b.coverF[pos] = coverRow(b.failInc, id, ex)
+		b.coverR[pos] = coverRow(b.rerInc, id, ex)
 	}
-	b.coveredByF = transposeCover(b.coverF, nF)
-	b.coveredByR = transposeCover(b.coverR, nR)
+	b.coveredByF = transpose(b.coverF, len(b.failLinks))
+	b.coveredByR = transpose(b.coverR, len(b.rerLinks))
 }
 
-// transposeCover inverts candidate→sets incidence into set→candidates
-// lists. Rows are bitsets, so each (candidate, set) pair appears once.
-func transposeCover(cover []bitset, nSets int) [][]int32 {
-	out := make([][]int32, nSets)
-	for pos, row := range cover {
-		for w, v := range row {
-			base := w * wordBits
-			for v != 0 {
-				t := bits.TrailingZeros64(v)
-				v &= v - 1
-				out[base+t] = append(out[base+t], int32(pos))
-			}
-		}
+// coverRow returns the sorted union of inc's rows for id and ex: id's own
+// row when ex is empty.
+func coverRow(inc csr, id int32, ex []int32) []int32 {
+	row := inc.row(id)
+	if len(ex) == 0 {
+		return row
 	}
-	return out
+	u := slices.Clone(row)
+	for _, c := range ex {
+		u = append(u, inc.row(c)...)
+	}
+	slices.Sort(u)
+	return slices.Compact(u)
 }
 
 // initScores computes the starting integer scores — how many unexplained
@@ -616,8 +557,8 @@ func (b *bitEngine) initScores() {
 	b.fCnt = make([]int, len(b.candOrder))
 	b.rCnt = make([]int, len(b.candOrder))
 	_ = pool.ForEachM(b.e.ctx, b.e.workers, len(b.candOrder), func(pos int) error {
-		b.fCnt[pos] = andPopcount(b.coverF[pos], b.unexplF)
-		b.rCnt[pos] = andPopcount(b.coverR[pos], b.unexplR)
+		b.fCnt[pos] = countIn(b.coverF[pos], b.unexplF)
+		b.rCnt[pos] = countIn(b.coverR[pos], b.unexplR)
 		return nil
 	}, b.e.poolM)
 }
@@ -693,14 +634,28 @@ func scanBest(order []int32, alive []bool, fCnt, rCnt []int, fw, rw float64, bes
 	return best, k
 }
 
-// accumDelta ORs the still-unexplained part of cover into scratch: the
-// sets this selection newly explains.
+// countIn returns how many of row's sets are in mask — the scoring
+// kernel: a candidate's cover row against the unexplained-set mask.
 //
 //ndlint:hotpath
-func accumDelta(cover, unexpl, scratch bitset) {
-	for w, v := range cover {
-		if d := v & unexpl[w]; d != 0 {
-			scratch[w] |= d
+func countIn(row []int32, mask bitset) int {
+	n := 0
+	for _, s := range row {
+		if mask.has(s) {
+			n++
+		}
+	}
+	return n
+}
+
+// accumDelta sets the still-unexplained sets of cover in scratch: the sets
+// this selection newly explains.
+//
+//ndlint:hotpath
+func accumDelta(cover []int32, unexpl, scratch bitset) {
+	for _, s := range cover {
+		if unexpl.has(s) {
+			scratch.set(s)
 		}
 	}
 }
@@ -711,7 +666,7 @@ func accumDelta(cover, unexpl, scratch bitset) {
 // of sets retired.
 //
 //ndlint:hotpath
-func retireSets(delta, unexpl bitset, coveredBy [][]int32, cnt []int) int {
+func retireSets(delta, unexpl bitset, coveredBy csr, cnt []int) int {
 	removed := 0
 	for w := range delta {
 		d := delta[w]
@@ -725,7 +680,7 @@ func retireSets(delta, unexpl bitset, coveredBy [][]int32, cnt []int) int {
 		for d != 0 {
 			t := bits.TrailingZeros64(d)
 			d &= d - 1
-			for _, pos := range coveredBy[base+t] {
+			for _, pos := range coveredBy.row(int32(base + t)) {
 				cnt[pos]--
 			}
 		}

@@ -1,18 +1,18 @@
 package core
 
-import "math/bits"
-
-// This file holds the packed bitset primitives of the default diagnosis
-// engine. A bitset is a dense bit vector over one of the engine's interned
-// ID spaces (link IDs, failure-set indices, reroute-set indices, pair
-// indices). The kernels are deliberately branch-light word loops: greedy
-// scoring is popcount-over-word-AND, set explanation is word AND-NOT, and
-// cluster path-sharing is a single AND-any sweep.
+// This file holds the set primitives of the default diagnosis engine. A
+// bitset is a dense bit vector over one of the engine's interned ID spaces
+// (link IDs, failure-set indices, reroute-set indices): the engine keeps
+// the masks it tests membership against (the diagnosis space, working
+// links, candidates, unexplained sets) dense. Incidence between those
+// spaces is sparse — each constraint set is one path of about ten links —
+// so it is a csr table of sorted int32 rows, built by one counting-sort
+// transpose.
 //
-// Reads (has, andAny, andPopcount, popcount) tolerate out-of-range indices
-// and mismatched lengths — a bit beyond a set's words is simply absent.
-// Writes via set require capacity; the engine grows through setGrow, so the
-// primitives themselves stay allocation-free.
+// Reads (has, csr.row) tolerate out-of-range indices — a bit beyond a
+// set's words is absent, a row beyond the table is empty. Writes via set
+// require capacity; the engine grows through setGrow, so the primitives
+// themselves stay allocation-free.
 
 const wordBits = 64
 
@@ -55,53 +55,73 @@ func setGrow(b *bitset, i int32) {
 	(*b)[w] |= 1 << (uint32(i) & 63)
 }
 
-// popcount returns the number of set bits.
-//
-//ndlint:hotpath
-func (b bitset) popcount() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
+// csr is a compressed sparse row table: row r is arena[off[r]:off[r+1]],
+// ascending and duplicate-free. The zero value is a table of no rows.
+type csr struct {
+	off   []int32
+	arena []int32
 }
 
-// andAny reports whether a and b share any set bit.
+// row returns row r, capped so an append cannot write into the next row.
+// A row beyond the table is empty.
 //
 //ndlint:hotpath
-func andAny(a, b bitset) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+func (c csr) row(r int32) []int32 {
+	if int(r)+1 >= len(c.off) {
+		return nil
 	}
-	for w := 0; w < n; w++ {
-		if a[w]&b[w] != 0 {
+	lo, hi := c.off[r], c.off[r+1]
+	return c.arena[lo:hi:hi]
+}
+
+// transpose inverts rows over the columns 0..n-1: row c of the result
+// lists, ascending, every index s whose rows[s] holds c — once, even when
+// rows[s] repeats c. Every entry of rows must be below n. A counting sort:
+// one pass counts, one fills, and the table is two allocations.
+func transpose(rows [][]int32, n int) csr {
+	off := make([]int32, n+1)
+	// last[c] is 1 + the last row that counted c: the dedupe stamp.
+	last := make([]int32, n)
+	for s, r := range rows {
+		for _, c := range r {
+			if last[c] != int32(s)+1 {
+				last[c] = int32(s) + 1
+				off[c+1]++
+			}
+		}
+	}
+	for c := 0; c < n; c++ {
+		off[c+1] += off[c]
+	}
+	arena := make([]int32, off[n])
+	next := last // reused as each column's fill cursor
+	copy(next, off[:n])
+	for s, r := range rows {
+		for _, c := range r {
+			// Rows fill in ascending s, so a repeat of c within rows[s]
+			// finds s as the column's last entry.
+			if p := next[c]; p == off[c] || arena[p-1] != int32(s) {
+				arena[p] = int32(s)
+				next[c] = p + 1
+			}
+		}
+	}
+	return csr{off: off, arena: arena}
+}
+
+// intersects reports whether the ascending lists a and b share an element.
+//
+//ndlint:hotpath
+func intersects(a, b []int32) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
 			return true
 		}
 	}
 	return false
-}
-
-// andPopcount returns the number of bits set in both a and b — the scoring
-// kernel: a candidate's cover incidence AND the unexplained-set mask.
-//
-//ndlint:hotpath
-func andPopcount(a, b bitset) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	c := 0
-	for w := 0; w < n; w++ {
-		c += bits.OnesCount64(a[w] & b[w])
-	}
-	return c
-}
-
-// orInto folds src into dst (dst |= src). dst must be at least as long as
-// src; the engine only ORs rows of one fixed-size ID space.
-func orInto(dst, src bitset) {
-	for w, v := range src {
-		dst[w] |= v
-	}
 }

@@ -3,12 +3,26 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"netdiag/internal/topology"
 )
 
-// TestBitsetWordBoundaries exercises set/clear/has/popcount exactly at the
-// 64-bit word edges — universes of 63, 64 and 65 bits, and indices 62..65 —
+// ones counts the set bits of b, tolerating its spare tail words.
+func ones(b bitset) int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// TestBitsetWordBoundaries exercises set/clear/has exactly at the 64-bit
+// word edges — universes of 63, 64 and 65 bits, and indices 62..65 —
 // where a shift or word-count bug would hide.
 func TestBitsetWordBoundaries(t *testing.T) {
 	for _, n := range []int{63, 64, 65} {
@@ -20,8 +34,8 @@ func TestBitsetWordBoundaries(t *testing.T) {
 		for i := 0; i < n; i++ {
 			b.set(int32(i))
 		}
-		if got := b.popcount(); got != n {
-			t.Fatalf("popcount after filling %d bits: %d", n, got)
+		if got := ones(b); got != n {
+			t.Fatalf("bits after filling %d: %d", n, got)
 		}
 		for i := 0; i < n; i++ {
 			if !b.has(int32(i)) {
@@ -39,84 +53,93 @@ func TestBitsetWordBoundaries(t *testing.T) {
 				t.Fatalf("n=%d: bit %d survived clear", n, i)
 			}
 		}
-		if got := b.popcount(); got != n-3 {
-			t.Fatalf("popcount after 3 clears: %d, want %d", got, n-3)
+		if got := ones(b); got != n-3 {
+			t.Fatalf("bits after 3 clears: %d, want %d", got, n-3)
 		}
 	}
 }
 
-// TestBitsetSetGrow checks the growth write path and that reads stay
-// tolerant of the capacity differences growth creates.
+// TestBitsetSetGrow checks the growth write path: bits set before a grow
+// survive it, and reads beyond the grown words stay absent.
 func TestBitsetSetGrow(t *testing.T) {
 	var b bitset
-	for _, i := range []int32{0, 63, 64, 65, 200, 1023} {
+	grown := []int32{0, 63, 64, 65, 200, 1023}
+	for k, i := range grown {
 		setGrow(&b, i)
-		if !b.has(i) {
-			t.Fatalf("bit %d missing after setGrow", i)
+		for _, j := range grown[:k+1] {
+			if !b.has(j) {
+				t.Fatalf("bit %d missing after setGrow(%d)", j, i)
+			}
 		}
 	}
-	if got := b.popcount(); got != 6 {
-		t.Fatalf("popcount %d, want 6", got)
+	if got := ones(b); got != len(grown) {
+		t.Fatalf("%d bits, want %d", got, len(grown))
 	}
-	// Mismatched lengths must still compare the shared words.
-	short := newBitset(64)
-	short.set(3)
-	if andAny(short, b) {
-		t.Fatalf("andAny found a bit neither side shares")
-	}
-	short.set(63)
-	if !andAny(short, b) {
-		t.Fatalf("andAny missed the shared bit 63")
+	if b.has(int32(len(b) * wordBits)) {
+		t.Fatalf("phantom bit beyond the grown words")
 	}
 }
 
-// TestBitsetAgainstMapModel drives the primitives against a map[int]bool
-// reference model with random operations, covering and/or/popcount over
-// random densities and mismatched word counts.
+// sortedKeys returns the keys of m in ascending order.
+func sortedKeys(m map[int32]bool) []int32 {
+	out := make([]int32, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestBitsetAgainstMapModel drives the set kernels against a
+// map[int32]bool reference model over random densities and mismatched
+// universes: bitset membership, countIn (a sorted row against a mask),
+// and intersects over two sorted rows.
 func TestBitsetAgainstMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		na := 1 + rng.Intn(200)
 		nb := 1 + rng.Intn(200)
-		a, b := newBitset(na), newBitset(nb)
-		ma, mb := map[int]bool{}, map[int]bool{}
+		ma, mb := map[int32]bool{}, map[int32]bool{}
+		// Densities from empty to full, so the no-overlap case is common.
+		da, db := rng.Intn(4), rng.Intn(4)
 		for i := 0; i < na; i++ {
-			if rng.Intn(3) == 0 {
-				a.set(int32(i))
-				ma[i] = true
+			if rng.Intn(4) < da {
+				ma[int32(i)] = true
 			}
 		}
 		for i := 0; i < nb; i++ {
-			if rng.Intn(3) == 0 {
-				b.set(int32(i))
-				mb[i] = true
+			if rng.Intn(4) < db {
+				mb[int32(i)] = true
 			}
 		}
-		wantBoth, wantAny := 0, false
+		a, b := sortedKeys(ma), sortedKeys(mb)
+		mask := newBitset(nb)
+		for _, i := range b {
+			mask.set(i)
+		}
+		for i := int32(0); i < int32(max(na, nb))+wordBits; i++ {
+			if mask.has(i) != mb[i] {
+				t.Fatalf("trial %d: has(%d)=%v, model %v", trial, i, mask.has(i), mb[i])
+			}
+		}
+		wantBoth := 0
 		for i := range ma {
 			if mb[i] {
 				wantBoth++
-				wantAny = true
 			}
 		}
-		if got := andPopcount(a, b); got != wantBoth {
-			t.Fatalf("trial %d: andPopcount=%d want %d", trial, got, wantBoth)
+		if got := countIn(a, mask); got != wantBoth {
+			t.Fatalf("trial %d: countIn=%d want %d", trial, got, wantBoth)
 		}
-		if got := andAny(a, b); got != wantAny {
-			t.Fatalf("trial %d: andAny=%v want %v", trial, got, wantAny)
+		if got := intersects(a, b); got != (wantBoth > 0) {
+			t.Fatalf("trial %d: intersects=%v want %v", trial, got, wantBoth > 0)
 		}
-		if got := a.popcount(); got != len(ma) {
-			t.Fatalf("trial %d: popcount=%d want %d", trial, got, len(ma))
+		if got := intersects(b, a); got != (wantBoth > 0) {
+			t.Fatalf("trial %d: intersects (swapped)=%v want %v", trial, got, wantBoth > 0)
 		}
-		if na >= nb {
-			orInto(a, b)
-			for i := range mb {
-				ma[i] = true
-			}
-			if got := a.popcount(); got != len(ma) {
-				t.Fatalf("trial %d: popcount after orInto=%d want %d", trial, got, len(ma))
-			}
-		}
+	}
+	if intersects(nil, []int32{1}) || intersects([]int32{1}, nil) || intersects(nil, nil) {
+		t.Fatal("an empty list intersects nothing")
 	}
 }
 
@@ -124,8 +147,8 @@ func TestBitsetAgainstMapModel(t *testing.T) {
 func TestFullMask(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 130} {
 		m, cnt := fullMask(n)
-		if cnt != n || m.popcount() != n {
-			t.Fatalf("fullMask(%d): cnt=%d popcount=%d", n, cnt, m.popcount())
+		if cnt != n || ones(m) != n {
+			t.Fatalf("fullMask(%d): cnt=%d bits=%d", n, cnt, ones(m))
 		}
 		if n > 0 && !m.has(int32(n-1)) {
 			t.Fatalf("fullMask(%d): top bit missing", n)
@@ -136,30 +159,61 @@ func TestFullMask(t *testing.T) {
 	}
 }
 
-// TestTransposeCover checks the candidate→set inversion feeding the
-// incremental score updates.
+// TestTransposeCover checks the counting-sort transpose behind every
+// incidence table against a map model: random rows, including empty ones
+// and rows that repeat an ID (a looped path), must invert to ascending,
+// duplicate-free columns, and rows beyond the table must read as empty.
 func TestTransposeCover(t *testing.T) {
-	cover := []bitset{newBitset(130), nil, newBitset(130)}
-	cover[0].set(0)
-	cover[0].set(64)
-	cover[2].set(64)
-	cover[2].set(129)
-	got := transposeCover(cover, 130)
-	check := func(set int, want ...int32) {
-		t.Helper()
-		if len(got[set]) != len(want) {
-			t.Fatalf("set %d: %v, want %v", set, got[set], want)
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(70)
+		rows := make([][]int32, rng.Intn(12))
+		model := map[int32]map[int32]bool{}
+		for s := range rows {
+			if n == 0 || rng.Intn(5) == 0 {
+				continue // an empty set
+			}
+			for k := rng.Intn(10); k >= 0; k-- {
+				c := int32(rng.Intn(n))
+				rows[s] = append(rows[s], c)
+				if rng.Intn(3) == 0 {
+					rows[s] = append(rows[s], c) // a repeat within the set
+				}
+				if model[c] == nil {
+					model[c] = map[int32]bool{}
+				}
+				model[c][int32(s)] = true
+			}
+			rng.Shuffle(len(rows[s]), func(i, j int) { rows[s][i], rows[s][j] = rows[s][j], rows[s][i] })
 		}
-		for i := range want {
-			if got[set][i] != want[i] {
-				t.Fatalf("set %d: %v, want %v", set, got[set], want)
+		got := transpose(rows, n)
+		total := 0
+		for c := int32(0); c < int32(n); c++ {
+			want := sortedKeys(model[c])
+			if row := got.row(c); !slices.Equal(row, want) {
+				t.Fatalf("trial %d: column %d = %v, want %v (rows %v)", trial, c, row, want, rows)
+			}
+			total += len(want)
+		}
+		if len(got.arena) != total {
+			t.Fatalf("trial %d: arena holds %d entries, want %d", trial, len(got.arena), total)
+		}
+		for _, c := range []int32{int32(n), int32(n) + 1, 1 << 20} {
+			if row := got.row(c); len(row) != 0 {
+				t.Fatalf("trial %d: row %d beyond a %d-row table = %v", trial, c, n, row)
 			}
 		}
 	}
-	check(0, 0)
-	check(64, 0, 2)
-	check(129, 2)
-	check(1)
+	// A row is capped: appending to it cannot overwrite the next row.
+	tab := transpose([][]int32{{0, 1}, {1}}, 2)
+	_ = append(tab.row(0), 99)
+	if !slices.Equal(tab.row(1), []int32{0, 1}) {
+		t.Fatalf("append to row 0 clobbered row 1: %v", tab.row(1))
+	}
+	var empty csr
+	if len(empty.row(0)) != 0 {
+		t.Fatal("the zero table has rows")
+	}
 }
 
 // TestLinkInterner checks dense link ID assignment by (from, to) node ID,
@@ -234,22 +288,96 @@ func TestEngineEquivalenceSynthetic(t *testing.T) {
 	}
 }
 
-// BenchmarkGreedyScoreKernel exercises the bitset scoring kernels the way
-// the greedy loop composes them — initial popcount scores, best scan,
-// delta retire — over preallocated buffers. Guarded by benchjson
-// -allocguard: the kernels must not allocate per round.
+// TestLoopedPathEquivalence pins the dedupe of the incidence transpose. A
+// failed and a rerouted before path each cross b->c twice (hops b c b c),
+// and a second failed path crosses c->d twice, so the built constraint
+// sets repeat link IDs. The reference engine counts a set once per link;
+// an incidence row that kept the repeat would double the link's score and
+// change the greedy picks. Tomo, ND-edge and ND-LG must match RunReference
+// byte for byte at parallelism 1 and 8.
+func TestLoopedPathEquivalence(t *testing.T) {
+	m := &Measurements{
+		NumSensors: 4,
+		Before: []*TracePath{
+			tp(0, 1, true, "s0@10", "x@10", "b@20", "c@20", "b@20", "c@20", "z@30", "s1@30"),
+			tp(0, 2, true, "s0@10", "x@10", "b@20", "c@20", "b@20", "c@20", "w@30", "s2@30"),
+			tp(1, 0, true, "s1@30", "z@30", "c@20", "d@20", "c@20", "d@20", "x@10", "s0@10"),
+			tp(3, 1, true, "s3@10", "x@10", "*u1", "*u2", "z@30", "s1@30"),
+			tp(3, 2, true, "s3@10", "x@10", "*u3", "*u4", "z@30", "s2@30"),
+		},
+		After: []*TracePath{
+			tp(0, 1, false, "s0@10", "x@10"),
+			tp(0, 2, true, "s0@10", "x@10", "y@25", "w@30", "s2@30"),
+			tp(1, 0, false, "s1@30", "z@30"),
+			tp(3, 1, false, "s3@10", "x@10"),
+			tp(3, 2, false, "s3@10", "x@10"),
+		},
+	}
+	lg := &tableLG{
+		avail: map[topology.ASN]bool{10: true},
+		paths: map[topology.ASN]map[int][]topology.ASN{
+			10: {1: {10, 20, 30}, 2: {10, 20, 30}},
+		},
+	}
+	repeats := func(sets [][]int32) bool {
+		for _, ids := range sets {
+			seen := map[int32]bool{}
+			for _, id := range ids {
+				if seen[id] {
+					return true
+				}
+				seen[id] = true
+			}
+		}
+		return false
+	}
+	for _, v := range []struct {
+		name string
+		opts Options
+	}{
+		{"tomo", Options{}},
+		{"nd-edge", Options{LogicalLinks: true, UseReroutes: true}},
+		{"nd-lg", Options{LogicalLinks: true, UseReroutes: true, Routing: &RoutingInfo{ASX: 10}, LG: lg, KeepUnidentified: true}},
+	} {
+		for _, par := range []int{1, 8} {
+			opts := v.opts
+			opts.Parallelism = par
+			var be *bitEngine
+			if _, err := runWith(context.Background(), m, opts, func(e *engine, m *Measurements) (*Result, error) {
+				be = newBitEngine(e)
+				return be.run(m)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !repeats(be.failLinks) {
+				t.Fatalf("%s: no failure set repeats a link: %v", v.name, be.failLinks)
+			}
+			if opts.UseReroutes && !repeats(be.rerLinks) {
+				t.Fatalf("%s: no reroute set repeats a link: %v", v.name, be.rerLinks)
+			}
+			checkEngines(t, fmt.Sprintf("%s par=%d", v.name, par), m, opts)
+		}
+	}
+}
+
+// BenchmarkGreedyScoreKernel exercises the sparse scoring kernels the way
+// the greedy loop composes them — initial countIn scores over sorted cover
+// rows, best scan, delta retire through the set→candidate transpose —
+// over preallocated buffers. Guarded by benchjson -allocguard: the kernels
+// must not allocate per round.
 func BenchmarkGreedyScoreKernel(b *testing.B) {
 	const nCand, nSets = 256, 512
 	rng := rand.New(rand.NewSource(11))
-	cover := make([]bitset, nCand)
+	cover := make([][]int32, nCand)
 	for i := range cover {
-		cover[i] = newBitset(nSets)
 		for k := 0; k < 24; k++ {
-			cover[i].set(int32(rng.Intn(nSets)))
+			cover[i] = append(cover[i], int32(rng.Intn(nSets)))
 		}
+		slices.Sort(cover[i])
+		cover[i] = slices.Compact(cover[i])
 	}
 	full, _ := fullMask(nSets)
-	coveredBy := transposeCover(cover, nSets)
+	coveredBy := transpose(cover, nSets)
 	fCnt := make([]int, nCand)
 	rCnt := make([]int, nCand)
 	alive := make([]bool, nCand)
@@ -264,7 +392,7 @@ func BenchmarkGreedyScoreKernel(b *testing.B) {
 		for pos := range cover {
 			order[pos] = int32(pos)
 			alive[pos] = true
-			fCnt[pos] = andPopcount(cover[pos], unexpl)
+			fCnt[pos] = countIn(cover[pos], unexpl)
 			rCnt[pos] = 0
 		}
 		for round := 0; round < 4; round++ {

@@ -109,14 +109,15 @@ func TestLargeMeshExpandedSize(t *testing.T) {
 // n-sensor mesh. Beyond the standard ns/op it reports, from the run's
 // telemetry spans, the front-half time (validate + expand + build_sets:
 // reading the measurements into IDs and building the sets) and the
-// greedy-phase time, and a sensors-per-second throughput figure for the
-// scalability curve. benchjson's diagnose section pairs the Map and Bitset
+// greedy-phase time, a sensors-per-second throughput figure for the
+// scalability curve, and the bytes and allocations of one diagnosis. benchjson's diagnose section pairs the Map and Bitset
 // series into speedup ratios.
 func benchDiagnose(b *testing.B, n int, run func(context.Context, *core.Measurements, core.Options) (*core.Result, error)) {
 	m := GenerateLargeMesh(DefaultLargeMesh(n, 7))
 	opts := edgeOpts()
 	opts.Telemetry = telemetry.New()
 	var frontNs, greedyNs int64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := run(context.Background(), m, opts)
