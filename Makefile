@@ -44,35 +44,33 @@ race:
 lint:
 	$(GO) run ./cmd/ndlint ./...
 
-# Reduced-scale benchmark sweep, including the parallelism comparisons.
-# The results also land in BENCH_pipeline.json (machine-readable, for CI
-# diffing) via cmd/benchjson. The text output is captured first so a
-# failing `go test` fails the target instead of vanishing into a pipe.
-# The Reconverge cold-vs-incremental pairs re-run at higher iteration
-# counts: the "incremental" section's warm_speedup compares microsecond-
-# scale operations, which a single 1x sample cannot resolve. The stream
-# ingest / event-loop benchmarks re-run likewise so the "stream"
-# section's throughput, event-lag and dirty-pair-fraction metrics come
-# from a multi-iteration sample. benchjson writes each benchmark once,
-# as its highest-iteration sample.
+# The benchmark sweep of record, shared by bench and benchdiff: every
+# benchmark in one go test pass, three samples of at least 100 ms each,
+# so each row times its own operation over many iterations and carries a
+# median with a min-max spread. Reduced-scale, including the parallelism
+# comparisons.
+BENCH_SWEEP = $(GO) test -run '^$$' -bench . -benchtime 100ms -count 3 ./...
+
+# Run the sweep and write BENCH_pipeline.json (machine-readable, for CI
+# diffing) via cmd/benchjson, which folds each benchmark's samples into
+# one row and adds the derived ratios. The text output is captured first
+# so a failing `go test` fails the target instead of vanishing into a
+# pipe.
 bench:
-	$(GO) test -run xxx -bench . -benchtime 1x ./... > BENCH_pipeline.txt || (cat BENCH_pipeline.txt; rm -f BENCH_pipeline.txt; exit 1)
-	$(GO) test -run xxx -bench 'BenchmarkReconverge(Cold|Incremental)' -benchtime 200x ./internal/netsim/ >> BENCH_pipeline.txt || (cat BENCH_pipeline.txt; rm -f BENCH_pipeline.txt; exit 1)
-	$(GO) test -run xxx -bench 'BenchmarkIngest|BenchmarkEventLoop' -benchtime 10x ./internal/stream/ >> BENCH_pipeline.txt || (cat BENCH_pipeline.txt; rm -f BENCH_pipeline.txt; exit 1)
+	$(BENCH_SWEEP) > BENCH_pipeline.txt || (cat BENCH_pipeline.txt; rm -f BENCH_pipeline.txt; exit 1)
 	@cat BENCH_pipeline.txt
 	$(GO) run ./cmd/benchjson -o BENCH_pipeline.json < BENCH_pipeline.txt
 	@rm -f BENCH_pipeline.txt
 
-# Re-run the benchmark sweep and diff it against the committed
-# BENCH_pipeline.json: exits non-zero when any benchmark's ns/op regressed
-# by more than the threshold. 1x runs on a shared single-core container
-# are noisy, hence the wide margin — catch order-of-magnitude regressions,
-# not jitter.
+# Re-run the same sweep and diff it against the committed
+# BENCH_pipeline.json: exits non-zero when any row's or derived value's
+# median left its noise band, i.e. is more than 2x worse than the old
+# worst sample or 4x worse than the old median.
 benchdiff:
-	$(GO) test -run xxx -bench . -benchtime 1x ./... > BENCH_diff.txt || (cat BENCH_diff.txt; rm -f BENCH_diff.txt; exit 1)
+	$(BENCH_SWEEP) > BENCH_diff.txt || (cat BENCH_diff.txt; rm -f BENCH_diff.txt; exit 1)
 	$(GO) run ./cmd/benchjson -o BENCH_diff.json < BENCH_diff.txt
 	@rm -f BENCH_diff.txt
-	$(GO) run ./cmd/benchjson -compare -threshold 300 BENCH_pipeline.json BENCH_diff.json || (rm -f BENCH_diff.json; exit 1)
+	$(GO) run ./cmd/benchjson -compare BENCH_pipeline.json BENCH_diff.json || (rm -f BENCH_diff.json; exit 1)
 	@rm -f BENCH_diff.json
 
 # End-to-end service checks: build the real ndserve binary, start it on a

@@ -43,7 +43,7 @@ func BenchmarkScenarioParallelism(b *testing.B) {
 	for _, par := range parallelismLevels {
 		b.Run(fmt.Sprintf("workers-%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(int64(i + 1))
+				cfg := benchCfg()
 				cfg.Parallelism = par
 				if _, err := experiment.Figure7(cfg); err != nil {
 					b.Fatal(err)

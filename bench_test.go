@@ -12,9 +12,10 @@ import (
 
 // benchCfg is the reduced per-iteration workload: one placement, a handful
 // of impactful failures. Parallel placements are disabled so the benchmark
-// measures single-threaded cost.
-func benchCfg(seed int64) experiment.Config {
-	cfg := experiment.DefaultConfig(seed)
+// measures single-threaded cost. Every iteration runs seed 1, so ns/op
+// times one workload at any b.N and the reported metrics are seed 1's.
+func benchCfg() experiment.Config {
+	cfg := experiment.DefaultConfig(1)
 	cfg.Placements = 1
 	cfg.FailuresPerPlacement = 5
 	cfg.Parallel = false
@@ -41,7 +42,7 @@ func seriesMean(fig *experiment.Figure, name string) float64 {
 func BenchmarkFigure5(b *testing.B) {
 	var lastRandom float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Figure5(benchCfg(int64(i + 1)))
+		fig, err := experiment.Figure5(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,7 +55,7 @@ func BenchmarkFigure5(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	var tomo1, tomo3 float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Figure6(benchCfg(int64(i + 1)))
+		fig, err := experiment.Figure6(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkFigure7(b *testing.B) {
 	var tomo, edge float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Figure7(benchCfg(int64(i + 1)))
+		fig, err := experiment.Figure7(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,7 +86,7 @@ func BenchmarkFigure7(b *testing.B) {
 func BenchmarkFigure8(b *testing.B) {
 	var link, mc float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Figure8(benchCfg(int64(i + 1)))
+		fig, err := experiment.Figure8(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +102,7 @@ func BenchmarkFigure8(b *testing.B) {
 func BenchmarkFigure9(b *testing.B) {
 	var minSpec float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Figure9(benchCfg(int64(i + 1)))
+		fig, err := experiment.Figure9(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func BenchmarkFigure9(b *testing.B) {
 func BenchmarkFigure10(b *testing.B) {
 	var edge, bgpigp float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Figure10(benchCfg(int64(i + 1)))
+		fig, err := experiment.Figure10(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +136,7 @@ func BenchmarkFigure10(b *testing.B) {
 func BenchmarkFigure11(b *testing.B) {
 	var lg, bg float64
 	for i := 0; i < b.N; i++ {
-		cfg := benchCfg(int64(i + 1))
+		cfg := benchCfg()
 		cfg.FailuresPerPlacement = 3 // 9 f_b levels inside
 		fig, err := experiment.Figure11(cfg)
 		if err != nil {
@@ -153,7 +154,7 @@ func BenchmarkFigure11(b *testing.B) {
 func BenchmarkFigure12(b *testing.B) {
 	var last float64
 	for i := 0; i < b.N; i++ {
-		cfg := benchCfg(int64(i + 1))
+		cfg := benchCfg()
 		cfg.FailuresPerPlacement = 2 // 3 f_b x 6 LG levels inside
 		fig, err := experiment.Figure12(cfg)
 		if err != nil {
@@ -168,7 +169,7 @@ func BenchmarkFigure12(b *testing.B) {
 func BenchmarkRouterFailure(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.RouterFailureStudy(benchCfg(int64(i + 1)))
+		fig, err := experiment.RouterFailureStudy(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -181,7 +182,7 @@ func BenchmarkRouterFailure(b *testing.B) {
 func BenchmarkASLevelEdge(b *testing.B) {
 	var sens float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.ASLevelStudy(benchCfg(int64(i + 1)))
+		fig, err := experiment.ASLevelStudy(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +195,7 @@ func BenchmarkASLevelEdge(b *testing.B) {
 func BenchmarkASXPosition(b *testing.B) {
 	var core, stub float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.ASXPositionStudy(benchCfg(int64(i + 1)))
+		fig, err := experiment.ASXPositionStudy(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,7 +210,7 @@ func BenchmarkASXPosition(b *testing.B) {
 func BenchmarkAblation(b *testing.B) {
 	var edge, tomo float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.AblationStudy(benchCfg(int64(i + 1)))
+		fig, err := experiment.AblationStudy(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -224,7 +225,7 @@ func BenchmarkAblation(b *testing.B) {
 func BenchmarkSCFSBaseline(b *testing.B) {
 	var tomo, scfs float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.SCFSStudy(benchCfg(int64(i + 1)))
+		fig, err := experiment.SCFSStudy(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,7 +240,7 @@ func BenchmarkSCFSBaseline(b *testing.B) {
 func BenchmarkPlacementOpt(b *testing.B) {
 	var greedy float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.PlacementOptStudy(benchCfg(int64(i + 1)))
+		fig, err := experiment.PlacementOptStudy(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func runAllocGuard(rep *Report, pattern string, w io.Writer) (violations int, er
 		return 0, fmt.Errorf("bad -allocguard pattern: %w", err)
 	}
 	matched := 0
-	for _, e := range bestEntries(rep.Benchmarks) {
+	for _, e := range rep.Benchmarks {
 		if !re.MatchString(e.Name) {
 			continue
 		}

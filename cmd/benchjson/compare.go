@@ -1,26 +1,32 @@
 // Benchmark-report comparison: `benchjson -compare old.json new.json`
-// matches the two reports' benchmarks by package+name, prints a per-
-// benchmark delta table, and fails (exit 1 from main) when any shared
-// benchmark's ns/op regressed by more than -threshold percent. Added and
-// removed benchmarks are reported but never fail the comparison.
+// matches the two reports' rows by package+name+procs and their derived
+// values by name, prints a delta table, and fails (exit 1 from main) when
+// any shared value left its noise band. Added and removed values are
+// reported but never fail the comparison.
 
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 )
 
-// loadReport reads one benchjson JSON document from disk.
+// loadReport reads one benchjson JSON document from disk. It reads only
+// the current format: an unknown field is an error.
 func loadReport(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
+	if err := dec.Decode(&rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &rep, nil
@@ -33,11 +39,49 @@ func benchKey(e *Entry) string {
 	return fmt.Sprintf("%s\x00%s\x00%d", e.Package, e.Name, e.Procs)
 }
 
+// gated is one value the comparison gates, keyed for matching across
+// reports: a row's ns/op, where lower is better, or a derived value.
+type gated struct {
+	key string
+	Derived
+}
+
+// gatedValues lists a report's rows, then its derived values.
+func gatedValues(rep *Report) []gated {
+	var out []gated
+	for i := range rep.Benchmarks {
+		e := &rep.Benchmarks[i]
+		out = append(out, gated{benchKey(e), Derived{e.Name, "lower", e.NsPerOp, e.MinNsPerOp, e.MaxNsPerOp}})
+	}
+	for _, d := range rep.Derived {
+		out = append(out, gated{"derived\x00" + d.Name, d})
+	}
+	return out
+}
+
+// outsideBand reports whether cur's median left old's noise band: more
+// than twice as bad as old's worst sample, or more than 4x worse than
+// old's median (a backstop for a value whose own samples spread wide).
+func outsideBand(old, cur Derived) bool {
+	if old.Better == "higher" {
+		return cur.Median < old.Min/2 || cur.Median < old.Median/4
+	}
+	return cur.Median > 2*old.Max || cur.Median > 4*old.Median
+}
+
+// cell formats one table value: whole numbers from 1000 up, three
+// decimals below (ratios, fractions and nanosecond-scale ns/op).
+func cell(v float64) string {
+	if math.Abs(v) >= 1000 {
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	}
+	return strconv.FormatFloat(v, 'f', 3, 64)
+}
+
 // runCompare diffs newPath against oldPath and writes the delta table to
-// w. It reports whether any shared benchmark regressed beyond
-// thresholdPct. Rows follow the new report's order, so the output is as
-// deterministic as the reports themselves.
-func runCompare(oldPath, newPath string, thresholdPct float64, w io.Writer) (regressed bool, err error) {
+// w. It reports whether any shared value regressed. Rows follow the new
+// report's order, so the output is as deterministic as the reports.
+func runCompare(oldPath, newPath string, w io.Writer) (regressed bool, err error) {
 	oldRep, err := loadReport(oldPath)
 	if err != nil {
 		return false, err
@@ -46,129 +90,47 @@ func runCompare(oldPath, newPath string, thresholdPct float64, w io.Writer) (reg
 	if err != nil {
 		return false, err
 	}
-
-	// Older reports may carry several rows for one benchmark (the bench
-	// target re-runs some at a higher -benchtime); compare the
-	// highest-iteration sample from each side.
-	oldBest := bestEntries(oldRep.Benchmarks)
-	newBest := bestEntries(newRep.Benchmarks)
-	oldByKey := make(map[string]*Entry, len(oldBest))
-	for _, oe := range oldBest {
-		oldByKey[benchKey(oe)] = oe
+	oldVals := gatedValues(oldRep)
+	oldByKey := make(map[string]gated, len(oldVals))
+	for _, v := range oldVals {
+		oldByKey[v.key] = v
 	}
 
-	fmt.Fprintf(w, "%-55s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta")
-	matched := make(map[string]bool, len(newBest))
+	fmt.Fprintf(w, "%-55s %14s %14s %14s %9s\n", "benchmark or derived value", "old median", "old worst", "new median", "delta")
+	matched := make(map[string]bool, len(oldVals))
 	var regressions int
-	for _, ne := range newBest {
-		oe, ok := oldByKey[benchKey(ne)]
+	for _, nv := range gatedValues(newRep) {
+		ov, ok := oldByKey[nv.key]
 		if !ok {
-			fmt.Fprintf(w, "%-55s %14s %14.1f %9s\n", ne.Name, "-", ne.NsPerOp, "added")
+			fmt.Fprintf(w, "%-55s %14s %14s %14s %9s\n", nv.Name, "-", "-", cell(nv.Median), "added")
 			continue
 		}
-		matched[benchKey(ne)] = true
+		matched[nv.key] = true
+		worst := ov.Max
+		if ov.Better == "higher" {
+			worst = ov.Min
+		}
 		delta := 0.0
-		if oe.NsPerOp > 0 {
-			delta = (ne.NsPerOp - oe.NsPerOp) / oe.NsPerOp * 100
+		if ov.Median != 0 {
+			delta = (nv.Median - ov.Median) / ov.Median * 100
 		}
 		mark := ""
-		if delta > thresholdPct {
+		if outsideBand(ov.Derived, nv.Derived) {
 			mark = "  REGRESSION"
 			regressions++
 		}
-		fmt.Fprintf(w, "%-55s %14.1f %14.1f %+8.1f%%%s\n", ne.Name, oe.NsPerOp, ne.NsPerOp, delta, mark)
+		fmt.Fprintf(w, "%-55s %14s %14s %14s %+8.1f%%%s\n", nv.Name, cell(ov.Median), cell(worst), cell(nv.Median), delta, mark)
 	}
-	for _, oe := range oldBest {
-		if !matched[benchKey(oe)] {
-			fmt.Fprintf(w, "%-55s %14.1f %14s %9s\n", oe.Name, oe.NsPerOp, "-", "removed")
+	for _, ov := range oldVals {
+		if !matched[ov.key] {
+			fmt.Fprintf(w, "%-55s %14s %14s %14s %9s\n", ov.Name, cell(ov.Median), "-", "-", "removed")
 		}
-	}
-
-	// The snapshot section gates the fleet's cold-start win as a ratio: a
-	// scenario whose load speedup collapses versus the committed report
-	// fails the comparison even when no single benchmark tripped the ns/op
-	// threshold (cold getting faster shrinks the ratio too, but then the
-	// snapshot path must keep up to stay worth its complexity).
-	oldSnap := make(map[string]SnapshotScenario, len(oldRep.Snapshot))
-	for _, s := range oldRep.Snapshot {
-		oldSnap[s.Scenario] = s
-	}
-	for _, ns := range newRep.Snapshot {
-		prev, ok := oldSnap[ns.Scenario]
-		if !ok {
-			fmt.Fprintf(w, "%-55s %13sx %13.1fx %9s\n",
-				"snapshot-load-speedup/"+ns.Scenario, "-", ns.LoadSpeedup, "added")
-			continue
-		}
-		if prev.LoadSpeedup <= 0 || ns.LoadSpeedup <= 0 {
-			continue
-		}
-		drop := (prev.LoadSpeedup - ns.LoadSpeedup) / prev.LoadSpeedup * 100
-		mark := ""
-		if drop > thresholdPct {
-			mark = "  REGRESSION"
-			regressions++
-		}
-		fmt.Fprintf(w, "%-55s %13.1fx %13.1fx %+8.1f%%%s\n",
-			"snapshot-load-speedup/"+ns.Scenario, prev.LoadSpeedup, ns.LoadSpeedup, -drop, mark)
-	}
-
-	// The stream section gates the delta store's pruning win: the
-	// dirty-pair fraction rising beyond the threshold (relative to the
-	// committed report) fails the comparison — a routing event starting
-	// to re-probe most of the mesh defeats the point of the overlay,
-	// even when every individual benchmark's ns/op still passes.
-	if oldRep.Stream != nil && newRep.Stream != nil &&
-		oldRep.Stream.DirtyPairFraction != nil && newRep.Stream.DirtyPairFraction != nil {
-		prev, cur := *oldRep.Stream.DirtyPairFraction, *newRep.Stream.DirtyPairFraction
-		if prev > 0 {
-			rise := (cur - prev) / prev * 100
-			mark := ""
-			if rise > thresholdPct {
-				mark = "  REGRESSION"
-				regressions++
-			}
-			fmt.Fprintf(w, "%-55s %14.4f %14.4f %+8.1f%%%s\n",
-				"stream-dirty-pair-fraction", prev, cur, rise, mark)
-		}
-	}
-
-	// The diagnose section gates the bitset engine's win over the map
-	// reference as a ratio, per sensor count: a point whose end-to-end
-	// speedup collapses versus the committed report fails the comparison
-	// even when no single benchmark tripped the ns/op threshold. Bitset-
-	// only points (no map side, Speedup zero) are skipped — they are gated
-	// by their own ns/op rows above.
-	oldDiag := make(map[string]DiagnoseScenario, len(oldRep.Diagnose))
-	for _, d := range oldRep.Diagnose {
-		oldDiag[d.Sensors] = d
-	}
-	for _, nd := range newRep.Diagnose {
-		prev, ok := oldDiag[nd.Sensors]
-		if !ok {
-			if nd.Speedup > 0 {
-				fmt.Fprintf(w, "%-55s %13sx %13.1fx %9s\n",
-					"diagnose-speedup/"+nd.Sensors, "-", nd.Speedup, "added")
-			}
-			continue
-		}
-		if prev.Speedup <= 0 || nd.Speedup <= 0 {
-			continue
-		}
-		drop := (prev.Speedup - nd.Speedup) / prev.Speedup * 100
-		mark := ""
-		if drop > thresholdPct {
-			mark = "  REGRESSION"
-			regressions++
-		}
-		fmt.Fprintf(w, "%-55s %13.1fx %13.1fx %+8.1f%%%s\n",
-			"diagnose-speedup/"+nd.Sensors, prev.Speedup, nd.Speedup, -drop, mark)
 	}
 
 	if regressions > 0 {
-		fmt.Fprintf(w, "\n%d benchmark(s) regressed beyond %.1f%%\n", regressions, thresholdPct)
+		fmt.Fprintf(w, "\n%d value(s) regressed: median more than 2x worse than the old worst sample or 4x worse than the old median\n", regressions)
 		return true, nil
 	}
-	fmt.Fprintf(w, "\nno regressions beyond %.1f%%\n", thresholdPct)
+	fmt.Fprintln(w, "\nno regressions: every median within 2x of the old worst sample and 4x of the old median")
 	return false, nil
 }

@@ -1,108 +1,57 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"strings"
 	"testing"
 )
 
 const diagnoseOutput = `pkg: netdiag/internal/experiment
 BenchmarkDiagnoseBitset/600      	      20	  70000000 ns/op	    550000 greedy-ns/op	      8500 sensors/s
+BenchmarkDiagnoseBitset/600      	      20	  60000000 ns/op	    500000 greedy-ns/op	      9000 sensors/s
+BenchmarkDiagnoseBitset/600      	      20	  80000000 ns/op	    600000 greedy-ns/op	      8000 sensors/s
 BenchmarkDiagnoseBitset/10000    	       1	1900000000 ns/op	  74000000 greedy-ns/op	      5200 sensors/s
 BenchmarkDiagnoseBitset/2000     	       5	 280000000 ns/op	   4800000 greedy-ns/op	      7000 sensors/s
 BenchmarkDiagnoseMap/600         	       5	 200000000 ns/op	 148000000 greedy-ns/op	      3000 sensors/s
-BenchmarkDiagnoseMap/2000        	       1	14000000000 ns/op	 13920000000 greedy-ns/op	       140 sensors/s
+BenchmarkDiagnoseMap/600         	       5	 210000000 ns/op	 150000000 greedy-ns/op	      2900 sensors/s
+BenchmarkDiagnoseMap/600         	       5	 190000000 ns/op	 146000000 greedy-ns/op	      3100 sensors/s
 PASS
 ok  	netdiag/internal/experiment	30.000s
 `
 
 func TestParseDiagnoseSection(t *testing.T) {
-	rep, err := parse(bufio.NewScanner(strings.NewReader(diagnoseOutput)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	diag := rep.Diagnose
-	if len(diag) != 3 {
-		t.Fatalf("diagnose section has %d points, want 3: %+v", len(diag), diag)
-	}
-	// Sorted by sensor count numerically, not lexically (10000 after 2000).
-	if diag[0].Sensors != "600" || diag[1].Sensors != "2000" || diag[2].Sensors != "10000" {
-		t.Fatalf("point order = %s, %s, %s", diag[0].Sensors, diag[1].Sensors, diag[2].Sensors)
-	}
-	p600 := diag[0]
-	if p600.BitsetNsPerOp != 70000000 || p600.MapNsPerOp != 200000000 {
-		t.Fatalf("600-sensor point = %+v", p600)
-	}
-	wantSpeedup := 200000000.0 / 70000000.0
-	if diff := p600.Speedup - wantSpeedup; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("600-sensor speedup = %v, want %v", p600.Speedup, wantSpeedup)
-	}
-	wantGreedy := 148000000.0 / 550000.0
-	if diff := p600.GreedySpeedup - wantGreedy; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("600-sensor greedy speedup = %v, want %v", p600.GreedySpeedup, wantGreedy)
-	}
-	if p600.SensorsPerSec != 8500 || p600.GreedyNsPerOp != 550000 || p600.MapGreedyNsPerOp != 148000000 {
-		t.Fatalf("600-sensor extras = %+v", p600)
-	}
-	// The 10k point is bitset-only: the map side and the ratios stay zero.
-	p10k := diag[2]
-	if p10k.BitsetNsPerOp != 1900000000 || p10k.SensorsPerSec != 5200 {
-		t.Fatalf("10k point = %+v", p10k)
-	}
-	if p10k.MapNsPerOp != 0 || p10k.Speedup != 0 || p10k.GreedySpeedup != 0 {
-		t.Fatalf("10k point invented a map side: %+v", p10k)
+	rep := mustParse(t, diagnoseOutput)
+	// Map over bitset at 600 sensors: end to end with the ns/op spread,
+	// and on the greedy-ns/op column, which keeps only its median. The
+	// bitset-only sizes derive nothing; sensors/s stays in the rows.
+	got := derivedByName(rep)
+	wantDerived(t, got, "diagnose-speedup/600", 200e6/70e6, 190e6/80e6, 210e6/60e6)
+	wantDerived(t, got, "diagnose-greedy-speedup/600", 148e6/550e3, 148e6/550e3, 148e6/550e3)
+	if len(got) != 2 {
+		t.Fatalf("derived = %+v, want only the two 600-sensor ratios", rep.Derived)
 	}
 }
 
 func TestDiagnoseSectionAbsent(t *testing.T) {
-	// A map-only run (no bitset counterpart) produces no section: the
-	// bitset series is the one the curve is about.
-	in := "BenchmarkDiagnoseMap/600 	 10	 90000 ns/op\nok  	netdiag/internal/experiment	0.020s\n"
-	rep, err := parse(bufio.NewScanner(strings.NewReader(in)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Diagnose != nil {
-		t.Fatalf("diagnose section = %+v, want absent", rep.Diagnose)
+	// A map-only run has no bitset denominator, so nothing derives.
+	rep := mustParse(t, "BenchmarkDiagnoseMap/600 	 10	 90000 ns/op	 80000 greedy-ns/op\nok  	netdiag/internal/experiment	0.020s\n")
+	if rep.Derived != nil {
+		t.Fatalf("derived = %+v, want none", rep.Derived)
 	}
 }
 
-// TestCompareGatesDiagnoseSpeedup pins the bitset-engine gate: an
-// end-to-end speedup that collapses versus the committed report fails the
-// compare even when every individual benchmark stays inside the ns/op
-// threshold. Bitset-only points never trip the gate.
+// TestCompareGatesDiagnoseSpeedup pins the default engine's win over the
+// map reference: an end-to-end speedup that collapses fails the compare
+// and names the value.
 func TestCompareGatesDiagnoseSpeedup(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := writeReport(t, dir, "old.json", &Report{
-		Diagnose: []DiagnoseScenario{
-			{Sensors: "2000", BitsetNsPerOp: 280000000, MapNsPerOp: 14000000000, Speedup: 50},
-			{Sensors: "10000", BitsetNsPerOp: 1900000000},
-		},
-	})
-	held := writeReport(t, dir, "held.json", &Report{
-		Diagnose: []DiagnoseScenario{
-			{Sensors: "2000", BitsetNsPerOp: 290000000, MapNsPerOp: 14000000000, Speedup: 48},
-			{Sensors: "10000", BitsetNsPerOp: 1950000000},
-		},
-	})
-	var buf bytes.Buffer
-	if regressed, err := runCompare(oldPath, held, 10, &buf); err != nil || regressed {
-		t.Fatalf("held speedup counted as regression (err %v):\n%s", err, buf.String())
+	speedup := func(med, lo, hi float64) *Report {
+		return &Report{Derived: []Derived{{Name: "diagnose-speedup/600", Better: "higher", Median: med, Min: lo, Max: hi}}}
 	}
-	collapsed := writeReport(t, dir, "collapsed.json", &Report{
-		Diagnose: []DiagnoseScenario{
-			{Sensors: "2000", BitsetNsPerOp: 280000000, MapNsPerOp: 1100000000, Speedup: 4},
-			{Sensors: "10000", BitsetNsPerOp: 1900000000},
-		},
-	})
-	buf.Reset()
-	regressed, err := runCompare(oldPath, collapsed, 10, &buf)
-	if err != nil {
-		t.Fatal(err)
+	old := speedup(28, 25, 31)
+	if regressed, out := compare(t, old, speedup(27, 24, 30)); regressed {
+		t.Fatalf("held speedup counted as regression:\n%s", out)
 	}
-	if !regressed || !strings.Contains(buf.String(), "diagnose-speedup/2000") ||
-		!strings.Contains(buf.String(), "REGRESSION") {
-		t.Fatalf("collapsed speedup not flagged:\n%s", buf.String())
+	regressed, out := compare(t, old, speedup(4, 3.5, 4.5))
+	if !regressed || !strings.Contains(out, "diagnose-speedup/600") || !strings.Contains(out, "REGRESSION") {
+		t.Fatalf("collapsed speedup not flagged:\n%s", out)
 	}
 }

@@ -3,11 +3,13 @@
 // scraping free text. It reads the benchmark output on stdin and writes a
 // JSON document to -o (default stdout):
 //
-//	go test -run xxx -bench . ./... | go run ./cmd/benchjson -o BENCH_pipeline.json
+//	go test -run '^$' -bench . -benchtime 100ms -count 3 ./... | go run ./cmd/benchjson -o BENCH_pipeline.json
 //
-// Each entry carries the package (from the closing "ok <pkg> <time>" or
-// "pkg:" lines), the benchmark name with its -N GOMAXPROCS suffix split
-// off, iterations, ns/op, and the optional B/op and allocs/op columns.
+// Each row is one benchmark: the package (from the "pkg:" or closing
+// "ok <pkg> <time>" lines), the name with its -N GOMAXPROCS suffix split
+// off, and its -count samples folded into medians with the ns/op spread.
+// The derived list holds the values of the derivations table, mostly
+// ratios of two rows.
 package main
 
 import (
@@ -15,19 +17,26 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Entry is one parsed benchmark result line.
+// Entry is one benchmark's row: the -count samples of one (package,
+// name, procs) folded together. NsPerOp, the custom columns and B/op and
+// allocs/op are medians over the samples; the ns/op spread is kept as
+// its min and max, and Iterations sums the samples' iterations.
 type Entry struct {
 	Package     string  `json:"package,omitempty"`
 	Name        string  `json:"name"`
 	Procs       int     `json:"procs,omitempty"`
+	Samples     int     `json:"samples"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	MinNsPerOp  float64 `json:"min_ns_per_op"`
+	MaxNsPerOp  float64 `json:"max_ns_per_op"`
 	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
 	// Extra holds custom b.ReportMetric columns (e.g. the server
@@ -35,302 +44,98 @@ type Entry struct {
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
-// ServerSection summarizes the ndserve service benchmarks: what a warm
-// snapshot saves over a cold convergence, and how much identical
-// concurrent load the request coalescing absorbs.
-type ServerSection struct {
-	ColdNsPerOp      float64  `json:"cold_ns_per_op"`
-	WarmNsPerOp      float64  `json:"warm_ns_per_op"`
-	WarmSpeedup      float64  `json:"warm_speedup,omitempty"`
-	CoalesceHitRatio *float64 `json:"coalesce_hit_ratio,omitempty"`
-}
-
-// IncrementalScenario pairs one reconvergence delta scenario's cold and
-// incremental benchmark results: how much the warm-started, dirty-set-
-// pruned path saves over a from-scratch reconvergence, and what fraction
-// of the prefix set actually re-ran its fixpoint.
-type IncrementalScenario struct {
-	Scenario      string   `json:"scenario"`
-	ColdNsPerOp   float64  `json:"cold_ns_per_op"`
-	WarmNsPerOp   float64  `json:"warm_ns_per_op"`
-	WarmSpeedup   float64  `json:"warm_speedup,omitempty"`
-	DirtyFraction *float64 `json:"dirty_fraction,omitempty"`
-}
-
-// SnapshotScenario pairs one scenario's worker-start benchmarks: what
-// loading a persisted snapshot saves over the cold SPF+BGP convergence a
-// snapshot-less worker pays, plus the raw codec costs.
-type SnapshotScenario struct {
-	Scenario      string  `json:"scenario"`
-	ColdNsPerOp   float64 `json:"cold_ns_per_op"`
-	LoadNsPerOp   float64 `json:"load_ns_per_op"`
-	LoadSpeedup   float64 `json:"load_speedup,omitempty"`
-	EncodeNsPerOp float64 `json:"encode_ns_per_op,omitempty"`
-	DecodeNsPerOp float64 `json:"decode_ns_per_op,omitempty"`
-}
-
-// StreamSection summarizes the streaming-plane benchmarks: NDJSON
-// ingest throughput of both feed endpoints, the cost and latency of a
-// full withdrawal -> correlation -> diagnosis cycle, and the fraction
-// of mesh pairs a routing event actually re-probed (the delta store's
-// pruning win — lower is better).
-type StreamSection struct {
-	IngestTraceRecordsPerSec float64  `json:"ingest_trace_records_per_sec"`
-	IngestBGPRecordsPerSec   float64  `json:"ingest_bgp_records_per_sec"`
-	EventLoopNsPerOp         float64  `json:"event_loop_ns_per_op,omitempty"`
-	EventLagNs               *float64 `json:"event_lag_ns,omitempty"`
-	DirtyPairFraction        *float64 `json:"dirty_pair_fraction,omitempty"`
-}
-
-// DiagnoseScenario pairs one sensor-count point of the diagnosis
-// scalability series: the bitset engine against the map-based reference,
-// end-to-end and on the greedy phase the bitset engine vectorizes. Points
-// beyond the map engine's practical range (10k sensors) carry only the
-// bitset side — MapNsPerOp and the speedups stay zero/omitted there.
-type DiagnoseScenario struct {
-	Sensors          string  `json:"sensors"`
-	BitsetNsPerOp    float64 `json:"bitset_ns_per_op"`
-	MapNsPerOp       float64 `json:"map_ns_per_op,omitempty"`
-	Speedup          float64 `json:"speedup,omitempty"`
-	GreedySpeedup    float64 `json:"greedy_speedup,omitempty"`
-	SensorsPerSec    float64 `json:"sensors_per_sec,omitempty"`
-	GreedyNsPerOp    float64 `json:"greedy_ns_per_op,omitempty"`
-	MapGreedyNsPerOp float64 `json:"map_greedy_ns_per_op,omitempty"`
+// Derived is one computed row of the derivations table. For a ratio,
+// Median divides the two rows' medians, and Min and Max are the extremes
+// their spreads allow (numerator min over denominator max, and the
+// reverse). A column that keeps only its median (every custom column)
+// has Min = Max = Median.
+type Derived struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Median float64 `json:"median"`
+	Min    float64 `json:"min"`
+	Max    float64 `json:"max"`
 }
 
 // Report is the emitted document.
 type Report struct {
-	Benchmarks  []Entry               `json:"benchmarks"`
-	Server      *ServerSection        `json:"server,omitempty"`
-	Incremental []IncrementalScenario `json:"incremental,omitempty"`
-	Snapshot    []SnapshotScenario    `json:"snapshot,omitempty"`
-	Stream      *StreamSection        `json:"stream,omitempty"`
-	Diagnose    []DiagnoseScenario    `json:"diagnose,omitempty"`
+	Benchmarks []Entry   `json:"benchmarks"`
+	Derived    []Derived `json:"derived,omitempty"`
 }
 
-// serverSection derives the server summary from the parsed entries; it is
-// nil when the server benchmarks are not part of the run.
-func serverSection(entries []Entry) *ServerSection {
-	var cold, warm *Entry
-	var ratio *float64
-	for i := range entries {
-		e := &entries[i]
-		switch e.Name {
-		case "BenchmarkServerDiagnoseCold":
-			cold = e
-		case "BenchmarkServerDiagnoseWarm":
-			warm = e
-		case "BenchmarkServerCoalesce":
-			if r, ok := e.Extra["coalesce-hit-ratio"]; ok {
-				ratio = &r
-			}
-		}
-	}
-	if cold == nil || warm == nil {
-		return nil
-	}
-	s := &ServerSection{ColdNsPerOp: cold.NsPerOp, WarmNsPerOp: warm.NsPerOp, CoalesceHitRatio: ratio}
-	if warm.NsPerOp > 0 {
-		s.WarmSpeedup = cold.NsPerOp / warm.NsPerOp
-	}
-	return s
+// derivation is one derived value: column of benchmark num, divided by
+// the same column of benchmark den when den is set. better says which
+// direction is an improvement, for the -compare gate. A derivation whose
+// rows are missing from the run is left out of the report.
+type derivation struct {
+	name, num, den, column, better string
 }
 
-// bestEntries collapses duplicate benchmark rows (same package, name and
-// procs — e.g. a re-run appended at a higher -benchtime, as the bench
-// target does for the Reconverge pairs) to the sample with the most
-// iterations. First-appearance order is kept.
-func bestEntries(entries []Entry) []*Entry {
-	at := map[string]int{}
-	var out []*Entry
-	for i := range entries {
-		e := &entries[i]
-		k := benchKey(e)
-		if j, ok := at[k]; ok {
-			if e.Iterations > out[j].Iterations {
-				out[j] = e
-			}
+// derivations is the one table of derived values. Values that would only
+// copy one row's column (coalesce-hit-ratio, dirty-fraction, records/s,
+// event-lag-ns, the snapshot codec ns/op) stay in that row; the
+// exception is dirty-pair-fraction, which is gated.
+var derivations = []derivation{
+	// What a warm snapshot saves a request over a cold convergence.
+	{"server-warm-speedup", "BenchmarkServerDiagnoseCold", "BenchmarkServerDiagnoseWarm", "ns/op", "higher"},
+	// What the warm-started, dirty-set-pruned reconvergence saves.
+	{"incremental-warm-speedup/fig1-link", "BenchmarkReconvergeCold/fig1-link", "BenchmarkReconvergeIncremental/fig1-link", "ns/op", "higher"},
+	{"incremental-warm-speedup/fig2-link", "BenchmarkReconvergeCold/fig2-link", "BenchmarkReconvergeIncremental/fig2-link", "ns/op", "higher"},
+	{"incremental-warm-speedup/fig2-2link", "BenchmarkReconvergeCold/fig2-2link", "BenchmarkReconvergeIncremental/fig2-2link", "ns/op", "higher"},
+	{"incremental-warm-speedup/fig2-filter", "BenchmarkReconvergeCold/fig2-filter", "BenchmarkReconvergeIncremental/fig2-filter", "ns/op", "higher"},
+	{"incremental-warm-speedup/research-link", "BenchmarkReconvergeCold/research-link", "BenchmarkReconvergeIncremental/research-link", "ns/op", "higher"},
+	// What loading a persisted snapshot saves a worker start.
+	{"snapshot-load-speedup/fig1", "BenchmarkWorkerStartCold/fig1", "BenchmarkWorkerStartLoad/fig1", "ns/op", "higher"},
+	{"snapshot-load-speedup/fig2", "BenchmarkWorkerStartCold/fig2", "BenchmarkWorkerStartLoad/fig2", "ns/op", "higher"},
+	// The fraction of mesh pairs a routing event re-probed: the delta
+	// store's pruning win.
+	{"stream-dirty-pair-fraction", "BenchmarkEventLoop", "", "dirty-pair-fraction", "lower"},
+	// The default engine against the map-based reference at the paper's
+	// largest sensor count, end to end and on the greedy phase.
+	{"diagnose-speedup/600", "BenchmarkDiagnoseMap/600", "BenchmarkDiagnoseBitset/600", "ns/op", "higher"},
+	{"diagnose-greedy-speedup/600", "BenchmarkDiagnoseMap/600", "BenchmarkDiagnoseBitset/600", "greedy-ns/op", "higher"},
+}
+
+// derive evaluates the derivations table over the report's rows.
+func derive(rows []Entry) []Derived {
+	byName := make(map[string]*Entry, len(rows))
+	for i := range rows {
+		byName[rows[i].Name] = &rows[i]
+	}
+	var out []Derived
+	for _, d := range derivations {
+		med, lo, hi, ok := spread(byName[d.num], d.column)
+		if !ok {
 			continue
 		}
-		at[k] = len(out)
-		out = append(out, e)
-	}
-	return out
-}
-
-// incrementalSection pairs BenchmarkReconvergeCold/<scenario> entries with
-// their BenchmarkReconvergeIncremental/<scenario> counterparts. Scenarios
-// missing either side are dropped; the result is sorted by scenario name.
-func incrementalSection(entries []Entry) []IncrementalScenario {
-	cold := map[string]*Entry{}
-	warm := map[string]*Entry{}
-	for i := range entries {
-		e := &entries[i]
-		if name, ok := strings.CutPrefix(e.Name, "BenchmarkReconvergeCold/"); ok {
-			cold[name] = e
-		} else if name, ok := strings.CutPrefix(e.Name, "BenchmarkReconvergeIncremental/"); ok {
-			warm[name] = e
-		}
-	}
-	names := make([]string, 0, len(cold))
-	for name := range cold {
-		if _, ok := warm[name]; ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	var out []IncrementalScenario
-	for _, name := range names {
-		c, w := cold[name], warm[name]
-		s := IncrementalScenario{Scenario: name, ColdNsPerOp: c.NsPerOp, WarmNsPerOp: w.NsPerOp}
-		if w.NsPerOp > 0 {
-			s.WarmSpeedup = c.NsPerOp / w.NsPerOp
-		}
-		if f, ok := w.Extra["dirty-fraction"]; ok {
-			s.DirtyFraction = &f
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-// snapshotSection pairs BenchmarkWorkerStartCold/<scenario> entries with
-// their BenchmarkWorkerStartLoad/<scenario> counterparts (plus the codec
-// benchmarks when present). Scenarios missing either worker-start side
-// are dropped; the result is sorted by scenario name.
-func snapshotSection(entries []Entry) []SnapshotScenario {
-	cold := map[string]*Entry{}
-	load := map[string]*Entry{}
-	encode := map[string]*Entry{}
-	decode := map[string]*Entry{}
-	for i := range entries {
-		e := &entries[i]
-		if name, ok := strings.CutPrefix(e.Name, "BenchmarkWorkerStartCold/"); ok {
-			cold[name] = e
-		} else if name, ok := strings.CutPrefix(e.Name, "BenchmarkWorkerStartLoad/"); ok {
-			load[name] = e
-		} else if name, ok := strings.CutPrefix(e.Name, "BenchmarkSnapshotEncode/"); ok {
-			encode[name] = e
-		} else if name, ok := strings.CutPrefix(e.Name, "BenchmarkSnapshotDecode/"); ok {
-			decode[name] = e
-		}
-	}
-	names := make([]string, 0, len(cold))
-	for name := range cold {
-		if _, ok := load[name]; ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	var out []SnapshotScenario
-	for _, name := range names {
-		c, l := cold[name], load[name]
-		s := SnapshotScenario{Scenario: name, ColdNsPerOp: c.NsPerOp, LoadNsPerOp: l.NsPerOp}
-		if l.NsPerOp > 0 {
-			s.LoadSpeedup = c.NsPerOp / l.NsPerOp
-		}
-		if e, ok := encode[name]; ok {
-			s.EncodeNsPerOp = e.NsPerOp
-		}
-		if d, ok := decode[name]; ok {
-			s.DecodeNsPerOp = d.NsPerOp
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-// streamSection derives the streaming-plane summary from the
-// BenchmarkIngestTraceroute / BenchmarkIngestBGP / BenchmarkEventLoop
-// entries; nil when either ingest benchmark is absent.
-func streamSection(entries []Entry) *StreamSection {
-	var trace, bgp, loop *Entry
-	for i := range entries {
-		e := &entries[i]
-		switch e.Name {
-		case "BenchmarkIngestTraceroute":
-			trace = e
-		case "BenchmarkIngestBGP":
-			bgp = e
-		case "BenchmarkEventLoop":
-			loop = e
-		}
-	}
-	if trace == nil || bgp == nil {
-		return nil
-	}
-	s := &StreamSection{
-		IngestTraceRecordsPerSec: trace.Extra["records/s"],
-		IngestBGPRecordsPerSec:   bgp.Extra["records/s"],
-	}
-	if loop != nil {
-		s.EventLoopNsPerOp = loop.NsPerOp
-		if lag, ok := loop.Extra["event-lag-ns"]; ok {
-			s.EventLagNs = &lag
-		}
-		if f, ok := loop.Extra["dirty-pair-fraction"]; ok {
-			s.DirtyPairFraction = &f
-		}
-	}
-	return s
-}
-
-// diagnoseSection pairs BenchmarkDiagnoseBitset/<sensors> entries with
-// their BenchmarkDiagnoseMap/<sensors> counterparts into the scalability
-// series. Bitset-only points (the map engine stops at 2k sensors) are
-// kept — they are the curve's headline — so only the bitset side is
-// required. Points are sorted by sensor count.
-func diagnoseSection(entries []Entry) []DiagnoseScenario {
-	bit := map[string]*Entry{}
-	ref := map[string]*Entry{}
-	for i := range entries {
-		e := &entries[i]
-		if name, ok := strings.CutPrefix(e.Name, "BenchmarkDiagnoseBitset/"); ok {
-			bit[name] = e
-		} else if name, ok := strings.CutPrefix(e.Name, "BenchmarkDiagnoseMap/"); ok {
-			ref[name] = e
-		}
-	}
-	names := make([]string, 0, len(bit))
-	for name := range bit {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		a, aerr := strconv.Atoi(names[i])
-		b, berr := strconv.Atoi(names[j])
-		if aerr == nil && berr == nil {
-			return a < b
-		}
-		return names[i] < names[j]
-	})
-	var out []DiagnoseScenario
-	for _, name := range names {
-		be := bit[name]
-		s := DiagnoseScenario{
-			Sensors:       name,
-			BitsetNsPerOp: be.NsPerOp,
-			SensorsPerSec: be.Extra["sensors/s"],
-			GreedyNsPerOp: be.Extra["greedy-ns/op"],
-		}
-		if me, ok := ref[name]; ok {
-			s.MapNsPerOp = me.NsPerOp
-			s.MapGreedyNsPerOp = me.Extra["greedy-ns/op"]
-			if be.NsPerOp > 0 {
-				s.Speedup = me.NsPerOp / be.NsPerOp
+		if d.den != "" {
+			dmed, dlo, dhi, ok := spread(byName[d.den], d.column)
+			if !ok || dlo <= 0 {
+				continue
 			}
-			if s.GreedyNsPerOp > 0 && s.MapGreedyNsPerOp > 0 {
-				s.GreedySpeedup = s.MapGreedyNsPerOp / s.GreedyNsPerOp
-			}
+			med, lo, hi = med/dmed, lo/dhi, hi/dlo
 		}
-		out = append(out, s)
+		out = append(out, Derived{Name: d.name, Better: d.better, Median: med, Min: lo, Max: hi})
 	}
 	return out
+}
+
+// spread returns the median, min and max of one column of e: its ns/op,
+// or a custom column's median for all three.
+func spread(e *Entry, column string) (med, lo, hi float64, ok bool) {
+	if e == nil {
+		return 0, 0, 0, false
+	}
+	if column == "ns/op" {
+		return e.NsPerOp, e.MinNsPerOp, e.MaxNsPerOp, true
+	}
+	v, ok := e.Extra[column]
+	return v, v, v, ok
 }
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
-	compare := flag.Bool("compare", false, "compare two reports: benchjson -compare [-threshold pct] old.json new.json")
-	threshold := flag.Float64("threshold", 10, "ns/op regression threshold in percent for -compare")
+	compare := flag.Bool("compare", false, "compare two reports: benchjson -compare old.json new.json")
 	allocGuard := flag.String("allocguard", "", "assert 0 allocs/op for benchmarks matching this regex in the stdin bench output")
 	flag.Parse()
 
@@ -356,7 +161,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two report files: old.json new.json")
 			os.Exit(2)
 		}
-		regressed, err := runCompare(flag.Arg(0), flag.Arg(1), *threshold, os.Stdout)
+		regressed, err := runCompare(flag.Arg(0), flag.Arg(1), os.Stdout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(2)
@@ -395,58 +200,104 @@ func main() {
 }
 
 func parse(sc *bufio.Scanner) (*Report, error) {
-	rep := &Report{Benchmarks: []Entry{}}
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	// Benchmark lines precede their package's closing "ok <pkg> <time>"
-	// line, so entries are buffered per package and stamped on close.
-	var pending []int
+	// line, so samples are buffered per package and stamped on close.
+	var samples []Entry
+	pending := 0
+	stamp := func(pkg string) {
+		for i := pending; i < len(samples); i++ {
+			samples[i].Package = pkg
+		}
+		pending = len(samples)
+	}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
 		case strings.HasPrefix(line, "pkg:"):
-			pkg := strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-			stamp(rep, &pending, pkg)
+			stamp(strings.TrimSpace(strings.TrimPrefix(line, "pkg:")))
 		case strings.HasPrefix(line, "ok "):
-			fields := strings.Fields(line)
-			if len(fields) >= 2 {
-				stamp(rep, &pending, fields[1])
+			if fields := strings.Fields(line); len(fields) >= 2 {
+				stamp(fields[1])
 			}
 		case strings.HasPrefix(line, "Benchmark"):
-			e, ok := parseBench(line)
-			if ok {
-				pending = append(pending, len(rep.Benchmarks))
-				rep.Benchmarks = append(rep.Benchmarks, e)
+			if e, ok := parseBench(line); ok {
+				samples = append(samples, e)
 			}
 		}
 	}
-	// Each benchmark appears once in the report: rows the bench target
-	// re-ran at a higher -benchtime collapse to their best sample, which
-	// is also what every derived section reads.
-	best := bestEntries(rep.Benchmarks)
-	rep.Benchmarks = make([]Entry, len(best))
-	for i, e := range best {
-		rep.Benchmarks[i] = *e
+	// Fold each benchmark's -count samples into one row, in
+	// first-appearance order.
+	groups := map[string][]Entry{}
+	var order []string
+	for _, s := range samples {
+		k := benchKey(&s)
+		if groups[k] == nil {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], s)
 	}
-	rep.Server = serverSection(rep.Benchmarks)
-	rep.Incremental = incrementalSection(rep.Benchmarks)
-	rep.Snapshot = snapshotSection(rep.Benchmarks)
-	rep.Stream = streamSection(rep.Benchmarks)
-	rep.Diagnose = diagnoseSection(rep.Benchmarks)
+	rep := &Report{Benchmarks: []Entry{}}
+	for _, k := range order {
+		rep.Benchmarks = append(rep.Benchmarks, fold(groups[k]))
+	}
+	rep.Derived = derive(rep.Benchmarks)
 	return rep, sc.Err()
 }
 
-// stamp assigns pkg to every pending entry and clears the buffer.
-func stamp(rep *Report, pending *[]int, pkg string) {
-	for _, i := range *pending {
-		rep.Benchmarks[i].Package = pkg
+// fold merges one benchmark's samples into its row.
+func fold(samples []Entry) Entry {
+	e := Entry{Package: samples[0].Package, Name: samples[0].Name, Procs: samples[0].Procs, Samples: len(samples)}
+	var ns, bytesPerOp, allocsPerOp []float64
+	extra := map[string][]float64{}
+	for _, s := range samples {
+		e.Iterations += s.Iterations
+		ns = append(ns, s.NsPerOp)
+		if s.BytesPerOp != nil {
+			bytesPerOp = append(bytesPerOp, float64(*s.BytesPerOp))
+		}
+		if s.AllocsPerOp != nil {
+			allocsPerOp = append(allocsPerOp, float64(*s.AllocsPerOp))
+		}
+		for unit, v := range s.Extra {
+			extra[unit] = append(extra[unit], v)
+		}
 	}
-	*pending = (*pending)[:0]
+	e.NsPerOp, e.MinNsPerOp, e.MaxNsPerOp = median(ns), slices.Min(ns), slices.Max(ns)
+	e.BytesPerOp, e.AllocsPerOp = medianInt(bytesPerOp), medianInt(allocsPerOp)
+	if len(extra) > 0 {
+		e.Extra = make(map[string]float64, len(extra))
+	}
+	for unit, vs := range extra {
+		e.Extra[unit] = median(vs)
+	}
+	return e
+}
+
+// median returns the middle value of xs, or the mean of the two middle
+// values for an even count. It sorts xs in place.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+// medianInt is median for an integer column, nil when no sample has it.
+func medianInt(xs []float64) *int64 {
+	if len(xs) == 0 {
+		return nil
+	}
+	m := int64(math.Round(median(xs)))
+	return &m
 }
 
 // parseBench parses one "BenchmarkX-N  iters  ns/op [B/op allocs/op]" line.
 func parseBench(line string) (Entry, bool) {
 	fields := strings.Fields(line)
-	if len(fields) < 4 || fields[2] != "ns/op" && !hasUnit(fields, "ns/op") {
+	if len(fields) < 4 || !slices.Contains(fields, "ns/op") {
 		return Entry{}, false
 	}
 	var e Entry
@@ -491,13 +342,4 @@ func parseBench(line string) (Entry, bool) {
 		}
 	}
 	return e, seen
-}
-
-func hasUnit(fields []string, unit string) bool {
-	for _, f := range fields {
-		if f == unit {
-			return true
-		}
-	}
-	return false
 }

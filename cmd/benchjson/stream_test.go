@@ -1,8 +1,6 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -17,61 +15,37 @@ ok  	netdiag/internal/stream	0.1s
 `
 
 func TestParseStreamSection(t *testing.T) {
-	rep, err := parse(bufio.NewScanner(strings.NewReader(streamOutput)))
-	if err != nil {
-		t.Fatal(err)
+	rep := mustParse(t, streamOutput)
+	// The dirty-pair fraction is the one gated stream value; the ingest
+	// throughput and event lag stay in their rows.
+	got := derivedByName(rep)
+	wantDerived(t, got, "stream-dirty-pair-fraction", 0.3333, 0.3333, 0.3333)
+	if len(got) != 1 || got["stream-dirty-pair-fraction"].Better != "lower" {
+		t.Fatalf("derived = %+v, want only a lower-is-better dirty-pair fraction", rep.Derived)
 	}
-	s := rep.Stream
-	if s == nil {
-		t.Fatal("stream section missing")
-	}
-	if s.IngestTraceRecordsPerSec != 200000 || s.IngestBGPRecordsPerSec != 16000 {
-		t.Fatalf("ingest throughput = %+v", s)
-	}
-	if s.EventLoopNsPerOp != 5500000 {
-		t.Fatalf("event loop ns/op = %v, want 5500000", s.EventLoopNsPerOp)
-	}
-	if s.EventLagNs == nil || *s.EventLagNs != 40000 {
-		t.Fatalf("event lag = %v, want 40000", s.EventLagNs)
-	}
-	if s.DirtyPairFraction == nil || *s.DirtyPairFraction != 0.3333 {
-		t.Fatalf("dirty-pair fraction = %v, want 0.3333", s.DirtyPairFraction)
+	if lag := rep.Benchmarks[2].Extra["event-lag-ns"]; lag != 40000 {
+		t.Fatalf("event-lag-ns = %v, want 40000 in the event-loop row", lag)
 	}
 }
 
 func TestParseWithoutStreamBenchmarks(t *testing.T) {
-	rep, err := parse(bufio.NewScanner(strings.NewReader(
-		"BenchmarkIngestTraceroute 	 5	 5000000 ns/op	 200000 records/s\nok  	netdiag/internal/stream	0.1s\n")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stream != nil {
-		t.Fatalf("stream section = %+v, want absent (no BGP counterpart)", rep.Stream)
+	rep := mustParse(t, "BenchmarkIngestTraceroute 	 5	 5000000 ns/op	 200000 records/s\nok  	netdiag/internal/stream	0.1s\n")
+	if rep.Derived != nil {
+		t.Fatalf("derived = %+v, want none without the event loop", rep.Derived)
 	}
 }
 
 // TestCompareGatesDirtyPairFraction pins the delta-store pruning gate: a
-// dirty-pair fraction that rises beyond the threshold fails the compare
-// even when every individual benchmark stays inside the ns/op threshold.
+// lower-is-better value more than twice its old worst sample fails.
 func TestCompareGatesDirtyPairFraction(t *testing.T) {
-	dir := t.TempDir()
-	frac := func(v float64) *StreamSection {
-		return &StreamSection{IngestTraceRecordsPerSec: 1, IngestBGPRecordsPerSec: 1, DirtyPairFraction: &v}
+	frac := func(v float64) *Report {
+		return &Report{Derived: []Derived{{Name: "stream-dirty-pair-fraction", Better: "lower", Median: v, Min: v, Max: v}}}
 	}
-	oldPath := writeReport(t, dir, "old.json", &Report{Stream: frac(0.33)})
-	held := writeReport(t, dir, "held.json", &Report{Stream: frac(0.34)})
-	var buf bytes.Buffer
-	if regressed, err := runCompare(oldPath, held, 10, &buf); err != nil || regressed {
-		t.Fatalf("held fraction counted as regression (err %v):\n%s", err, buf.String())
+	if regressed, out := compare(t, frac(0.33), frac(0.6)); regressed {
+		t.Fatalf("fraction inside the band counted as regression:\n%s", out)
 	}
-	grown := writeReport(t, dir, "grown.json", &Report{Stream: frac(0.85)})
-	buf.Reset()
-	regressed, err := runCompare(oldPath, grown, 10, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !regressed || !strings.Contains(buf.String(), "stream-dirty-pair-fraction") ||
-		!strings.Contains(buf.String(), "REGRESSION") {
-		t.Fatalf("grown dirty-pair fraction not flagged:\n%s", buf.String())
+	regressed, out := compare(t, frac(0.33), frac(0.85))
+	if !regressed || !strings.Contains(out, "stream-dirty-pair-fraction") || !strings.Contains(out, "REGRESSION") {
+		t.Fatalf("grown dirty-pair fraction not flagged:\n%s", out)
 	}
 }

@@ -77,8 +77,8 @@ type reconvergeScenario struct {
 }
 
 // reconvergeScenarios returns the delta cases both Reconverge benchmarks
-// run, so the "incremental" section of BENCH_pipeline.json can pair them
-// by sub-benchmark name.
+// run, so benchjson's incremental-warm-speedup values can pair them by
+// sub-benchmark name.
 func reconvergeScenarios(b *testing.B) []reconvergeScenario {
 	b.Helper()
 	buildFig1 := func(b *testing.B, incremental bool) *Network {
@@ -171,9 +171,9 @@ func reconvergeScenarios(b *testing.B) []reconvergeScenario {
 }
 
 // reconvergeOnce runs one fork-fault-reconverge cycle, the measured unit
-// of both Reconverge benchmarks. It doubles as the pre-timer warm-up so a
-// -benchtime 1x sweep measures a steady-state cycle (SPF cache populated)
-// rather than first-run cache misses.
+// of both Reconverge benchmarks. It doubles as the pre-timer warm-up so
+// even a one-iteration sample measures a steady-state cycle (SPF cache
+// populated) rather than first-run cache misses.
 func reconvergeOnce(b *testing.B, base *Network, fault func(*Network)) {
 	b.Helper()
 	f := base.Fork()

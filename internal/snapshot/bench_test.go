@@ -8,8 +8,8 @@ import (
 	"netdiag/internal/topology"
 )
 
-// The worker-start pair below is what cmd/benchjson derives the
-// BENCH_pipeline.json "snapshot" section from: cold is the full
+// The worker-start pair below is what cmd/benchjson divides into the
+// BENCH_pipeline.json snapshot-load-speedup values: cold is the full
 // SPF+BGP+mesh convergence a fresh worker pays without a snapshot dir,
 // load is the decode path that replaces it.
 

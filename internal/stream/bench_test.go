@@ -7,11 +7,11 @@ import (
 	"netdiag/internal/telemetry"
 )
 
-// The stream benchmarks feed the benchjson "stream" section: NDJSON
-// ingest throughput for both endpoints (records/s), the full
-// event-loop cost of one withdrawal -> correlation -> diagnosis cycle,
-// and the event-close-to-diagnosis latency plus dirty-pair fraction as
-// custom metrics.
+// The stream benchmarks report NDJSON ingest throughput for both
+// endpoints (records/s), the full event-loop cost of one withdrawal ->
+// correlation -> diagnosis cycle, and the event-close-to-diagnosis
+// latency plus dirty-pair fraction as custom metrics. benchjson gates
+// the dirty-pair fraction as stream-dirty-pair-fraction.
 
 // benchProcessor builds a fresh fig2 processor over its own registry.
 func benchProcessor(b *testing.B, reg *telemetry.Registry) *Processor {
