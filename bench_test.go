@@ -11,14 +11,14 @@ import (
 )
 
 // benchCfg is the reduced per-iteration workload: one placement, a handful
-// of impactful failures. Parallel placements are disabled so the benchmark
-// measures single-threaded cost. Every iteration runs seed 1, so ns/op
-// times one workload at any b.N and the reported metrics are seed 1's.
+// of impactful failures. Parallelism 1 keeps the benchmark measuring
+// single-threaded cost. Every iteration runs seed 1, so ns/op times one
+// workload at any b.N and the reported metrics are seed 1's.
 func benchCfg() experiment.Config {
 	cfg := experiment.DefaultConfig(1)
 	cfg.Placements = 1
 	cfg.FailuresPerPlacement = 5
-	cfg.Parallel = false
+	cfg.Parallelism = 1
 	return cfg
 }
 

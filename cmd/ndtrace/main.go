@@ -47,7 +47,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	env, err := experiment.NewEnv(res, placed, netsim.WithParallelism(*par))
+	env, err := experiment.NewEnv(res.Topo, placed, netsim.WithParallelism(*par))
 	if err != nil {
 		fatal(err)
 	}

@@ -21,10 +21,10 @@ import (
 // the hot path — and diffs the engines on the resulting measurements.
 
 // equivEnv builds an experiment Env over an arbitrary topology (the paper's
-// figure examples are not research-shaped; NewEnv only needs the Topo).
+// figure examples are not research-shaped).
 func equivEnv(t *testing.T, topo *topology.Topology, sensors []topology.RouterID) *Env {
 	t.Helper()
-	env, err := NewEnv(&topology.Research{Topo: topo}, sensors)
+	env, err := NewEnv(topo, sensors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestEngineEquivalenceResearch(t *testing.T) {
 		res.Topo.AS(res.Stubs[2]).Routers[0],
 		res.Topo.AS(res.Stubs[3]).Routers[0],
 	}
-	env, err := NewEnv(res, sensors)
+	env, err := NewEnv(res.Topo, sensors)
 	if err != nil {
 		t.Fatal(err)
 	}

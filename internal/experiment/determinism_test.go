@@ -158,7 +158,7 @@ func TestTelemetryHypothesisDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := NewEnv(res, sensors)
+	env, err := NewEnv(res.Topo, sensors)
 	if err != nil {
 		t.Fatal(err)
 	}

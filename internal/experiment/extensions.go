@@ -96,7 +96,7 @@ func ParisStudy(cfg Config) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			env, err := NewEnv(res, sensors)
+			env, err := NewEnv(res.Topo, sensors)
 			if err != nil {
 				return nil, err
 			}

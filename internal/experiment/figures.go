@@ -26,15 +26,12 @@ type Config struct {
 	MaxTriesFactor int
 	// Parallelism bounds the worker pool shared by environment setup,
 	// simulated trials and network convergence. 1 runs everything
-	// sequentially; 0 (with Parallel set) picks runtime.GOMAXPROCS(0).
+	// sequentially; 0 picks runtime.GOMAXPROCS(0).
 	// Figure output is byte-identical at every parallelism level: faults
 	// are sampled from seeded per-placement RNGs independent of
 	// scheduling, and results are collected in deterministic
 	// (placement, trial) order.
 	Parallelism int
-	// Parallel is the legacy switch: when Parallelism is 0, Parallel
-	// selects between GOMAXPROCS workers (true) and sequential (false).
-	Parallel bool
 	// Telemetry, when non-nil, receives the whole pipeline's metrics:
 	// per-trial latency ("experiment.trial_ns") and trial counters here,
 	// plus the netsim/igp/bgp/probe/pool metrics of every environment the
@@ -51,20 +48,11 @@ func DefaultConfig(seed int64) Config {
 		Placements:           10,
 		FailuresPerPlacement: 100,
 		MaxTriesFactor:       12,
-		Parallel:             true,
 	}
 }
 
 // parallelism resolves the configured worker count.
-func (c Config) parallelism() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	if c.Parallel {
-		return pool.Size(0)
-	}
-	return 1
-}
+func (c Config) parallelism() int { return pool.Size(c.Parallelism) }
 
 // Scaled returns a copy with placements and failures scaled down by
 // 1/factor (at least 1 each), for quick runs and benchmarks.
@@ -75,13 +63,6 @@ func (c Config) Scaled(factor int) Config {
 	c.Placements = max(1, c.Placements/factor)
 	c.FailuresPerPlacement = max(1, c.FailuresPerPlacement/factor)
 	return c
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Series is one line of a figure.
@@ -122,7 +103,7 @@ func (f *Figure) dist(name string) *metrics.Dist {
 type hooks struct {
 	// placement defaults to PlaceRandomStubs.
 	placement Placement
-	// asx picks the troubleshooter AS (default: first core).
+	// asx picks the troubleshooter AS (nil: the first core AS).
 	asx func(env *Env) topology.ASN
 	// blocked picks traceroute-blocking ASes per placement (default none).
 	blocked func(env *Env, asx topology.ASN, rng *rand.Rand) map[topology.ASN]bool
@@ -205,7 +186,7 @@ func runScenario(cfg Config, h hooks, v visit) error {
 		return err
 	}
 	if h.asx == nil {
-		h.asx = func(env *Env) topology.ASN { return env.Res.Cores[0] }
+		h.asx = func(*Env) topology.ASN { return res.Cores[0] }
 	}
 	workers := cfg.parallelism()
 	sm := newScenarioMetrics(cfg.Telemetry)
@@ -219,7 +200,7 @@ func runScenario(cfg Config, h hooks, v visit) error {
 		if err != nil {
 			return err
 		}
-		env, err := NewEnv(res, sensors,
+		env, err := NewEnv(res.Topo, sensors,
 			netsim.WithParallelism(workers), netsim.WithTelemetry(cfg.Telemetry))
 		if err != nil {
 			return err
@@ -370,7 +351,7 @@ func Figure5(cfg Config) (*Figure, error) {
 		if err != nil {
 			return err
 		}
-		env, err := NewEnv(res, sensors, netsim.WithTelemetry(cfg.Telemetry))
+		env, err := NewEnv(res.Topo, sensors, netsim.WithTelemetry(cfg.Telemetry))
 		if err != nil {
 			return err
 		}
@@ -735,7 +716,9 @@ func ASXPositionStudy(cfg Config) (*Figure, error) {
 			fig.dist(label + " sensitivity").Add(linkSensitivity(td, r))
 		})
 	}
-	if err := run("core AS-X", func(env *Env) topology.ASN { return env.Res.Cores[0] }); err != nil {
+	// A nil pick keeps runScenario's default troubleshooter, the first
+	// core AS.
+	if err := run("core AS-X", nil); err != nil {
 		return nil, err
 	}
 	if err := run("stub AS-X", func(env *Env) topology.ASN { return env.SensorASes[0] }); err != nil {

@@ -17,7 +17,7 @@ func TestTrialThroughput(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	start := time.Now()
 	sensors, _, _ := PlaceSensors(res, PlaceRandomStubs, 10, rng)
-	env, err := NewEnv(res, sensors)
+	env, err := NewEnv(res.Topo, sensors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestTrialThroughput(t *testing.T) {
 	n := 0
 	for i := 0; i < 60; i++ {
 		f, _ := env.SampleLinkFault(rng, 1)
-		td, err := env.RunTrial(f, env.Res.Cores[0], nil, nil)
+		td, err := env.RunTrial(f, res.Cores[0], nil, nil)
 		if err != nil {
 			continue
 		}

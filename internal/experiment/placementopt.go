@@ -46,7 +46,7 @@ func GreedyPlacement(res *topology.Research, n, candidates int, rng *rand.Rand) 
 			}
 			tried++
 			cand := append(append([]topology.RouterID{}, sensors...), res.Topo.AS(as).Routers[0])
-			env, err := NewEnv(res, cand)
+			env, err := NewEnv(res.Topo, cand)
 			if err != nil {
 				continue // placement made some pair unreachable: skip
 			}
@@ -85,7 +85,7 @@ func PlacementOptStudy(cfg Config) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			genv, err := NewEnv(res, gs)
+			genv, err := NewEnv(res.Topo, gs)
 			if err != nil {
 				return nil, err
 			}
@@ -95,7 +95,7 @@ func PlacementOptStudy(cfg Config) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			renv, err := NewEnv(res, rs)
+			renv, err := NewEnv(res.Topo, rs)
 			if err != nil {
 				return nil, err
 			}

@@ -75,7 +75,7 @@ func TestConfigScaled(t *testing.T) {
 }
 
 func TestSkewMeasurementsFractions(t *testing.T) {
-	env := testEnv(t, 23, 5, PlaceRandomStubs)
+	env, _ := testEnv(t, 23, 5, PlaceRandomStubs)
 	m := env.Measurements()
 	// Mark every after path failed so staleness is observable.
 	for _, p := range m.After {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestGroundTruthRouterFault(t *testing.T) {
-	env := testEnv(t, 15, 8, PlaceRandomStubs)
+	env, _ := testEnv(t, 15, 8, PlaceRandomStubs)
 	rng := rand.New(rand.NewSource(3))
 	f, ok := env.SampleRouterFault(rng)
 	if !ok {
@@ -18,7 +18,7 @@ func TestGroundTruthRouterFault(t *testing.T) {
 	if len(links) == 0 {
 		t.Fatal("a probed-path router must contribute probed links")
 	}
-	topo := env.Res.Topo
+	topo := env.Topo
 	routerAS := topo.RouterAS(f.Routers[0])
 	foundAS := false
 	for _, a := range ases {
@@ -40,7 +40,7 @@ func TestGroundTruthRouterFault(t *testing.T) {
 }
 
 func TestSampleLinkFaultBounds(t *testing.T) {
-	env := testEnv(t, 16, 5, PlaceRandomStubs)
+	env, _ := testEnv(t, 16, 5, PlaceRandomStubs)
 	rng := rand.New(rand.NewSource(4))
 	if _, ok := env.SampleLinkFault(rng, len(env.PhysProbed)+1); ok {
 		t.Fatal("sampling more links than probed must fail")
@@ -59,7 +59,7 @@ func TestSampleLinkFaultBounds(t *testing.T) {
 }
 
 func TestSampleMisconfigPrefersSplitLinks(t *testing.T) {
-	env := testEnv(t, 17, 10, PlaceRandomStubs)
+	env, _ := testEnv(t, 17, 10, PlaceRandomStubs)
 	rng := rand.New(rand.NewSource(5))
 	splits := 0
 	for trial := 0; trial < 10; trial++ {
@@ -87,7 +87,7 @@ func TestSampleMisconfigPrefersSplitLinks(t *testing.T) {
 }
 
 func TestSampleMisconfigSinglePrefix(t *testing.T) {
-	env := testEnv(t, 18, 10, PlaceRandomStubs)
+	env, _ := testEnv(t, 18, 10, PlaceRandomStubs)
 	rng := rand.New(rand.NewSource(6))
 	f, ok := env.SampleMisconfigSinglePrefix(rng)
 	if !ok {
@@ -140,7 +140,7 @@ func TestPlaceSensorsErrors(t *testing.T) {
 }
 
 func TestRunTrialErrNoImpactRestoresNetwork(t *testing.T) {
-	env := testEnv(t, 21, 6, PlaceRandomStubs)
+	env, res := testEnv(t, 21, 6, PlaceRandomStubs)
 	rng := rand.New(rand.NewSource(9))
 	// Find a reroutable fault (no impact) and verify the env is healthy
 	// afterwards.
@@ -149,7 +149,7 @@ func TestRunTrialErrNoImpactRestoresNetwork(t *testing.T) {
 		if !ok {
 			t.Fatal("sample failed")
 		}
-		_, err := env.RunTrial(f, env.Res.Cores[0], nil, nil)
+		_, err := env.RunTrial(f, res.Cores[0], nil, nil)
 		if err == ErrNoImpact {
 			if env.Net.Mesh(env.Sensors).AnyFailed() {
 				t.Fatal("network not restored after no-impact trial")

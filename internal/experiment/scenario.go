@@ -48,12 +48,13 @@ func (p Placement) String() string {
 	}
 }
 
-// Env is one placed experiment environment: a converged network with a
-// sensor overlay and its pre-failure measurements. After NewEnv returns,
-// an Env is never mutated: RunTrial injects faults into a private Fork of
-// the network, so concurrent RunTrial calls on one Env are safe.
+// Env is one converged scenario: a network with a sensor overlay and its
+// pre-failure measurements. The figure harness builds one per sensor
+// placement and ndserve keeps one per warm scenario. After construction an
+// Env is never mutated: RunTrial and every served request inject faults
+// into a private Fork of Net, so concurrent use of one Env is safe.
 type Env struct {
-	Res        *topology.Research
+	Topo       *topology.Topology
 	Net        *netsim.Network
 	Sensors    []topology.RouterID
 	SensorASes []topology.ASN
@@ -146,17 +147,14 @@ func interASPathRouters(res *topology.Research, a, b topology.ASN) ([]topology.R
 // NewEnv converges the network for a sensor set and takes the pre-failure
 // measurements. Optional netsim options (e.g. netsim.WithParallelism)
 // configure the environment's network; a shared SPF cache is always
-// installed so the fault trials reuse unchanged per-AS routing tables.
-func NewEnv(res *topology.Research, sensors []topology.RouterID, netOpts ...netsim.Option) (*Env, error) {
-	topo := res.Topo
-	asSet := map[topology.ASN]bool{}
+// installed (a later netsim.WithSPFCache replaces it) so the fault trials
+// reuse unchanged per-AS routing tables.
+func NewEnv(topo *topology.Topology, sensors []topology.RouterID, netOpts ...netsim.Option) (*Env, error) {
+	seen := map[topology.ASN]bool{}
 	var origins []topology.ASN
-	sensorASes := make([]topology.ASN, len(sensors))
-	for i, s := range sensors {
-		as := topo.RouterAS(s)
-		sensorASes[i] = as
-		if !asSet[as] {
-			asSet[as] = true
+	for _, s := range sensors {
+		if as := topo.RouterAS(s); !seen[as] {
+			seen[as] = true
 			origins = append(origins, as)
 		}
 	}
@@ -165,22 +163,37 @@ func NewEnv(res *topology.Research, sensors []topology.RouterID, netOpts ...nets
 	if err != nil {
 		return nil, err
 	}
-	env := &Env{
-		Res:        res,
-		Net:        net,
-		Sensors:    sensors,
-		SensorASes: sensorASes,
-		BeforeMesh: net.Mesh(sensors),
-		BeforeBGP:  net.BGP(),
-	}
-	if env.BeforeMesh.AnyFailed() {
+	mesh := net.Mesh(sensors)
+	if mesh.AnyFailed() {
 		return nil, errors.New("experiment: pre-failure mesh has unreachable pairs")
 	}
-	env.Prefixes = make([]bgp.Prefix, len(sensors))
-	for i, as := range sensorASes {
-		env.Prefixes[i] = bgp.PrefixFor(as)
+	table, err := ip2as.FromTopology(topo)
+	if err != nil {
+		return nil, err
 	}
-	env.E = ProbedLinks(topo, env.BeforeMesh)
+	return WrapEnv(net, sensors, mesh, table), nil
+}
+
+// WrapEnv builds the Env of an already-converged network from its
+// measured healthy mesh and IP-to-AS table, as a decoded warm snapshot
+// carries them, without converging or probing again.
+func WrapEnv(net *netsim.Network, sensors []topology.RouterID, mesh *probe.Mesh, table *ip2as.Table) *Env {
+	topo := net.Topology()
+	env := &Env{
+		Topo:       topo,
+		Net:        net,
+		Sensors:    sensors,
+		SensorASes: make([]topology.ASN, len(sensors)),
+		Prefixes:   make([]bgp.Prefix, len(sensors)),
+		BeforeMesh: mesh,
+		BeforeBGP:  net.BGP(),
+		E:          ProbedLinks(topo, mesh),
+		IP2AS:      table,
+	}
+	for i, s := range sensors {
+		env.SensorASes[i] = topo.RouterAS(s)
+		env.Prefixes[i] = bgp.PrefixFor(env.SensorASes[i])
+	}
 	seen := map[topology.LinkID]bool{}
 	for _, l := range env.E {
 		ra, okA := topo.RouterByAddr(string(l.From))
@@ -194,11 +207,26 @@ func NewEnv(res *topology.Research, sensors []topology.RouterID, netOpts ...nets
 		}
 	}
 	sort.Slice(env.PhysProbed, func(i, j int) bool { return env.PhysProbed[i] < env.PhysProbed[j] })
-	env.IP2AS, err = ip2as.FromTopology(topo)
-	if err != nil {
-		return nil, err
+	return env
+}
+
+// RoutingInfo is troubleshooter asx's control-plane view of fork, a
+// faulted and reconverged Fork of e.Net: its IGP link-down events and the
+// BGP withdrawals it saw for the sensor prefixes (§3.3).
+func (e *Env) RoutingInfo(fork *netsim.Network, asx topology.ASN) *core.RoutingInfo {
+	return &core.RoutingInfo{
+		ASX:          asx,
+		IGPDownLinks: AdaptIGPDowns(fork, asx),
+		Withdrawals: AdaptWithdrawals(e.Topo,
+			fork.ObserveWithdrawals(e.BeforeBGP, asx), e.SensorASes),
 	}
-	return env, nil
+}
+
+// LookingGlass is the Looking Glass oracle ND-LG queries for fork (§3.4):
+// the post-failure AS paths, falling back to the healthy ones. avail
+// limits the ASes that run one (nil = all).
+func (e *Env) LookingGlass(fork *netsim.Network, asx topology.ASN, avail map[topology.ASN]bool) core.LookingGlass {
+	return lookingglass.New(fork.BGP(), e.BeforeBGP, avail, asx, e.Prefixes)
 }
 
 // Measurements returns the healthy-network measurements (the pre-failure
@@ -217,7 +245,7 @@ type Fault struct {
 // GroundTruth computes the directed failed links (restricted to the probed
 // universe E) and the failed ASes for a fault.
 func (e *Env) GroundTruth(f Fault) (links []core.Link, ases []topology.ASN) {
-	topo := e.Res.Topo
+	topo := e.Topo
 	inE := map[core.Link]bool{}
 	for _, l := range e.E {
 		inE[l] = true
@@ -304,8 +332,6 @@ func (e *Env) RunTrial(f Fault, asx topology.ASN, blocked map[topology.ASN]bool,
 	if !afterMesh.AnyFailed() {
 		return nil, ErrNoImpact
 	}
-	topo := e.Res.Topo
-
 	bm, am := e.BeforeMesh, afterMesh
 	if len(blocked) > 0 {
 		bm, am = bm.Mask(blocked), am.Mask(blocked)
@@ -314,13 +340,8 @@ func (e *Env) RunTrial(f Fault, asx topology.ASN, blocked map[topology.ASN]bool,
 		Meas:      ToMeasurementsMapped(bm, am, e.IP2AS.Lookup),
 		AfterMesh: afterMesh,
 	}
-	td.Routing = &core.RoutingInfo{
-		ASX:          asx,
-		IGPDownLinks: AdaptIGPDowns(net, asx),
-		Withdrawals: AdaptWithdrawals(topo,
-			net.ObserveWithdrawals(e.BeforeBGP, asx), e.SensorASes),
-	}
-	td.LG = lookingglass.New(net.BGP(), e.BeforeBGP, lgAvail, asx, e.Prefixes)
+	td.Routing = e.RoutingInfo(net, asx)
+	td.LG = e.LookingGlass(net, asx, lgAvail)
 	td.FailedLinks, td.FailedASes = e.GroundTruth(f)
 	for as := range e.BeforeMesh.CoveredASes() {
 		td.CoveredASes = append(td.CoveredASes, as)
@@ -391,7 +412,7 @@ func (e *Env) SampleMisconfigSinglePrefix(rng *rand.Rand) (Fault, bool) {
 }
 
 func (e *Env) sampleMisconfig(rng *rand.Rand, singlePrefix bool) (Fault, bool) {
-	topo := e.Res.Topo
+	topo := e.Topo
 	var inter []topology.LinkID
 	for _, id := range e.PhysProbed {
 		if topo.Link(id).Kind == topology.Inter {
@@ -443,7 +464,7 @@ func (e *Env) sampleMisconfig(rng *rand.Rand, singlePrefix bool) (Fault, bool) {
 // grouped by the target's out-neighbor AS for the prefix (the first AS of
 // its best route's AS path; its own AS for locally originated prefixes).
 func (e *Env) misconfigGroups(target, peer topology.RouterID) map[topology.ASN][]bgp.Prefix {
-	topo := e.Res.Topo
+	topo := e.Topo
 	groups := map[topology.ASN][]bgp.Prefix{}
 	for _, p := range e.BeforeBGP.Prefixes() {
 		rt, ok := e.BeforeBGP.Best(peer, p)

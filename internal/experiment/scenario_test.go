@@ -9,7 +9,7 @@ import (
 	"netdiag/internal/topology"
 )
 
-func testEnv(t *testing.T, seed int64, n int, kind Placement) *Env {
+func testEnv(t *testing.T, seed int64, n int, kind Placement) (*Env, *topology.Research) {
 	t.Helper()
 	res, err := topology.GenerateResearch(topology.DefaultResearchConfig(seed))
 	if err != nil {
@@ -20,15 +20,15 @@ func testEnv(t *testing.T, seed int64, n int, kind Placement) *Env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := NewEnv(res, sensors)
+	env, err := NewEnv(res.Topo, sensors)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return env
+	return env, res
 }
 
 func TestEnvSetup(t *testing.T) {
-	env := testEnv(t, 1, 10, PlaceRandomStubs)
+	env, _ := testEnv(t, 1, 10, PlaceRandomStubs)
 	if len(env.Sensors) != 10 {
 		t.Fatalf("sensors = %d", len(env.Sensors))
 	}
@@ -43,9 +43,9 @@ func TestEnvSetup(t *testing.T) {
 }
 
 func TestSingleLinkFailureTrialAllAlgorithms(t *testing.T) {
-	env := testEnv(t, 2, 10, PlaceRandomStubs)
+	env, res := testEnv(t, 2, 10, PlaceRandomStubs)
 	rng := rand.New(rand.NewSource(7))
-	asx := env.Res.Cores[0]
+	asx := res.Cores[0]
 
 	ran := 0
 	for attempt := 0; attempt < 50 && ran < 3; attempt++ {
@@ -101,9 +101,9 @@ func TestSingleLinkFailureTrialAllAlgorithms(t *testing.T) {
 }
 
 func TestMisconfigTrial(t *testing.T) {
-	env := testEnv(t, 3, 10, PlaceRandomStubs)
+	env, res := testEnv(t, 3, 10, PlaceRandomStubs)
 	rng := rand.New(rand.NewSource(9))
-	asx := env.Res.Cores[0]
+	asx := res.Cores[0]
 
 	ran := false
 	for attempt := 0; attempt < 80 && !ran; attempt++ {
@@ -135,14 +135,14 @@ func TestMisconfigTrial(t *testing.T) {
 }
 
 func TestRouterFailureTrial(t *testing.T) {
-	env := testEnv(t, 4, 8, PlaceRandomStubs)
+	env, res := testEnv(t, 4, 8, PlaceRandomStubs)
 	rng := rand.New(rand.NewSource(11))
 	for attempt := 0; attempt < 50; attempt++ {
 		f, ok := env.SampleRouterFault(rng)
 		if !ok {
 			t.Fatal("no router candidates")
 		}
-		td, err := env.RunTrial(f, env.Res.Cores[0], nil, nil)
+		td, err := env.RunTrial(f, res.Cores[0], nil, nil)
 		if err == ErrNoImpact {
 			continue
 		}
@@ -166,9 +166,9 @@ func TestRouterFailureTrial(t *testing.T) {
 }
 
 func TestBlockedTracerouteTrial(t *testing.T) {
-	env := testEnv(t, 5, 10, PlaceRandomStubs)
+	env, res := testEnv(t, 5, 10, PlaceRandomStubs)
 	rng := rand.New(rand.NewSource(13))
-	asx := env.Res.Cores[0]
+	asx := res.Cores[0]
 
 	// Block half the covered transit ASes.
 	covered := env.BeforeMesh.CoveredASes()
@@ -229,7 +229,7 @@ func TestPlacementsProduceExpectedDiagnosabilityOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env, err := NewEnv(res, sensors)
+		env, err := NewEnv(res.Topo, sensors)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestPlacementsProduceExpectedDiagnosabilityOrder(t *testing.T) {
 func TestIP2ASMappingMatchesGroundTruth(t *testing.T) {
 	// The troubleshooter's IP-to-AS mapping must reproduce the mesh's own
 	// AS attribution exactly: mapped and unmapped measurements coincide.
-	env := testEnv(t, 14, 6, PlaceRandomStubs)
+	env, _ := testEnv(t, 14, 6, PlaceRandomStubs)
 	plain := ToMeasurements(env.BeforeMesh, env.BeforeMesh)
 	mapped := ToMeasurementsMapped(env.BeforeMesh, env.BeforeMesh, env.IP2AS.Lookup)
 	if len(plain.Before) != len(mapped.Before) {

@@ -119,9 +119,6 @@ type Entry struct {
 	AS   topology.ASN
 }
 
-// CIDR renders the entry in the notation Insert accepts.
-func (e Entry) CIDR() string { return formatCIDR(e.IP, e.Bits) }
-
 // Entries returns every inserted mapping in deterministic order (a
 // depth-first walk of the trie, i.e. sorted by prefix bits, shorter
 // prefixes before their longer refinements). Entries and FromEntries
@@ -176,10 +173,6 @@ func FromEntries(entries []Entry) (*Table, error) {
 		cur.set = true
 	}
 	return t, nil
-}
-
-func formatCIDR(ip uint32, bits int) string {
-	return fmt.Sprintf("%d.%d.%d.%d/%d", ip>>24, ip>>16&0xff, ip>>8&0xff, ip&0xff, bits)
 }
 
 // FromTopology builds the table a troubleshooter would assemble from the

@@ -51,20 +51,19 @@ func BenchmarkFullMesh(b *testing.B) {
 	}
 }
 
-// BenchmarkFailureTrial measures a full fail-reconverge-measure-restore
+// BenchmarkFailureTrial measures a full fork-fail-reconverge-measure
 // cycle, the unit of every evaluation run.
 func BenchmarkFailureTrial(b *testing.B) {
 	n, sensors := benchNetwork(b)
-	cp := n.Checkpoint()
 	link := n.Topology().Links()[0].ID
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.FailLink(link)
-		if err := n.Reconverge(); err != nil {
+		fork := n.Fork()
+		fork.FailLink(link)
+		if err := fork.Reconverge(); err != nil {
 			b.Fatal(err)
 		}
-		n.Mesh(sensors)
-		n.Restore(cp)
+		fork.Mesh(sensors)
 	}
 }
 

@@ -54,11 +54,6 @@ func (d *DirtyScope) Empty() bool {
 	return !d.ForceAll && len(d.Links) == 0 && len(d.Routers) == 0 && len(d.Prefixes) == 0
 }
 
-// PrefixDirty reports whether the prefix's converged BGP routes changed.
-func (d *DirtyScope) PrefixDirty(p bgp.Prefix) bool {
-	return d.ForceAll || d.prefixSet[p]
-}
-
 // AffectsPath reports whether the delta could have changed the
 // forwarding of a pair whose last observed path is p and whose
 // destination announces dstPrefix. The pair is dirty iff the

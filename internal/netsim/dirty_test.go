@@ -106,29 +106,28 @@ func TestDirtyScopeSoundness(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			n, prefixes := dirtyFixture(t, c.topo, c.sensors)
 			base := n.Mesh(c.sensors)
-			cp := n.Checkpoint()
 			rng := rand.New(rand.NewSource(42))
 			links := c.topo.Links()
 			for trial := 0; trial < 30; trial++ {
+				fork := n.Fork()
 				faults := 1 + rng.Intn(2)
 				for f := 0; f < faults; f++ {
 					if rng.Intn(4) == 0 {
 						r := topology.RouterID(rng.Intn(c.topo.NumRouters()))
-						n.FailRouter(r)
+						fork.FailRouter(r)
 					} else {
-						n.FailLink(links[rng.Intn(len(links))].ID)
+						fork.FailLink(links[rng.Intn(len(links))].ID)
 					}
 				}
-				scope, err := n.ReconvergeDirtyCtx(context.Background())
+				scope, err := fork.ReconvergeDirtyCtx(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
-				patched, _ := reprobeDirty(t, n, scope, base, c.sensors, prefixes)
-				full := n.Mesh(c.sensors)
+				patched, _ := reprobeDirty(t, fork, scope, base, c.sensors, prefixes)
+				full := fork.Mesh(c.sensors)
 				if !meshEqual(patched, full) {
 					t.Fatalf("trial %d: delta re-probe diverged from full re-mesh", trial)
 				}
-				n.Restore(cp)
 			}
 		})
 	}

@@ -55,8 +55,8 @@ type Network struct {
 	// delta of (see ReconvergeCtx); nil until the first convergence or when
 	// incremental reconvergence is disabled.
 	base *baseState
-	// shared marks linkUp/routerUp/filters as aliased by a base snapshot,
-	// a checkpoint, or a fork; mutators clone them first (ensureOwned).
+	// shared marks linkUp/routerUp/filters as aliased by a base snapshot
+	// or a fork; mutators clone them first (ensureOwned).
 	shared bool
 }
 
@@ -88,8 +88,8 @@ func (n *Network) captureBase() *baseState {
 	}
 }
 
-// ensureOwned clones the fault arrays when they alias a base snapshot, a
-// checkpoint, or a forked sibling, so mutations never reach shared state.
+// ensureOwned clones the fault arrays when they alias a base snapshot or
+// a forked sibling, so mutations never reach shared state.
 func (n *Network) ensureOwned() {
 	if !n.shared {
 		return
@@ -325,9 +325,13 @@ func New(topo *topology.Topology, originASes []topology.ASN, opts ...Option) (*N
 }
 
 // Fork returns an independent copy of the network sharing the immutable
-// substrate (topology, origins, SPF cache) and the current converged
-// routing state. Faulting and reconverging the fork never touches the
-// parent, so forks are how concurrent trials run against one environment.
+// substrate (topology, origins, SPF cache), the fault configuration and
+// the routing state. Faulting and reconverging the fork never touches the
+// parent, so forks are how concurrent trials run against one environment,
+// and a fresh fork of a converged network is how a caller gets back to its
+// warm state: the fork starts converged, and its next Reconverge is a
+// delta against the parent's converged base. A fork of a network with
+// unconverged mutations is unconverged.
 func (n *Network) Fork() *Network {
 	f := &Network{
 		topo:        n.topo,
@@ -345,9 +349,9 @@ func (n *Network) Fork() *Network {
 	f.linkUpFn, f.routerUpFn = f.LinkIsUp, f.RouterIsUp
 	if n.shared {
 		// The parent's arrays are already frozen copy-on-write (a base
-		// snapshot or checkpoint aliases them), so the fork can alias them
-		// too — its first mutation clones. Fork never writes to the
-		// parent, keeping concurrent Forks of one parent race-free.
+		// snapshot aliases them), so the fork can alias them too — its
+		// first mutation clones. Fork never writes to the parent, keeping
+		// concurrent Forks of one parent race-free.
 		f.linkUp, f.routerUp, f.filters = n.linkUp, n.routerUp, n.filters
 		f.shared = true
 	} else {
@@ -501,46 +505,6 @@ func (n *Network) reconvergeCtx(ctx context.Context, d *reconvergeDelta) error {
 // Converged reports whether the network's routing state is current (no
 // fault mutations are pending a Reconverge).
 func (n *Network) Converged() bool { return n.converged }
-
-// Checkpoint captures a converged network — the routing state together
-// with the exact fault configuration (link/router liveness, filters) it
-// was computed under — so experiment loops can return to it without
-// recomputing convergence.
-type Checkpoint struct {
-	base *baseState
-}
-
-// Checkpoint snapshots the current converged state and fault
-// configuration. It panics if the network has pending unconverged
-// mutations. The baseline may be degraded: a checkpoint of a network with
-// active faults round-trips those faults through Restore.
-func (n *Network) Checkpoint() Checkpoint {
-	if !n.converged {
-		panic("netsim: Checkpoint on unconverged network")
-	}
-	return Checkpoint{base: n.captureBase()}
-}
-
-// Restore reinstates a checkpointed network: the routing state and the
-// checkpoint's fault configuration, including any faults and filters that
-// were active when the checkpoint was taken (earlier versions blanket-reset
-// every link and router to up instead). A later Reconverge is computed as
-// a delta against the restored state.
-func (n *Network) Restore(cp Checkpoint) {
-	// Alias the checkpoint's arrays copy-on-write: two networks restored
-	// from one checkpoint both go through ensureOwned before mutating, so
-	// neither can grow into (or write through) the shared backing arrays.
-	n.linkUp = cp.base.linkUp
-	n.routerUp = cp.base.routerUp
-	n.filters = cp.base.filters
-	n.shared = true
-	n.igp = cp.base.igp
-	n.bgp = cp.base.bgp
-	n.converged = true
-	if n.incremental {
-		n.base = cp.base
-	}
-}
 
 // forward computes the next hop from cur towards destination router dst,
 // or ok=false on a blackhole.

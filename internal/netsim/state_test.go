@@ -7,59 +7,51 @@ import (
 	"netdiag/internal/topology"
 )
 
+// TestCheckpointRestore pins Fork as the way back to warm state: a fork
+// of the healthy parent taken after a sibling fork was faulted and
+// reconverged is healthy, converged and routes exactly like the parent.
 func TestCheckpointRestore(t *testing.T) {
 	f := topology.BuildFig2()
 	n, err := New(f.Topo, []topology.ASN{f.ASA, f.ASB, f.ASC})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := n.Checkpoint()
 	sensors := []topology.RouterID{f.S1, f.S2, f.S3}
-	healthy := n.Mesh(sensors)
+	healthy := meshKey(n.Mesh(sensors))
 
-	// Break things thoroughly.
+	// Break a sibling thoroughly.
+	broken := n.Fork()
 	l, _ := f.Topo.LinkBetween(f.R["b1"], f.R["b2"])
-	n.FailLink(l.ID)
-	n.FailRouter(f.R["y2"])
-	if err := n.Reconverge(); err != nil {
+	broken.FailLink(l.ID)
+	broken.FailRouter(f.R["y2"])
+	if err := broken.Reconverge(); err != nil {
 		t.Fatal(err)
 	}
-	if !n.Mesh(sensors).AnyFailed() {
+	if !broken.Mesh(sensors).AnyFailed() {
 		t.Fatal("faults should break the mesh")
 	}
 
-	// Restore: the network must behave exactly like the healthy one
-	// without reconverging.
-	n.Restore(cp)
-	if !n.LinkIsUp(l.ID) || !n.RouterIsUp(f.R["y2"]) {
-		t.Fatal("Restore must clear faults")
+	// A fresh fork must behave exactly like the healthy parent without
+	// reconverging.
+	fresh := n.Fork()
+	if !fresh.Converged() {
+		t.Fatal("a fork of a converged network must be converged")
 	}
-	m := n.Mesh(sensors)
-	if m.AnyFailed() {
-		t.Fatal("restored network must be healthy")
+	if !fresh.LinkIsUp(l.ID) || !fresh.RouterIsUp(f.R["y2"]) {
+		t.Fatal("a fork must not see its sibling's faults")
 	}
-	for i := range m.Paths {
-		for j, p := range m.Paths[i] {
-			if i == j {
-				continue
-			}
-			h := healthy.Paths[i][j]
-			if len(p.Hops) != len(h.Hops) {
-				t.Fatalf("restored path %d->%d differs from healthy", i, j)
-			}
-			for k := range p.Hops {
-				if p.Hops[k].Router != h.Hops[k].Router {
-					t.Fatalf("restored hop differs at %d->%d[%d]", i, j, k)
-				}
-			}
-		}
+	if k := meshKey(fresh.Mesh(sensors)); k != healthy {
+		t.Fatalf("fresh fork's mesh differs from the healthy parent's:\n%s\nvs\n%s", k, healthy)
+	}
+	if k := meshKey(n.Mesh(sensors)); k != healthy {
+		t.Fatal("faulting a fork changed the parent")
 	}
 }
 
-// TestCheckpointDegradedRoundTrip pins the repaired Checkpoint/Restore
-// contract: a checkpoint taken on a network with ACTIVE faults must restore
-// the fault configuration (link/router liveness, filters) along with the
-// routing state — not just the routing state, as an earlier version did.
+// TestCheckpointDegradedRoundTrip pins that a fork carries its parent's
+// fault configuration (link/router liveness, filters) along with the
+// routing state: a fork of a degraded, converged network is degraded the
+// same way, and its next reconvergence matches a cold recompute.
 func TestCheckpointDegradedRoundTrip(t *testing.T) {
 	f := topology.BuildFig2()
 	n, err := New(f.Topo, []topology.ASN{f.ASA, f.ASB, f.ASC})
@@ -69,7 +61,7 @@ func TestCheckpointDegradedRoundTrip(t *testing.T) {
 	sensors := []topology.RouterID{f.S1, f.S2, f.S3}
 
 	// Build a degraded baseline: one failed link, one failed router, one
-	// export filter — then checkpoint it.
+	// export filter.
 	lb, _ := f.Topo.LinkBetween(f.R["b1"], f.R["b2"])
 	filt := bgp.ExportFilter{Router: f.R["y3"], Peer: f.R["c1"], Prefix: bgp.PrefixFor(f.ASA)}
 	n.FailLink(lb.ID)
@@ -79,35 +71,37 @@ func TestCheckpointDegradedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	degraded := meshKey(n.Mesh(sensors))
-	cp := n.Checkpoint()
 
-	// Wander far away from the baseline, including clearing every fault.
-	n.ClearFaults()
-	if err := n.Reconverge(); err != nil {
+	// Wander a sibling far away from the baseline, including clearing
+	// every fault.
+	w := n.Fork()
+	w.ClearFaults()
+	if err := w.Reconverge(); err != nil {
 		t.Fatal(err)
 	}
 	lc, _ := f.Topo.LinkBetween(f.R["c1"], f.R["c2"])
-	n.FailLink(lc.ID)
-	if err := n.Reconverge(); err != nil {
+	w.FailLink(lc.ID)
+	if err := w.Reconverge(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Restore must bring back the degraded fault configuration exactly.
-	n.Restore(cp)
-	if n.LinkIsUp(lb.ID) {
-		t.Fatal("Restore must re-apply the checkpointed link failure")
+	// A fork of the degraded parent carries its fault configuration
+	// exactly.
+	fork := n.Fork()
+	if fork.LinkIsUp(lb.ID) {
+		t.Fatal("fork must carry the parent's link failure")
 	}
-	if n.RouterIsUp(f.R["y2"]) {
-		t.Fatal("Restore must re-apply the checkpointed router failure")
+	if fork.RouterIsUp(f.R["y2"]) {
+		t.Fatal("fork must carry the parent's router failure")
 	}
-	if !n.LinkIsUp(lc.ID) {
-		t.Fatal("Restore must clear faults added after the checkpoint")
+	if !fork.LinkIsUp(lc.ID) {
+		t.Fatal("fork must not see a sibling's faults")
 	}
-	if k := meshKey(n.Mesh(sensors)); k != degraded {
-		t.Fatalf("restored mesh differs from checkpointed degraded mesh:\n%s\nvs\n%s", k, degraded)
+	if k := meshKey(fork.Mesh(sensors)); k != degraded {
+		t.Fatalf("fork's mesh differs from the degraded parent's:\n%s\nvs\n%s", k, degraded)
 	}
 
-	// The restored fault state must feed the next (incremental) delta: a
+	// The inherited fault state must feed the next (incremental) delta: a
 	// further reconvergence must match a cold recompute of the same faults.
 	n2, err := New(f.Topo, []topology.ASN{f.ASA, f.ASB, f.ASC}, WithIncrementalReconvergence(false))
 	if err != nil {
@@ -120,18 +114,18 @@ func TestCheckpointDegradedRoundTrip(t *testing.T) {
 	if err := n2.Reconverge(); err != nil {
 		t.Fatal(err)
 	}
-	n.FailRouter(f.R["x2"])
-	if err := n.Reconverge(); err != nil {
+	fork.FailRouter(f.R["x2"])
+	if err := fork.Reconverge(); err != nil {
 		t.Fatal(err)
 	}
-	if diffs := n.BGP().DiffRoutes(n2.BGP(), 5); len(diffs) > 0 {
-		t.Fatalf("post-restore incremental reconvergence diverges from cold:\n%v", diffs)
+	if diffs := fork.BGP().DiffRoutes(n2.BGP(), 5); len(diffs) > 0 {
+		t.Fatalf("fork's incremental reconvergence diverges from cold:\n%v", diffs)
 	}
 }
 
-// TestRestoreDoesNotShareFilterState pins that two networks restored from
-// one checkpoint own independent filter slices: appending a filter to one
-// must not leak into the other.
+// TestRestoreDoesNotShareFilterState pins that sibling forks own
+// independent filter slices: appending a filter to one must not leak into
+// the other.
 func TestRestoreDoesNotShareFilterState(t *testing.T) {
 	f := topology.BuildFig2()
 	n, err := New(f.Topo, []topology.ASN{f.ASA, f.ASB})
@@ -142,10 +136,7 @@ func TestRestoreDoesNotShareFilterState(t *testing.T) {
 	if err := n.Reconverge(); err != nil {
 		t.Fatal(err)
 	}
-	cp := n.Checkpoint()
 	a, b := n.Fork(), n.Fork()
-	a.Restore(cp)
-	b.Restore(cp)
 	a.AddExportFilter(bgp.ExportFilter{Router: f.R["x1"], Peer: f.R["a2"], Prefix: bgp.PrefixFor(f.ASB)})
 	if err := a.Reconverge(); err != nil {
 		t.Fatal(err)
@@ -154,10 +145,13 @@ func TestRestoreDoesNotShareFilterState(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := b.Traceroute(f.S1, f.S2); !got.OK {
-		t.Fatal("sibling restore saw a filter appended to the other network")
+		t.Fatal("sibling fork saw a filter appended to the other network")
 	}
 }
 
+// TestCheckpointPanicsUnconverged pins that a fork of a network with
+// pending fault mutations is unconverged too: it must be reconverged
+// before it can be probed.
 func TestCheckpointPanicsUnconverged(t *testing.T) {
 	f := topology.BuildFig2()
 	n, err := New(f.Topo, []topology.ASN{f.ASA})
@@ -165,12 +159,16 @@ func TestCheckpointPanicsUnconverged(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.FailLink(0)
+	fork := n.Fork()
+	if fork.Converged() {
+		t.Fatal("a fork of an unconverged network must be unconverged")
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Checkpoint on unconverged network must panic")
+			t.Fatal("Traceroute on an unconverged fork must panic")
 		}
 	}()
-	n.Checkpoint()
+	fork.Traceroute(f.S1, f.S2)
 }
 
 func TestTraceroutePanicsUnconverged(t *testing.T) {

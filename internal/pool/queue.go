@@ -94,14 +94,6 @@ func (q *Queue) TrySubmit(fn func()) bool {
 	}
 }
 
-// Depth returns the number of jobs currently waiting in the queue (not
-// counting jobs already executing on workers).
-func (q *Queue) Depth() int {
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	return len(q.jobs)
-}
-
 // Close stops admission (subsequent TrySubmit returns false), drains the
 // already-accepted jobs and waits for every worker to finish. It is
 // idempotent.

@@ -5,7 +5,6 @@ package probe
 
 import (
 	"context"
-	"fmt"
 
 	"netdiag/internal/pool"
 	"netdiag/internal/telemetry"
@@ -117,29 +116,17 @@ func NewMesh(sensors []topology.RouterID) *Mesh {
 	return m
 }
 
-// FillMesh builds a full mesh by invoking trace for every ordered sensor
-// pair (i, j), i != j, fanning the pairs out over at most `workers`
+// FillMeshCtx builds a full mesh by invoking trace for every ordered
+// sensor pair (i, j), i != j, fanning the pairs out over at most `workers`
 // goroutines. trace must be safe for concurrent use when workers > 1 (a
 // traceroute over a converged, read-only forwarding state is). Each pair's
 // result lands in its own Paths slot, so the mesh is identical at any
-// parallelism level.
-func FillMesh(sensors []topology.RouterID, workers int, trace func(i, j int) *Path) *Mesh {
-	return FillMeshM(sensors, workers, trace, nil)
-}
-
-// FillMeshM is FillMesh with measurement telemetry: the fill, every traced
-// pair and every unreachable pair are counted, and the per-pair fan-out
-// reports pool task metrics. A nil met reproduces FillMesh exactly.
-func FillMeshM(sensors []topology.RouterID, workers int, trace func(i, j int) *Path, met *Metrics) *Mesh {
-	m, _ := FillMeshCtx(context.Background(), sensors, workers, trace, met)
-	return m
-}
-
-// FillMeshCtx is FillMeshM with cancellation: ctx is checked between
-// sensor-pair tasks, so a mesh measurement under a per-request deadline
-// aborts promptly and returns ctx.Err() with a partially filled mesh. For
-// an uncancelled context the mesh is identical to FillMeshM at any
-// parallelism level. A nil ctx means context.Background().
+// parallelism level. A non-nil met counts the fill, every traced pair and
+// every unreachable pair, and the per-pair fan-out reports pool task
+// metrics. ctx is checked between sensor-pair tasks, so a mesh
+// measurement under a per-request deadline aborts promptly and returns
+// ctx.Err() with a partially filled mesh. A nil ctx means
+// context.Background().
 func FillMeshCtx(ctx context.Context, sensors []topology.RouterID, workers int, trace func(i, j int) *Path, met *Metrics) (*Mesh, error) {
 	m := NewMesh(sensors)
 	n := len(sensors)
@@ -306,6 +293,3 @@ func (m *Mesh) CoveredASes() map[topology.ASN]bool {
 	}
 	return out
 }
-
-// PairKey formats a sensor pair for diagnostics.
-func PairKey(i, j int) string { return fmt.Sprintf("%d->%d", i, j) }

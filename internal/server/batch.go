@@ -21,9 +21,9 @@ const maxBatchItems = core.MaxBatchItems
 
 // BatchRequest is the POST /v1/diagnose/batch body: one scenario and
 // algorithm, many failure sets. The whole batch runs as a single queued
-// job over one fork of the scenario's warm snapshot — the fork is
-// checkpointed once and restored between items, so N diagnoses cost one
-// admission and zero re-convergences of the healthy state.
+// job over the scenario's warm snapshot — each item faults its own fork
+// of the healthy network, so N diagnoses cost one admission and zero
+// re-convergences of the healthy state.
 type BatchRequest struct {
 	Scenario string `json:"scenario"`
 	// Algorithm applies to every item; empty means "tomo".
@@ -101,8 +101,8 @@ func (s *Server) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// computeBatch diagnoses every item over one fork: checkpoint the healthy
-// fork once, and per item apply faults, diagnose, restore. The response is
+// computeBatch diagnoses every item on its own fork of the snapshot's
+// healthy network: fork, apply faults, diagnose. The response is
 // assembled by raw concatenation so each slot's body bytes are exactly
 // what the single endpoint would have sent (sans trailing newline) — a
 // failed item occupies its slot with the single endpoint's error envelope
@@ -112,9 +112,6 @@ func (s *Server) computeBatch(ctx context.Context, req *BatchRequest, algo netdi
 	if err != nil {
 		return nil, err
 	}
-	fork := snap.Net.Fork()
-	cp := fork.Checkpoint()
-
 	var buf bytes.Buffer
 	buf.WriteString(`{"scenario":`)
 	name, err := json.Marshal(req.Scenario)
@@ -131,12 +128,12 @@ func (s *Server) computeBatch(ctx context.Context, req *BatchRequest, algo netdi
 		item := &req.Items[i]
 		endItem := tr.StartIteration("item", i+1)
 		body, err := func() ([]byte, error) {
+			fork := snap.Net.Fork()
 			if err := applyFaults(snap, fork, item.FailLinks, item.FailRouters); err != nil {
 				return nil, err
 			}
 			return s.diagnoseFork(ctx, snap, fork, algo)
 		}()
-		fork.Restore(cp)
 		endItem()
 		status := http.StatusOK
 		if err != nil {

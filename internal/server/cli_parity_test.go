@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"netdiag/internal/core"
 	"netdiag/internal/experiment"
 	"netdiag/internal/scenario"
 )
@@ -48,13 +47,7 @@ func TestCLIParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	meas := experiment.ToMeasurementsMapped(snap.BeforeMesh, after, snap.IP2AS.Lookup)
-	asx := snap.Scenario.ASX
-	sc := scenario.FromMeasurements(meas, &core.RoutingInfo{
-		ASX:          asx,
-		IGPDownLinks: experiment.AdaptIGPDowns(fork, asx),
-		Withdrawals: experiment.AdaptWithdrawals(snap.Scenario.Topo,
-			fork.ObserveWithdrawals(snap.BeforeBGP, asx), snap.SensorASes),
-	})
+	sc := scenario.FromMeasurements(meas, snap.RoutingInfo(fork, snap.Scenario.ASX))
 
 	dir := t.TempDir()
 	scnPath := filepath.Join(dir, "fig2-b1b2.json")

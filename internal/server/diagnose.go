@@ -11,7 +11,6 @@ import (
 
 	"netdiag"
 	"netdiag/internal/experiment"
-	"netdiag/internal/lookingglass"
 	"netdiag/internal/netsim"
 	"netdiag/internal/telemetry"
 )
@@ -151,17 +150,10 @@ func (s *Server) diagnoseFork(ctx context.Context, snap *Snapshot, fork *netsim.
 	}
 	asx := snap.Scenario.ASX
 	if algo == netdiag.NDBgpIgpAlgo || algo == netdiag.NDLGAlgo {
-		ri := &netdiag.RoutingInfo{
-			ASX:          asx,
-			IGPDownLinks: experiment.AdaptIGPDowns(fork, asx),
-			Withdrawals: experiment.AdaptWithdrawals(snap.Scenario.Topo,
-				fork.ObserveWithdrawals(snap.BeforeBGP, asx), snap.SensorASes),
-		}
-		opts = append(opts, netdiag.WithRoutingInfo(ri))
+		opts = append(opts, netdiag.WithRoutingInfo(snap.RoutingInfo(fork, asx)))
 	}
 	if algo == netdiag.NDLGAlgo {
-		opts = append(opts,
-			netdiag.WithLookingGlass(lookingglass.New(fork.BGP(), snap.BeforeBGP, nil, asx, snap.Prefixes)))
+		opts = append(opts, netdiag.WithLookingGlass(snap.LookingGlass(fork, asx, nil)))
 	}
 	endSpan = tr.StartSpan("diagnose")
 	res, err := netdiag.New(opts...).Diagnose(ctx, meas)

@@ -5,9 +5,10 @@
 // admission queue with load shedding, and graceful drain on shutdown.
 //
 // The serving pipeline reuses the library layers unchanged — netsim for
-// the world model, experiment for the measurement adapters, the netdiag
-// facade for the algorithms — so a served diagnosis is byte-identical to
-// the equivalent one-shot netdiagnoser CLI run (pinned by tests).
+// the world model, experiment for the converged scenario (Env) and the
+// measurement adapters, the netdiag facade for the algorithms — so a
+// served diagnosis is byte-identical to the equivalent one-shot
+// netdiagnoser CLI run (pinned by tests).
 package server
 
 import (

@@ -5,9 +5,8 @@ import (
 	"path/filepath"
 	"slices"
 
-	"netdiag/internal/ip2as"
+	"netdiag/internal/experiment"
 	"netdiag/internal/netsim"
-	"netdiag/internal/probe"
 	"netdiag/internal/snapshot"
 )
 
@@ -25,7 +24,7 @@ func (s *Store) snapshotPath(name string) string {
 // scenario identity. A load failure is never an error — the persisted
 // file is purely an accelerator and cold convergence rebuilds the same
 // state.
-func (s *Store) loadSnapshot(name string, scn *Scenario, opts []netsim.Option) *snapshot.Snapshot {
+func (s *Store) loadSnapshot(name string, scn *Scenario, opts []netsim.Option) *experiment.Env {
 	if s.snapDir == "" {
 		return nil
 	}
@@ -41,7 +40,7 @@ func (s *Store) loadSnapshot(name string, scn *Scenario, opts []netsim.Option) *
 		return nil
 	}
 	s.snapLoads.Inc()
-	return snap
+	return experiment.WrapEnv(snap.Net, scn.Sensors, snap.Mesh, snap.IP2AS)
 }
 
 // persistSnapshot writes a freshly converged scenario into the snapshot
@@ -51,16 +50,16 @@ func (s *Store) loadSnapshot(name string, scn *Scenario, opts []netsim.Option) *
 // because every worker converges to identical state, last-rename-wins is
 // harmless. Persistence failures are silently dropped: the in-memory
 // snapshot this worker just built is unaffected.
-func (s *Store) persistSnapshot(name string, scn *Scenario, net *netsim.Network, mesh *probe.Mesh, table *ip2as.Table) {
+func (s *Store) persistSnapshot(name string, env *experiment.Env) {
 	if s.snapDir == "" {
 		return
 	}
 	data, err := snapshot.Encode(&snapshot.Snapshot{
 		Scenario: name,
-		Sensors:  scn.Sensors,
-		Net:      net,
-		Mesh:     mesh,
-		IP2AS:    table,
+		Sensors:  env.Sensors,
+		Net:      env.Net,
+		Mesh:     env.BeforeMesh,
+		IP2AS:    env.IP2AS,
 	})
 	if err != nil {
 		return

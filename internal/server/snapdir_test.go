@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,21 +16,42 @@ import (
 // TestSnapshotDirRoundTrip pins the persistence contract: the first
 // worker converges cold and saves one snapshot file per scenario; a
 // second worker over the same directory loads them instead of
-// converging, and answers the same request with the same bytes.
+// converging, and answers every algorithm, a batch and the committed
+// stream feed with the same bytes.
 func TestSnapshotDirRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	req := `{"scenario":"fig2","algorithm":"nd-bgpigp","fail_links":[["b1","b2"]]}`
+	type call struct {
+		post func(*testing.T, http.Handler, string) *httptest.ResponseRecorder
+		body string
+	}
+	var calls []call
+	for _, algo := range []string{"tomo", "nd-edge", "nd-bgpigp", "nd-lg"} {
+		calls = append(calls, call{post, fmt.Sprintf(
+			`{"scenario":"fig2","algorithm":%q,"fail_links":[["b1","b2"]]}`, algo)})
+	}
+	calls = append(calls, call{postBatch, `{"scenario":"fig2","algorithm":"nd-lg","items":[` +
+		`{"fail_links":[["b1","b2"]]},{"fail_links":[["y3","y4"]],"fail_routers":["x2"]},` +
+		`{"fail_routers":["nope"]},{"fail_links":[["b1","b2"]]}]}`})
+	// serve answers every call and the stream feed on one worker.
+	serve := func(s *Server) ([]*httptest.ResponseRecorder, []byte) {
+		if err := s.WarmAll(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var got []*httptest.ResponseRecorder
+		for _, c := range calls {
+			w := c.post(t, s.Handler(), c.body)
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s = %d: %s", c.body, w.Code, w.Body.String())
+			}
+			got = append(got, w)
+		}
+		return got, replayStreamFeed(t, s.Handler(), 1, false)
+	}
 
 	cold := telemetry.New()
-	s1 := New(Config{SnapshotDir: dir, Telemetry: cold})
+	s1 := New(Config{SnapshotDir: dir, Telemetry: cold, Ingest: true})
 	defer s1.Close()
-	if err := s1.WarmAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	want := post(t, s1.Handler(), req)
-	if want.Code != http.StatusOK {
-		t.Fatalf("cold diagnose = %d: %s", want.Code, want.Body.String())
-	}
+	want, wantEvents := serve(s1)
 	cs := cold.Snapshot()
 	if cs.Counters["server.snapshot_saves"] != 2 || cs.Counters["server.snapshot_loads"] != 0 {
 		t.Fatalf("cold worker saves/loads = %d/%d, want 2/0",
@@ -40,15 +64,16 @@ func TestSnapshotDirRoundTrip(t *testing.T) {
 	}
 
 	warm := telemetry.New()
-	s2 := New(Config{SnapshotDir: dir, Telemetry: warm})
+	s2 := New(Config{SnapshotDir: dir, Telemetry: warm, Ingest: true})
 	defer s2.Close()
-	if err := s2.WarmAll(context.Background()); err != nil {
-		t.Fatal(err)
+	got, gotEvents := serve(s2)
+	for i, c := range calls {
+		if got[i].Body.String() != want[i].Body.String() {
+			t.Errorf("%s: snapshot-loaded body %q, cold %q", c.body, got[i].Body.String(), want[i].Body.String())
+		}
 	}
-	got := post(t, s2.Handler(), req)
-	if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
-		t.Errorf("snapshot-loaded diagnose = %d %q, cold = %d %q",
-			got.Code, got.Body.String(), want.Code, want.Body.String())
+	if !bytes.Equal(gotEvents, wantEvents) {
+		t.Errorf("snapshot-loaded /v1/events diverged:\n--- cold ---\n%s\n--- loaded ---\n%s", wantEvents, gotEvents)
 	}
 	ws := warm.Snapshot()
 	if ws.Counters["server.snapshot_loads"] != 2 || ws.Counters["server.snapshot_saves"] != 0 {

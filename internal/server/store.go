@@ -6,28 +6,21 @@ import (
 	"strconv"
 	"sync"
 
-	"netdiag/internal/bgp"
+	"netdiag/internal/experiment"
 	"netdiag/internal/igp"
-	"netdiag/internal/ip2as"
 	"netdiag/internal/netsim"
-	"netdiag/internal/probe"
 	"netdiag/internal/telemetry"
 	"netdiag/internal/topology"
 )
 
-// Snapshot is a warm, converged scenario: the healthy network plus every
-// derived artifact a diagnosis request needs (pre-failure mesh and BGP
-// state, IP-to-AS table, sensor prefixes). Requests never mutate a
-// Snapshot — each one works on a private Fork of Net — so one Snapshot
-// serves any number of concurrent diagnoses.
+// Snapshot is a warm, converged scenario: the experiment harness's Env
+// (the healthy network, its pre-failure mesh and BGP state, IP-to-AS
+// table and sensor prefixes) plus the scenario it was built from.
+// Requests never mutate a Snapshot — each one works on a private Fork of
+// Net — so one Snapshot serves any number of concurrent diagnoses.
 type Snapshot struct {
-	Scenario   *Scenario
-	Net        *netsim.Network
-	BeforeMesh *probe.Mesh
-	BeforeBGP  *bgp.State
-	IP2AS      *ip2as.Table
-	Prefixes   []bgp.Prefix
-	SensorASes []topology.ASN
+	*experiment.Env
+	Scenario *Scenario
 
 	routerByName map[string]topology.RouterID
 }
@@ -156,76 +149,35 @@ func (s *Store) converge(name string, e *storeEntry) {
 	close(e.ready)
 }
 
-// build converges one scenario into a snapshot, mirroring the experiment
-// harness setup: the network announces one prefix per sensor AS, a shared
-// SPF cache makes request forks reuse unchanged per-AS routing tables,
-// and the healthy full mesh plus the BGP state become the T- baseline.
-// With a snapshot directory configured, a persisted snapshot short-cuts
-// the whole convergence, and a cold convergence persists its result for
-// the next worker.
+// build converges one scenario into a snapshot: an experiment Env over
+// the scenario's sensors, with a shared SPF cache so request forks reuse
+// unchanged per-AS routing tables. With a snapshot directory configured,
+// a persisted snapshot short-cuts the whole convergence, and a cold
+// convergence persists its result for the next worker.
 func (s *Store) build(name string) (*Snapshot, error) {
 	scn, err := s.reg.Get(name)
 	if err != nil {
 		return nil, err
-	}
-	topo := scn.Topo
-	seen := map[topology.ASN]bool{}
-	var origins []topology.ASN
-	sensorASes := make([]topology.ASN, len(scn.Sensors))
-	for i, r := range scn.Sensors {
-		as := topo.RouterAS(r)
-		sensorASes[i] = as
-		if !seen[as] {
-			seen[as] = true
-			origins = append(origins, as)
-		}
 	}
 	opts := []netsim.Option{
 		netsim.WithSPFCache(igp.NewCache()),
 		netsim.WithParallelism(s.par),
 		netsim.WithTelemetry(s.tele),
 	}
-	var (
-		net    *netsim.Network
-		before *probe.Mesh
-		table  *ip2as.Table
-	)
-	if loaded := s.loadSnapshot(name, scn, opts); loaded != nil {
-		net, before, table = loaded.Net, loaded.Mesh, loaded.IP2AS
-	} else {
-		net, err = netsim.New(topo, origins, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("server: converging scenario %q: %w", name, err)
-		}
-		before = net.Mesh(scn.Sensors)
-		if before.AnyFailed() {
-			return nil, fmt.Errorf("server: scenario %q: pre-failure mesh has unreachable pairs", name)
-		}
-		table, err = ip2as.FromTopology(topo)
-		if err != nil {
+	env := s.loadSnapshot(name, scn, opts)
+	if env == nil {
+		if env, err = experiment.NewEnv(scn.Topo, scn.Sensors, opts...); err != nil {
 			return nil, fmt.Errorf("server: scenario %q: %w", name, err)
 		}
-		s.persistSnapshot(name, scn, net, before, table)
+		s.persistSnapshot(name, env)
 	}
-	prefixes := make([]bgp.Prefix, len(sensorASes))
-	for i, as := range sensorASes {
-		prefixes[i] = bgp.PrefixFor(as)
-	}
+	topo := scn.Topo
 	byName := make(map[string]topology.RouterID, topo.NumRouters())
 	for i := 0; i < topo.NumRouters(); i++ {
 		id := topology.RouterID(i)
 		byName[topo.Router(id).Name] = id
 	}
-	return &Snapshot{
-		Scenario:     scn,
-		Net:          net,
-		BeforeMesh:   before,
-		BeforeBGP:    net.BGP(),
-		IP2AS:        table,
-		Prefixes:     prefixes,
-		SensorASes:   sensorASes,
-		routerByName: byName,
-	}, nil
+	return &Snapshot{Env: env, Scenario: scn, routerByName: byName}, nil
 }
 
 // WarmAll converges every registered scenario in name order, so a server

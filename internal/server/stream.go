@@ -16,8 +16,8 @@ import (
 )
 
 // The streaming plane: one stream.Processor per scenario (journal, delta
-// overlay, event correlation), built by StreamProcessor over a fork of
-// the scenario's warm snapshot, behind the POST /v1/ingest/* and GET
+// overlay, event correlation), built by StreamProcessor over the
+// scenario's warm snapshot, behind the POST /v1/ingest/* and GET
 // /v1/events handlers. Closed events are diagnosed through enqueue, the
 // same admission queue, coalescing group and telemetry as the HTTP
 // diagnosis requests.
@@ -26,10 +26,10 @@ import (
 const maxIngestBytes = 32 << 20
 
 // StreamProcessor returns the streaming processor of a registered
-// scenario, building it on first use over a private fork of the warm
-// snapshot. The snapshot's convergence is the Store's one shared build;
-// the processor is built under procMu, so concurrent first calls return
-// the same processor. It errors when the server was built without
+// scenario, building it on first use over the warm snapshot, whose
+// healthy network the processor forks. The snapshot's convergence is the
+// Store's one shared build; the processor is built under procMu, so
+// concurrent first calls return the same processor. It errors when the server was built without
 // Config.Ingest.
 func (s *Server) StreamProcessor(ctx context.Context, name string) (*stream.Processor, error) {
 	if s.procs == nil {
@@ -54,7 +54,7 @@ func (s *Server) StreamProcessor(ctx context.Context, name string) (*stream.Proc
 			Sensors:  snap.Scenario.Sensors,
 			Prefixes: snap.Prefixes,
 			Baseline: snap.BeforeMesh,
-			Net:      snap.Net.Fork(),
+			Net:      snap.Net,
 			Router:   snap.Router,
 			Workers:  s.par,
 		},

@@ -109,8 +109,14 @@ func runStreamReplay(t *testing.T, par int, withTrace bool) []byte {
 	t.Helper()
 	s := New(Config{Telemetry: telemetry.New(), Ingest: true})
 	defer s.Close()
-	h := s.Handler()
+	return replayStreamFeed(t, s.Handler(), par, withTrace)
+}
 
+// replayStreamFeed posts the committed fig2 feed to an ingest server's
+// handler, shuffled per parallelism, and returns the settled /v1/events
+// body.
+func replayStreamFeed(t *testing.T, h http.Handler, par int, withTrace bool) []byte {
+	t.Helper()
 	tasks := streamFeedTasks(t)
 	// Deterministically shuffled per configuration so different runs
 	// arrive in genuinely different orders.

@@ -21,8 +21,8 @@ import (
 )
 
 // View is everything the processor needs from one warm scenario
-// snapshot. Net is a private fork owned by the processor; Baseline is
-// the healthy T− mesh and is never mutated (the overlay clones it).
+// snapshot. The processor never mutates Net or Baseline, the healthy T−
+// mesh (the overlay clones it).
 type View struct {
 	Scenario string
 	Topo     *topology.Topology
@@ -31,7 +31,9 @@ type View struct {
 	// dirty-scope prefix check.
 	Prefixes []bgp.Prefix
 	Baseline *probe.Mesh
-	Net      *netsim.Network
+	// Net is the converged healthy network: a frozen base the processor
+	// forks at construction and again on every journal reset.
+	Net *netsim.Network
 	// Router resolves a router reference (name or numeric ID) from the
 	// feed against the scenario topology.
 	Router func(ref string) (topology.RouterID, bool)
@@ -114,7 +116,8 @@ type event struct {
 	links           map[string]bool
 	ases            map[int]bool
 
-	// Set at closure.
+	// Set at closure. tplus is the T+ mesh of an unsettled event; it is
+	// nil once the event has an outcome.
 	id       string
 	status   string
 	tplus    *probe.Mesh
@@ -182,8 +185,8 @@ func newMetrics(r *telemetry.Registry) *metrics {
 // order, across any number of concurrent requests — and reaching
 // quiescence, Events() renders byte-identical JSON. Out-of-order
 // arrivals are handled by reset-and-replay: the journal is re-swept from
-// the baseline checkpoint, and cached diagnosis outcomes re-attach by
-// event ID.
+// a fresh fork of the healthy base, and cached diagnosis outcomes
+// re-attach by event ID.
 type Processor struct {
 	view      View
 	window    int64
@@ -195,7 +198,6 @@ type Processor struct {
 
 	mu        sync.Mutex
 	fork      *netsim.Network
-	baseCP    netsim.Checkpoint
 	overlay   *probe.Mesh
 	journal   []*entry
 	keys      map[string]bool
@@ -209,9 +211,9 @@ type Processor struct {
 	stopped   error
 }
 
-// NewProcessor builds a processor over one scenario view. It
-// checkpoints the fork's healthy state once; every journal reset
-// restores it.
+// NewProcessor builds a processor over one scenario view. It sweeps the
+// journal on a fork of View.Net; every journal reset replaces that fork
+// with a fresh one, which starts from View.Net's converged state.
 func NewProcessor(cfg Config) *Processor {
 	if cfg.WindowMS <= 0 {
 		cfg.WindowMS = 2000
@@ -236,7 +238,7 @@ func NewProcessor(cfg Config) *Processor {
 		life:      cfg.Life,
 		log:       cfg.Logger,
 		met:       newMetrics(cfg.Telemetry),
-		fork:      cfg.View.Net,
+		fork:      cfg.View.Net.Fork(),
 		overlay:   cfg.View.Baseline.Clone(),
 		keys:      map[string]bool{},
 		pending:   map[string]*probeBuild{},
@@ -244,7 +246,6 @@ func NewProcessor(cfg Config) *Processor {
 		inflight:  map[string]bool{},
 		sensorIdx: map[topology.RouterID]int{},
 	}
-	p.baseCP = p.fork.Checkpoint()
 	for i, s := range cfg.View.Sensors {
 		p.sensorIdx[s] = i
 	}
@@ -457,8 +458,8 @@ func linkKey(a, b string) string {
 // insert places an entry at its sorted (ts, key) position. A duplicate
 // key is an idempotent replay of a record already journaled and is
 // dropped. An insertion behind the sweep cursor triggers
-// reset-and-replay: the sweep restarts from the baseline checkpoint so
-// the applied order always equals the sorted order.
+// reset-and-replay: the sweep restarts from the healthy base so the
+// applied order always equals the sorted order.
 func (p *Processor) insert(e *entry) {
 	if p.keys[e.key] {
 		return
@@ -481,7 +482,7 @@ func (p *Processor) insert(e *entry) {
 // re-closed with the same observation set get the same ID and re-attach
 // their cached outcome.
 func (p *Processor) reset() {
-	p.fork.Restore(p.baseCP)
+	p.fork = p.view.Net.Fork()
 	p.overlay = p.view.Baseline.Clone()
 	p.cursor = 0
 	p.open = nil
@@ -674,10 +675,14 @@ func (p *Processor) closeIdleBefore(ts int64) {
 }
 
 // closeEvent seals an event: assign its digest ID, snapshot the overlay
-// as the T+ mesh, and start (or re-attach) its diagnosis.
+// as the T+ mesh unless the event's outcome is already cached (a journal
+// reset re-closing a settled event), and start (or re-attach) its
+// diagnosis.
 func (p *Processor) closeEvent(ev *event) {
 	ev.id = p.digest(ev)
-	ev.tplus = p.overlay.Clone()
+	if _, settled := p.results[ev.id]; !settled {
+		ev.tplus = p.overlay.Clone()
+	}
 	ev.closedAt = telemetry.Now()
 	p.closed = append(p.closed, ev)
 	p.met.eventsClosed.Inc()
@@ -742,22 +747,28 @@ func (p *Processor) runDiagnosis(id string, tplus *probe.Mesh, closedAt time.Tim
 		}
 	}
 	p.results[id] = out
+	if out.errMsg != "" {
+		p.met.eventsFailed.Inc()
+	} else {
+		p.met.eventsDiagnosed.Inc()
+	}
 	p.met.eventLag.Observe(telemetry.Since(closedAt).Nanoseconds())
 	if ev := p.findClosed(id); ev != nil {
 		p.adopt(ev, out)
 	}
 }
 
+// adopt settles an event with its cached outcome. Its T+ mesh is
+// dropped: only a pending event's retry reads it.
 func (p *Processor) adopt(ev *event, out *diagOutcome) {
+	ev.tplus = nil
 	if out.errMsg != "" {
 		ev.status = core.EventFailed
 		ev.errMsg = out.errMsg
-		p.met.eventsFailed.Inc()
 		return
 	}
 	ev.status = core.EventDiagnosed
 	ev.result = out.result
-	p.met.eventsDiagnosed.Inc()
 }
 
 func (p *Processor) findClosed(id string) *event {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -48,7 +49,7 @@ func fig2View(t testing.TB, workers int) (View, *topology.Fig2) {
 		Sensors:  sensors,
 		Prefixes: prefixes,
 		Baseline: n.Mesh(sensors),
-		Net:      n.Fork(),
+		Net:      n,
 		Router: func(ref string) (topology.RouterID, bool) {
 			id, ok := byName[ref]
 			return id, ok
@@ -353,6 +354,63 @@ func TestPendingRetry(t *testing.T) {
 	}
 	if attempts < 2 {
 		t.Fatalf("diagnoser attempts = %d, want >= 2", attempts)
+	}
+}
+
+// TestSettledEventsAfterReset pins what a journal reset does to settled
+// events: re-closing them re-attaches the cached outcomes without
+// counting them again, and no settled event keeps its T+ mesh.
+func TestSettledEventsAfterReset(t *testing.T) {
+	reg := telemetry.New()
+	view, _ := fig2View(t, 1)
+	inner := stubDiagnoser()
+	var (
+		mu    sync.Mutex
+		calls int
+	)
+	p := NewProcessor(Config{View: view, Telemetry: reg,
+		Diagnose: func(id string, tminus, tplus *probe.Mesh) ([]byte, bool, error) {
+			mu.Lock()
+			calls++
+			first := calls == 1
+			mu.Unlock()
+			if first {
+				return nil, false, fmt.Errorf("stub failure")
+			}
+			return inner(id, tminus, tplus)
+		}})
+
+	// Two events with disjoint suspects: one diagnosis fails, one lands.
+	ingestBGP(t, p, bgpLine(1000, BGPWithdrawal, "y3", "y4"))
+	ingestTrace(t, p, traceLines(view.Topo, view.Router, "pr-2", 1500, "s2", "s1", false, "b2", "b1")...)
+	ingestBGP(t, p, bgpLine(20000, BGPKeepalive, "", ""))
+	if evs := quiesce(t, p); len(evs) != 2 {
+		t.Fatalf("got %d events, want 2: %s", len(evs), renderEvents(t, evs))
+	}
+
+	// A keepalive behind the cursor replays the journal from the healthy
+	// base, re-closing both events.
+	ingestBGP(t, p, bgpLine(500, BGPKeepalive, "", ""))
+	quiesce(t, p)
+	if got := reg.Counter("stream.sweep_resets").Value(); got != 1 {
+		t.Fatalf("sweep_resets = %d, want 1", got)
+	}
+	for _, name := range []string{"stream.events_diagnosed", "stream.events_failed"} {
+		if got := reg.Counter(name).Value(); got != 1 {
+			t.Errorf("%s = %d, want 1", name, got)
+		}
+	}
+	mu.Lock()
+	if calls != 2 {
+		t.Errorf("diagnoser ran %d times, want 2", calls)
+	}
+	mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, ev := range p.closed {
+		if ev.tplus != nil {
+			t.Errorf("settled event %s (%s) still holds its T+ mesh", ev.id, ev.status)
+		}
 	}
 }
 

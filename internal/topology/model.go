@@ -225,17 +225,6 @@ func (t *Topology) LinkBetween(a, b RouterID) (*PhysLink, bool) {
 	return nil, false
 }
 
-// ASesOfKind returns the AS numbers of the given kind, in ascending order.
-func (t *Topology) ASesOfKind(k ASKind) []ASN {
-	var out []ASN
-	for _, n := range t.asList {
-		if t.ases[n].Kind == k {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // IntraLinks returns the intra-AS links of the given AS. The returned
 // slice is shared; callers must not modify it.
 func (t *Topology) IntraLinks(n ASN) []*PhysLink {
