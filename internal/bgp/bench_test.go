@@ -22,10 +22,46 @@ func BenchmarkConvergence(b *testing.B) {
 	}
 	up := func(topology.LinkID) bool { return true }
 	ig := igp.New(res.Topo, up)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Compute(Config{Topo: res.Topo, IGP: ig, IsLinkUp: up, Origins: origins}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkConvergedRound measures one synchronous fixpoint round on an
+// already-converged prefix of the research topology: the round that
+// confirms a fixpoint, which every prefix's convergence ends with. It
+// must report no change and allocate nothing (make allocguard).
+func BenchmarkConvergedRound(b *testing.B) {
+	res, err := topology.GenerateResearch(topology.DefaultResearchConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	origins := map[Prefix]topology.ASN{}
+	for i := 0; i < 10; i++ {
+		s := res.Stubs[i*13]
+		origins[PrefixFor(s)] = s
+	}
+	up := func(topology.LinkID) bool { return true }
+	st, err := Compute(Config{Topo: res.Topo, IGP: igp.New(res.Topo, up), IsLinkUp: up, Origins: origins})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := st.prefixes[0]
+	conv := st.per[p]
+	next := &prefixState{
+		best:   make([]*Route, len(conv.best)),
+		adj:    make([]*Route, len(conv.adj)),
+		layout: conv.layout,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if st.stepPrefix(p, origins[p], conv, next) {
+			b.Fatal("a converged prefix changed")
 		}
 	}
 }
@@ -49,7 +85,7 @@ func BenchmarkDecisionProcess(b *testing.B) {
 	p := PrefixFor(f.ASB)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if st.decide(f.R["x1"], p, st.per[p]) == nil {
+		if st.decide(f.R["x1"], p, f.ASB, st.per[p]) == nil {
 			b.Fatal("no route")
 		}
 	}

@@ -21,7 +21,9 @@ package bgp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"netdiag/internal/igp"
 	"netdiag/internal/pool"
@@ -97,7 +99,7 @@ func (m *Metrics) poolMetrics() *pool.Metrics {
 type Prefix string
 
 // PrefixFor returns the canonical prefix name for an origin AS.
-func PrefixFor(as topology.ASN) Prefix { return Prefix(fmt.Sprintf("p%d/24", as)) }
+func PrefixFor(as topology.ASN) Prefix { return Prefix("p" + strconv.Itoa(int(as)) + "/24") }
 
 // Local-preference tiers of the standard Gao–Rexford policy.
 const (
@@ -128,8 +130,11 @@ type Route struct {
 
 // equal reports semantic equality of two routes (fixpoint detection).
 func (r *Route) equal(o *Route) bool {
+	if r == o {
+		return true
+	}
 	if r == nil || o == nil {
-		return r == o
+		return false
 	}
 	if r.Prefix != o.Prefix || r.LocalPref != o.LocalPref ||
 		r.Egress != o.Egress || r.PeerRouter != o.PeerRouter ||
@@ -200,6 +205,9 @@ type session struct {
 	Local  topology.RouterID
 	Remote topology.RouterID
 	Rel    topology.Rel // Local AS's view of Remote's AS
+	// RemoteRel is Remote AS's view of Local's AS: the relationship
+	// Remote's Gao–Rexford export to Local is decided under.
+	RemoteRel topology.Rel
 }
 
 // sessionLayout is the flattened, deterministic index of the live eBGP
@@ -212,6 +220,11 @@ type session struct {
 type sessionLayout struct {
 	start []int // len NumRouters+1
 	flat  []session
+	// ibgp[r] lists the border routers of r's AS: those with an inter-AS
+	// link, live or not. Only they can hold an eBGP-learned best, the one
+	// kind of route decide adopts over iBGP, so they are all of r's iBGP
+	// full mesh that decide needs to read.
+	ibgp [][]topology.RouterID
 }
 
 // of returns router r's live sessions (sorted by Remote).
@@ -403,18 +416,33 @@ func noneDirty(dirty []bool) bool {
 func buildLayout(cfg *Config) *sessionLayout {
 	topo := cfg.Topo
 	byRouter := make([][]session, topo.NumRouters())
+	border := make([]bool, topo.NumRouters())
 	for _, l := range topo.Links() {
-		if l.Kind != topology.Inter || !cfg.IsLinkUp(l.ID) {
+		if l.Kind != topology.Inter {
 			continue
 		}
-		if !cfg.IsRouterUp(l.A) || !cfg.IsRouterUp(l.B) {
+		border[l.A], border[l.B] = true, true
+		if !cfg.IsLinkUp(l.ID) || !cfg.IsRouterUp(l.A) || !cfg.IsRouterUp(l.B) {
 			continue
 		}
 		asA, asB := topo.RouterAS(l.A), topo.RouterAS(l.B)
-		byRouter[l.A] = append(byRouter[l.A], session{Local: l.A, Remote: l.B, Rel: topo.Rel(asA, asB)})
-		byRouter[l.B] = append(byRouter[l.B], session{Local: l.B, Remote: l.A, Rel: topo.Rel(asB, asA)})
+		relAB, relBA := topo.Rel(asA, asB), topo.Rel(asB, asA)
+		byRouter[l.A] = append(byRouter[l.A], session{Local: l.A, Remote: l.B, Rel: relAB, RemoteRel: relBA})
+		byRouter[l.B] = append(byRouter[l.B], session{Local: l.B, Remote: l.A, Rel: relBA, RemoteRel: relAB})
 	}
-	ly := &sessionLayout{start: make([]int, topo.NumRouters()+1)}
+	ly := &sessionLayout{start: make([]int, topo.NumRouters()+1), ibgp: make([][]topology.RouterID, topo.NumRouters())}
+	borders := make([]topology.RouterID, 0, topo.NumRouters())
+	for _, asn := range topo.ASNumbers() {
+		routers, from := topo.AS(asn).Routers, len(borders)
+		for _, r := range routers {
+			if border[r] {
+				borders = append(borders, r)
+			}
+		}
+		for _, r := range routers {
+			ly.ibgp[r] = borders[from:len(borders):len(borders)]
+		}
+	}
 	for r, ss := range byRouter {
 		// Deterministic order for reproducible tie-breaking paths.
 		sort.Slice(ss, func(i, j int) bool { return ss[i].Remote < ss[j].Remote })
@@ -433,7 +461,10 @@ func buildLayout(cfg *Config) *sessionLayout {
 //
 // The two prefixStates double-buffer the iteration: each round reads one
 // and overwrites every slot of the other, so the per-round map and slice
-// churn of the hot loop collapses to two allocations per fixpoint.
+// churn of the hot loop collapses to two allocations per fixpoint. Routes
+// are immutable and shared between rounds: a round allocates a route only
+// where it differs from the previous round's, so a round that confirms the
+// fixpoint allocates nothing.
 func (s *State) convergePrefix(ctx context.Context, p Prefix, maxRounds int, seed *prefixState) (*prefixState, error) {
 	nr := s.cfg.Topo.NumRouters()
 	cur := &prefixState{best: make([]*Route, nr), adj: make([]*Route, len(s.layout.flat)), layout: s.layout}
@@ -444,11 +475,12 @@ func (s *State) convergePrefix(ctx context.Context, p Prefix, maxRounds int, see
 			cur.adj[i] = seed.adjAt(e.Local, e.Remote)
 		}
 	}
+	origin := s.cfg.Origins[p]
 	for rounds := 1; rounds <= maxRounds; rounds++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if !s.stepPrefix(p, cur, next) {
+		if !s.stepPrefix(p, origin, cur, next) {
 			next.rounds = rounds
 			return next, nil
 		}
@@ -457,11 +489,13 @@ func (s *State) convergePrefix(ctx context.Context, p Prefix, maxRounds int, see
 	return nil, fmt.Errorf("bgp: prefix %s: no convergence after %d rounds", p, maxRounds)
 }
 
-// stepPrefix runs one synchronous round for one prefix: recompute every
-// router's best route from the previous round's state (prev), then
-// recompute every Adj-RIB-In slot from the new bests, writing into next.
-// It reports whether anything changed.
-func (s *State) stepPrefix(p Prefix, prev, next *prefixState) bool {
+// stepPrefix runs one synchronous round for prefix p, which AS origin
+// originates: recompute every router's best route from the previous
+// round's state (prev), then recompute every Adj-RIB-In slot from the new
+// bests, writing into next. It reports whether anything changed. Every
+// entry that did not change is prev's route itself, so change detection
+// is mostly a pointer comparison.
+func (s *State) stepPrefix(p Prefix, origin topology.ASN, prev, next *prefixState) bool {
 	topo := s.cfg.Topo
 	changed := false
 
@@ -474,7 +508,7 @@ func (s *State) stepPrefix(p Prefix, prev, next *prefixState) bool {
 			}
 			continue
 		}
-		next.best[r] = s.decide(r, p, prev)
+		next.best[r] = s.decide(r, p, origin, prev)
 		if !changed && !next.best[r].equal(prev.best[r]) {
 			changed = true
 		}
@@ -484,8 +518,7 @@ func (s *State) stepPrefix(p Prefix, prev, next *prefixState) bool {
 	// synchronous round: best pass first, then Adj-RIB-Ins from the new
 	// bests. export only reads .best, so the half-filled next.adj is fine.
 	for i, e := range s.layout.flat {
-		// The route e.Local receives FROM e.Remote: Remote's export.
-		in := s.export(e.Remote, e.Local, p, next)
+		in := s.export(e, p, next, prev.adj[i])
 		next.adj[i] = in
 		if !changed && !in.equal(prev.adj[i]) {
 			changed = true
@@ -494,21 +527,26 @@ func (s *State) stepPrefix(p Prefix, prev, next *prefixState) bool {
 	return changed
 }
 
-// export computes the route router `from` advertises to eBGP neighbor `to`
-// for prefix p under Gao–Rexford policy and the active export filters, or
-// nil when nothing is advertised.
-func (s *State) export(from, to topology.RouterID, p Prefix, ps *prefixState) *Route {
-	topo := s.cfg.Topo
+// export computes the route session e's Local receives from its Remote
+// for prefix p — Remote's advertisement under Gao–Rexford policy and the
+// active export filters — reading Remote's best from ps; nil means
+// nothing is advertised. When the advertisement equals prevIn, the
+// slot's route of the previous round, prevIn itself is returned.
+func (s *State) export(e session, p Prefix, ps *prefixState, prevIn *Route) *Route {
+	from := e.Remote
 	b := ps.best[from]
 	if b == nil {
 		return nil
 	}
-	fromAS, toAS := topo.RouterAS(from), topo.RouterAS(to)
-	if !s.exportAllowed(b, topo.Rel(fromAS, toAS)) {
+	if !s.exportAllowed(b, e.RemoteRel) {
 		return nil
 	}
-	if s.filtered(from, to, p) {
+	if s.filtered(from, e.Local, p) {
 		return nil
+	}
+	fromAS := s.cfg.Topo.RouterAS(from)
+	if prevIn.advertises(p, from, fromAS, b.ASPath) {
+		return prevIn
 	}
 	return &Route{
 		Prefix:     p,
@@ -516,6 +554,15 @@ func (s *State) export(from, to topology.RouterID, p Prefix, ps *prefixState) *R
 		Egress:     from, // meaningful to the receiver as "came from"
 		PeerRouter: from,
 	}
+}
+
+// advertises reports whether r equals the route export builds for
+// prefix p from router from in AS fromAS, whose best route has AS path
+// tail.
+func (r *Route) advertises(p Prefix, from topology.RouterID, fromAS topology.ASN, tail []topology.ASN) bool {
+	return r != nil && r.Prefix == p && r.LocalPref == 0 && !r.Local && !r.viaIBGP &&
+		r.Egress == from && r.PeerRouter == from &&
+		len(r.ASPath) == len(tail)+1 && r.ASPath[0] == fromAS && slices.Equal(r.ASPath[1:], tail)
 }
 
 // exportAllowed implements Gao–Rexford: own and customer routes go to
@@ -539,22 +586,21 @@ func (s *State) filtered(from, to topology.RouterID, p Prefix) bool {
 	return false
 }
 
-// decide runs the BGP decision process at router r for prefix p over the
-// previous round's Adj-RIB-Ins and iBGP-learned bests.
-func (s *State) decide(r topology.RouterID, p Prefix, ps *prefixState) *Route {
+// decide runs the BGP decision process at router r for prefix p, which
+// AS origin originates, over the previous round's Adj-RIB-Ins and
+// iBGP-learned bests in ps. Candidates are compared as stack values, and
+// when the winner equals ps.best[r], r's best of the previous round, that
+// route is returned instead of a new one.
+func (s *State) decide(r topology.RouterID, p Prefix, origin topology.ASN, ps *prefixState) *Route {
 	topo := s.cfg.Topo
 	asn := topo.RouterAS(r)
 
-	var best *Route
-	consider := func(c *Route) {
-		if c != nil && s.better(r, c, best) {
-			best = c
-		}
-	}
+	var best, c Route
+	found := false
 
 	// Locally originated.
-	if s.cfg.Origins[p] == asn {
-		consider(&Route{Prefix: p, LocalPref: prefLocal, Egress: r, Local: true})
+	if origin == asn {
+		best, found = Route{Prefix: p, LocalPref: prefLocal, Egress: r, Local: true}, true
 	}
 
 	// eBGP: routes in Adj-RIB-In from live sessions. The fixpoint always
@@ -566,36 +612,45 @@ func (s *State) decide(r topology.RouterID, p Prefix, ps *prefixState) *Route {
 		if adv == nil || adv.hasAS(asn) {
 			continue
 		}
-		consider(&Route{
+		c = Route{
 			Prefix:     p,
 			ASPath:     adv.ASPath,
 			LocalPref:  prefForRel(e.Rel),
 			Egress:     r,
 			PeerRouter: e.Remote,
-		})
+		}
+		if !found || s.better(r, &c, &best) {
+			best, found = c, true
+		}
 	}
 
-	// iBGP full mesh: adopt same-AS border routers' eBGP/local bests,
-	// subject to IGP reachability of the egress.
-	for _, peer := range topo.AS(asn).Routers {
-		if peer == r || !s.cfg.IsRouterUp(peer) {
-			continue
-		}
+	// iBGP full mesh: adopt same-AS border routers' eBGP bests, subject
+	// to IGP reachability of the egress.
+	for _, peer := range s.layout.ibgp[r] {
 		pb := ps.best[peer]
-		if pb == nil || pb.viaIBGP || pb.Local {
+		if peer == r || pb == nil || pb.viaIBGP || pb.Local {
 			// iBGP-learned routes are not re-advertised over iBGP;
 			// local origination is known to every router already.
 			continue
 		}
-		if !s.cfg.IGP.Reachable(r, pb.Egress) {
+		if !s.cfg.IsRouterUp(peer) || !s.cfg.IGP.Reachable(r, pb.Egress) {
 			continue
 		}
-		c := *pb
+		c = *pb
 		c.viaIBGP = true
-		consider(&c)
+		if !found || s.better(r, &c, &best) {
+			best, found = c, true
+		}
 	}
 
-	return best
+	if !found {
+		return nil
+	}
+	if prev := ps.best[r]; best.equal(prev) {
+		return prev
+	}
+	out := best
+	return &out
 }
 
 func prefForRel(rel topology.Rel) int {

@@ -7,6 +7,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"netdiag/internal/bgp"
@@ -42,28 +43,89 @@ func meshPaths(mesh *probe.Mesh, tag string, lookup func(string) (topology.ASN, 
 	var out []*core.TracePath
 	for i := range mesh.Paths {
 		for j, p := range mesh.Paths[i] {
-			if p == nil {
-				continue
+			if p != nil {
+				out = append(out, adaptPath(p, i, j, tag, lookup))
 			}
-			tp := &core.TracePath{SrcSensor: i, DstSensor: j, OK: p.OK}
-			for k, h := range p.Hops {
-				as, known := h.AS, true
-				if lookup != nil && !h.Unidentified {
-					as, known = lookup(h.Addr)
-				}
-				if h.Unidentified || !known {
-					tp.Hops = append(tp.Hops, core.Hop{
-						Node:         core.Node(fmt.Sprintf("*%s:%d:%d:%d", tag, i, j, k)),
-						Unidentified: true,
-					})
-					continue
-				}
-				tp.Hops = append(tp.Hops, core.Hop{Node: core.Node(h.Addr), AS: as})
-			}
-			out = append(out, tp)
 		}
 	}
 	return out
+}
+
+// adaptPath converts the traceroute of sensor pair (i, j) of the mesh
+// tagged tag ("b" for T−, "a" for T+), which names its unidentified hops.
+func adaptPath(p *probe.Path, i, j int, tag string, lookup func(string) (topology.ASN, bool)) *core.TracePath {
+	tp := &core.TracePath{SrcSensor: i, DstSensor: j, OK: p.OK}
+	if len(p.Hops) > 0 {
+		tp.Hops = make([]core.Hop, 0, len(p.Hops))
+	}
+	for k, h := range p.Hops {
+		as, known := h.AS, true
+		if lookup != nil && !h.Unidentified {
+			as, known = lookup(h.Addr)
+		}
+		if h.Unidentified || !known {
+			tp.Hops = append(tp.Hops, core.Hop{
+				Node:         core.Node(fmt.Sprintf("*%s:%d:%d:%d", tag, i, j, k)),
+				Unidentified: true,
+			})
+			continue
+		}
+		tp.Hops = append(tp.Hops, core.Hop{Node: core.Node(h.Addr), AS: as})
+	}
+	return tp
+}
+
+// MeasurementsAfter returns the diagnosis input for after, a post-failure
+// mesh over e.Sensors: the value ToMeasurementsMapped(e.BeforeMesh,
+// after, e.IP2AS.Lookup) returns, without adapting T− again. Before is the
+// adaptation WrapEnv made, shared read-only by every caller. A T+ path
+// whose outcome and probe hops equal its T− path's is the adapted T−
+// path itself, unless that has an unidentified hop, whose placeholder
+// name differs between T− and T+.
+func (e *Env) MeasurementsAfter(after *probe.Mesh) *core.Measurements {
+	m := &core.Measurements{NumSensors: len(e.BeforeMesh.Sensors), Before: e.before}
+	for i := range after.Paths {
+		for j, p := range after.Paths[i] {
+			if p == nil {
+				continue
+			}
+			tp := e.unchanged(i, j, p)
+			if tp == nil {
+				tp = adaptPath(p, i, j, "a", e.IP2AS.Lookup)
+			}
+			m.After = append(m.After, tp)
+		}
+	}
+	return m
+}
+
+// unchanged returns the adapted T− path of pair (i, j) when p, its T+
+// path, can share it, and nil otherwise.
+func (e *Env) unchanged(i, j int, p *probe.Path) *core.TracePath {
+	if i >= len(e.reuse) || j >= len(e.reuse[i]) || e.reuse[i][j] == nil {
+		return nil
+	}
+	if bp := e.BeforeMesh.Paths[i][j]; p.OK != bp.OK || !slices.Equal(p.Hops, bp.Hops) {
+		return nil
+	}
+	return e.reuse[i][j]
+}
+
+// adaptBefore adapts the T− mesh once (see MeasurementsAfter): before
+// holds every path in ToMeasurementsMapped's order, clipped so an append
+// by a caller copies instead of writing into the shared array, and
+// reuse[i][j] holds pair (i, j)'s path when it has no unidentified hop.
+func (e *Env) adaptBefore() {
+	e.before = slices.Clip(meshPaths(e.BeforeMesh, "b", e.IP2AS.Lookup))
+	e.reuse = make([][]*core.TracePath, len(e.BeforeMesh.Paths))
+	for i, row := range e.BeforeMesh.Paths {
+		e.reuse[i] = make([]*core.TracePath, len(row))
+	}
+	for _, tp := range e.before {
+		if !slices.ContainsFunc(tp.Hops, func(h core.Hop) bool { return h.Unidentified }) {
+			e.reuse[tp.SrcSensor][tp.DstSensor] = tp
+		}
+	}
 }
 
 // ProbedLinks extracts the directed physical probed-link universe E from

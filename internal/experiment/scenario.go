@@ -68,6 +68,11 @@ type Env struct {
 	// IP2AS is the troubleshooter's IP-to-AS table built from the
 	// announced address space (§3.1).
 	IP2AS *ip2as.Table
+
+	// before is BeforeMesh adapted through IP2AS and reuse indexes it by
+	// sensor pair (see adaptBefore and MeasurementsAfter).
+	before []*core.TracePath
+	reuse  [][]*core.TracePath
 }
 
 // PlaceSensors picks sensor routers for a placement strategy. It returns
@@ -176,7 +181,8 @@ func NewEnv(topo *topology.Topology, sensors []topology.RouterID, netOpts ...net
 
 // WrapEnv builds the Env of an already-converged network from its
 // measured healthy mesh and IP-to-AS table, as a decoded warm snapshot
-// carries them, without converging or probing again.
+// carries them, without converging or probing again. It adapts the mesh
+// through the table once, for every MeasurementsAfter to share.
 func WrapEnv(net *netsim.Network, sensors []topology.RouterID, mesh *probe.Mesh, table *ip2as.Table) *Env {
 	topo := net.Topology()
 	env := &Env{
@@ -194,6 +200,7 @@ func WrapEnv(net *netsim.Network, sensors []topology.RouterID, mesh *probe.Mesh,
 		env.SensorASes[i] = topo.RouterAS(s)
 		env.Prefixes[i] = bgp.PrefixFor(env.SensorASes[i])
 	}
+	env.adaptBefore()
 	seen := map[topology.LinkID]bool{}
 	for _, l := range env.E {
 		ra, okA := topo.RouterByAddr(string(l.From))
@@ -332,13 +339,11 @@ func (e *Env) RunTrial(f Fault, asx topology.ASN, blocked map[topology.ASN]bool,
 	if !afterMesh.AnyFailed() {
 		return nil, ErrNoImpact
 	}
-	bm, am := e.BeforeMesh, afterMesh
+	td := &TrialData{AfterMesh: afterMesh}
 	if len(blocked) > 0 {
-		bm, am = bm.Mask(blocked), am.Mask(blocked)
-	}
-	td := &TrialData{
-		Meas:      ToMeasurementsMapped(bm, am, e.IP2AS.Lookup),
-		AfterMesh: afterMesh,
+		td.Meas = ToMeasurementsMapped(e.BeforeMesh.Mask(blocked), afterMesh.Mask(blocked), e.IP2AS.Lookup)
+	} else {
+		td.Meas = e.MeasurementsAfter(afterMesh)
 	}
 	td.Routing = e.RoutingInfo(net, asx)
 	td.LG = e.LookingGlass(net, asx, lgAvail)

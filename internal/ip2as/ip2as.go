@@ -71,10 +71,11 @@ func (t *Table) insert(ip uint32, bits int, as topology.ASN) {
 	cur.set = true
 }
 
-// Lookup returns the AS owning the longest matching prefix for addr.
+// Lookup returns the AS owning the longest matching prefix for addr. A
+// hit allocates nothing.
 func (t *Table) Lookup(addr string) (topology.ASN, bool) {
-	ip, err := parseIPv4(addr)
-	if err != nil {
+	ip, ok := parseQuad(addr)
+	if !ok {
 		return 0, false
 	}
 	var best topology.ASN
@@ -94,19 +95,32 @@ func (t *Table) Lookup(addr string) (topology.ASN, bool) {
 
 // parseIPv4 converts dotted-quad notation to a uint32.
 func parseIPv4(s string) (uint32, error) {
-	var ip uint32
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
+	ip, ok := parseQuad(s)
+	if !ok {
 		return 0, fmt.Errorf("ip2as: %q is not an IPv4 address", s)
 	}
-	for _, p := range parts {
-		v, err := strconv.Atoi(p)
+	return ip, nil
+}
+
+// parseQuad parses exactly four dot-separated fields, each of which
+// strconv.Atoi reads as 0..255, without allocating on success.
+func parseQuad(s string) (uint32, bool) {
+	var ip uint32
+	rest := s
+	for i := 0; i < 4; i++ {
+		field, tail, found := strings.Cut(rest, ".")
+		if found == (i == 3) {
+			// Fewer or more than four fields.
+			return 0, false
+		}
+		v, err := strconv.Atoi(field)
 		if err != nil || v < 0 || v > 255 {
-			return 0, fmt.Errorf("ip2as: %q is not an IPv4 address", s)
+			return 0, false
 		}
 		ip = ip<<8 | uint32(v)
+		rest = tail
 	}
-	return ip, nil
+	return ip, true
 }
 
 // Entry is one prefix-to-AS mapping of a Table in numeric form: the

@@ -1,6 +1,8 @@
 package ip2as
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -111,6 +113,81 @@ func TestParseRoundtripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// splitQuad is the strings.Split + strconv.Atoi parser parseQuad
+// replaced, kept as the reference for which inputs are addresses.
+func splitQuad(s string) (uint32, bool) {
+	var ip uint32
+	parts := strings.Split(s, ".")
+	if len(parts) != 4 {
+		return 0, false
+	}
+	for _, p := range parts {
+		v, err := strconv.Atoi(p)
+		if err != nil || v < 0 || v > 255 {
+			return 0, false
+		}
+		ip = ip<<8 | uint32(v)
+	}
+	return ip, true
+}
+
+// TestParseQuadMatchesSplit pins parseQuad to the Split-based parser on
+// edge cases and on random strings over the address alphabet.
+func TestParseQuadMatchesSplit(t *testing.T) {
+	check := func(s string) {
+		t.Helper()
+		gi, gok := parseQuad(s)
+		wi, wok := splitQuad(s)
+		if gi != wi || gok != wok {
+			t.Fatalf("parseQuad(%q) = %d,%v; Split parser %d,%v", s, gi, gok, wi, wok)
+		}
+	}
+	for _, s := range []string{
+		"", ".", "...", "....", "1.2.3", "1.2.3.4", "1.2.3.4.", ".1.2.3", "1..2.3",
+		"1.2.3.4.5", "0.0.0.0", "255.255.255.255", "256.1.1.1", "1.1.1.256",
+		"+1.2.3.4", "-0.1.2.3", "-1.2.3.4", "01.002.0003.255", "1.2.3.+255",
+		" 1.2.3.4", "1.2.3.4 ", "1.2.3.0x1", "10.0.0.1/24", "not-an-ip",
+		"99999999999999999999.1.1.1",
+	} {
+		check(s)
+	}
+	const alphabet = "0123456789.+-x "
+	f := func(picks []uint8) bool {
+		var b strings.Builder
+		for _, p := range picks {
+			b.WriteByte(alphabet[int(p)%len(alphabet)])
+		}
+		gi, gok := parseQuad(b.String())
+		wi, wok := splitQuad(b.String())
+		return gi == wi && gok == wok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkLookup measures one table hit on a research-topology router
+// address, the per-hop cost of adapting a traceroute. It must allocate
+// nothing (make allocguard).
+func BenchmarkLookup(b *testing.B) {
+	res, err := topology.GenerateResearch(topology.DefaultResearchConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tb, err := FromTopology(res.Topo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := res.Topo.Router(topology.RouterID(res.Topo.NumRouters() / 2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if as, ok := tb.Lookup(r.Addr); !ok || as != r.AS {
+			b.Fatalf("Lookup(%s) = AS%d,%v; want AS%d", r.Addr, as, ok, r.AS)
+		}
 	}
 }
 

@@ -28,9 +28,26 @@ func benchNetwork(b *testing.B) (*Network, []topology.RouterID) {
 	return n, sensors
 }
 
+// BenchmarkForward measures one forwarding step of a traceroute: the
+// BGP best-route lookup and IGP next hop at the source sensor towards
+// another stub AS. It must allocate nothing (make allocguard).
+func BenchmarkForward(b *testing.B) {
+	n, sensors := benchNetwork(b)
+	src, dst := sensors[0], sensors[9]
+	pfx := bgp.PrefixFor(n.Topology().RouterAS(dst))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := n.forward(src, dst, pfx); !ok {
+			b.Fatal("blackhole")
+		}
+	}
+}
+
 // BenchmarkTraceroute measures one forwarding walk across the internet.
 func BenchmarkTraceroute(b *testing.B) {
 	n, sensors := benchNetwork(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !n.Traceroute(sensors[0], sensors[9]).OK {
@@ -43,6 +60,7 @@ func BenchmarkTraceroute(b *testing.B) {
 // sensors perform each period.
 func BenchmarkFullMesh(b *testing.B) {
 	n, sensors := benchNetwork(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if n.Mesh(sensors).AnyFailed() {
@@ -56,6 +74,7 @@ func BenchmarkFullMesh(b *testing.B) {
 func BenchmarkFailureTrial(b *testing.B) {
 	n, sensors := benchNetwork(b)
 	link := n.Topology().Links()[0].ID
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fork := n.Fork()
@@ -211,6 +230,7 @@ func BenchmarkReconvergeIncremental(b *testing.B) {
 			base := sc.build(b, true)
 			reconvergeOnce(b, base, sc.fault)
 			var dirty, skipped int
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f := base.Fork()

@@ -8,6 +8,7 @@ package netsim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -507,15 +508,14 @@ func (n *Network) reconvergeCtx(ctx context.Context, d *reconvergeDelta) error {
 func (n *Network) Converged() bool { return n.converged }
 
 // forward computes the next hop from cur towards destination router dst,
-// or ok=false on a blackhole.
+// whose AS originates prefix p, or ok=false on a blackhole.
 //
 //ndlint:hotpath
-func (n *Network) forward(cur, dst topology.RouterID) (topology.RouterID, bool) {
+func (n *Network) forward(cur, dst topology.RouterID, p bgp.Prefix) (topology.RouterID, bool) {
 	topo := n.topo
 	if topo.RouterAS(cur) == topo.RouterAS(dst) {
 		return n.igp.NextHop(cur, dst)
 	}
-	p := bgp.PrefixFor(topo.RouterAS(dst))
 	rt, ok := n.bgp.Best(cur, p)
 	if !ok {
 		return 0, false
@@ -533,36 +533,42 @@ func (n *Network) Traceroute(src, dst topology.RouterID) *probe.Path {
 	if !n.converged {
 		panic("netsim: Traceroute on unconverged network")
 	}
-	p := &probe.Path{Src: src, Dst: dst}
+	// The walk appends to a stack buffer that the longest walk fits in, so
+	// the path's hops are allocated once, at their final length.
+	var buf [MaxTTL + 1]probe.Hop
+	hops, ok := n.trace(buf[:0], src, dst)
+	return &probe.Path{Src: src, Dst: dst, Hops: slices.Clone(hops), OK: ok}
+}
+
+// trace appends the hops of the forwarding walk from src to dst to hops
+// and reports whether the walk reached dst.
+func (n *Network) trace(hops []probe.Hop, src, dst topology.RouterID) ([]probe.Hop, bool) {
+	hops = append(hops, n.hop(src))
 	if !n.routerUp[src] || !n.routerUp[dst] {
-		p.Hops = append(p.Hops, n.hop(src))
-		return p
+		return hops, false
 	}
-	visited := map[topology.RouterID]bool{}
+	pfx := bgp.PrefixFor(n.topo.RouterAS(dst))
 	cur := src
-	p.Hops = append(p.Hops, n.hop(cur))
 	for ttl := 0; ttl < MaxTTL; ttl++ {
 		if cur == dst {
-			p.OK = true
-			return p
+			return hops, true
 		}
-		if visited[cur] {
-			return p // forwarding loop: path fails
+		if walked(hops, cur) {
+			return hops, false // forwarding loop: path fails
 		}
-		visited[cur] = true
-		next, ok := n.forward(cur, dst)
+		next, ok := n.forward(cur, dst, pfx)
 		if !ok || !n.routerUp[next] {
-			return p // blackhole
+			return hops, false // blackhole
 		}
 		if l, ok := n.topo.LinkBetween(cur, next); !ok || !n.LinkIsUp(l.ID) {
 			// The control plane points at a dead link (stale route):
 			// traffic is dropped here.
-			return p
+			return hops, false
 		}
 		cur = next
-		p.Hops = append(p.Hops, n.hop(cur))
+		hops = append(hops, n.hop(cur))
 	}
-	return p
+	return hops, false
 }
 
 //ndlint:hotpath
@@ -571,15 +577,27 @@ func (n *Network) hop(r topology.RouterID) probe.Hop {
 	return probe.Hop{Addr: rt.Addr, Router: r, AS: rt.AS}
 }
 
-// forwardAll returns every next hop cur may use towards dst under ECMP:
-// the full equal-cost next-hop set inside an AS, the single eBGP handoff
-// at a border. It returns nil on a blackhole.
-func (n *Network) forwardAll(cur, dst topology.RouterID) []topology.RouterID {
+// walked reports whether the walk whose hops so far are hops (ending at
+// cur) has already forwarded from cur: a forwarding loop. A walk has at
+// most MaxTTL+1 hops, so scanning it beats keeping a visited set.
+func walked(hops []probe.Hop, cur topology.RouterID) bool {
+	for _, h := range hops[:len(hops)-1] {
+		if h.Router == cur {
+			return true
+		}
+	}
+	return false
+}
+
+// forwardAll returns every next hop cur may use towards dst, whose AS
+// originates prefix p, under ECMP: the full equal-cost next-hop set
+// inside an AS, the single eBGP handoff at a border. It returns nil on a
+// blackhole.
+func (n *Network) forwardAll(cur, dst topology.RouterID, p bgp.Prefix) []topology.RouterID {
 	topo := n.topo
 	if topo.RouterAS(cur) == topo.RouterAS(dst) {
 		return n.igp.NextHops(cur, dst)
 	}
-	p := bgp.PrefixFor(topo.RouterAS(dst))
 	rt, ok := n.bgp.Best(cur, p)
 	if !ok {
 		return nil
@@ -606,8 +624,9 @@ func (n *Network) AllPaths(src, dst topology.RouterID, limit int) []*probe.Path 
 	if !n.routerUp[src] || !n.routerUp[dst] {
 		return nil
 	}
-	var walk func(cur topology.RouterID, hops []probe.Hop, visited map[topology.RouterID]bool)
-	walk = func(cur topology.RouterID, hops []probe.Hop, visited map[topology.RouterID]bool) {
+	pfx := bgp.PrefixFor(n.topo.RouterAS(dst))
+	var walk func(cur topology.RouterID, hops []probe.Hop)
+	walk = func(cur topology.RouterID, hops []probe.Hop) {
 		if len(out) >= limit {
 			return
 		}
@@ -617,22 +636,20 @@ func (n *Network) AllPaths(src, dst topology.RouterID, limit int) []*probe.Path 
 			out = append(out, p)
 			return
 		}
-		if visited[cur] || len(hops) > MaxTTL {
+		if len(hops) > MaxTTL || walked(hops, cur) {
 			return
 		}
-		visited[cur] = true
-		defer delete(visited, cur)
-		for _, next := range n.forwardAll(cur, dst) {
+		for _, next := range n.forwardAll(cur, dst, pfx) {
 			if !n.routerUp[next] {
 				continue
 			}
 			if l, ok := n.topo.LinkBetween(cur, next); !ok || !n.LinkIsUp(l.ID) {
 				continue
 			}
-			walk(next, append(hops, n.hop(next)), visited)
+			walk(next, append(hops, n.hop(next)))
 		}
 	}
-	walk(src, []probe.Hop{n.hop(src)}, map[topology.RouterID]bool{})
+	walk(src, []probe.Hop{n.hop(src)})
 	return out
 }
 

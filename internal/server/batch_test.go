@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"netdiag/internal/telemetry"
@@ -76,6 +77,70 @@ func TestBatchMatchesSequential(t *testing.T) {
 	waitCounter(t, reg, "pool.queue_executed", 1+4)
 	if got := reg.Snapshot().Counters["pool.queue_executed"]; got != 1+4 {
 		t.Errorf("queue executed %d jobs, want 5 (1 batch + 4 singles)", got)
+	}
+}
+
+// TestBatchRepeatedItemsShareBaseline runs concurrent batches of repeated
+// items on one snapshot. Every item's measurements share the snapshot's
+// adapted T− paths read-only, so under -race this is the data-race audit
+// of that sharing; every slot must still carry the single endpoint's
+// bytes.
+func TestBatchRepeatedItemsShareBaseline(t *testing.T) {
+	s := New(Config{Workers: 4, Parallelism: 2})
+	defer s.Close()
+	if err := s.WarmAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	items := []string{`{"fail_links":[["b1","b2"]]}`, `{"fail_links":[["y3","y4"]]}`}
+	golden := make([]string, len(items))
+	for i, item := range items {
+		w := post(t, s.Handler(),
+			fmt.Sprintf(`{"scenario":"fig2","algorithm":"nd-edge",%s}`, strings.TrimPrefix(item, "{")))
+		if w.Code != http.StatusOK {
+			t.Fatalf("single %d: %d: %s", i, w.Code, w.Body.String())
+		}
+		golden[i] = strings.TrimSuffix(w.Body.String(), "\n")
+	}
+
+	// Batch g repeats the items g+2 times, so no two batches coalesce.
+	const batches = 4
+	errs := make(chan error, batches)
+	var wg sync.WaitGroup
+	for g := 0; g < batches; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var list []string
+			for r := 0; r < g+2; r++ {
+				list = append(list, items...)
+			}
+			w := postBatch(t, s.Handler(),
+				fmt.Sprintf(`{"scenario":"fig2","algorithm":"nd-edge","items":[%s]}`, strings.Join(list, ",")))
+			if w.Code != http.StatusOK {
+				errs <- fmt.Errorf("batch %d: %d: %s", g, w.Code, w.Body.String())
+				return
+			}
+			var resp BatchResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				errs <- fmt.Errorf("batch %d: decoding: %v", g, err)
+				return
+			}
+			if len(resp.Results) != len(list) {
+				errs <- fmt.Errorf("batch %d: %d results for %d items", g, len(resp.Results), len(list))
+				return
+			}
+			for k, slot := range resp.Results {
+				if slot.Status != http.StatusOK || string(slot.Body) != golden[k%len(items)] {
+					errs <- fmt.Errorf("batch %d slot %d: status %d, bytes differ from the single response", g, k, slot.Status)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -44,6 +44,7 @@ func BenchmarkServerDiagnoseWarm(b *testing.B) {
 	if code := benchPost(s.Handler()); code != http.StatusOK {
 		b.Fatalf("status %d", code)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if code := benchPost(s.Handler()); code != http.StatusOK {

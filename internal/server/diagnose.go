@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"netdiag"
-	"netdiag/internal/experiment"
 	"netdiag/internal/netsim"
 	"netdiag/internal/telemetry"
 )
@@ -124,9 +123,11 @@ func applyFaults(snap *Snapshot, fork *netsim.Network, links [][2]string, router
 }
 
 // diagnoseFork reconverges a faulted fork, measures the post-failure mesh,
-// runs the selected algorithm and renders the wire bytes. The single and
-// batch endpoints share this path, which is what makes a batch slot
-// byte-identical to the equivalent standalone response.
+// adapts it (with AS-X's routing info and Looking Glass where the
+// algorithm reads them), runs the selected algorithm and renders the wire
+// bytes, one trace span per step. The single and batch endpoints share
+// this path, which is what makes a batch slot byte-identical to the
+// equivalent standalone response.
 func (s *Server) diagnoseFork(ctx context.Context, snap *Snapshot, fork *netsim.Network, algo netdiag.Algorithm) ([]byte, error) {
 	tr := telemetry.TraceFromContext(ctx)
 	endSpan := tr.StartSpan("reconverge")
@@ -141,8 +142,8 @@ func (s *Server) diagnoseFork(ctx context.Context, snap *Snapshot, fork *netsim.
 	if err != nil {
 		return nil, err
 	}
-	meas := experiment.ToMeasurementsMapped(snap.BeforeMesh, after, snap.IP2AS.Lookup)
-
+	endSpan = tr.StartSpan("adapt")
+	meas := snap.MeasurementsAfter(after)
 	opts := []netdiag.DiagnoserOption{
 		netdiag.WithAlgorithm(algo),
 		netdiag.WithParallelism(s.par),
@@ -155,6 +156,7 @@ func (s *Server) diagnoseFork(ctx context.Context, snap *Snapshot, fork *netsim.
 	if algo == netdiag.NDLGAlgo {
 		opts = append(opts, netdiag.WithLookingGlass(snap.LookingGlass(fork, asx, nil)))
 	}
+	endSpan()
 	endSpan = tr.StartSpan("diagnose")
 	res, err := netdiag.New(opts...).Diagnose(ctx, meas)
 	endSpan()

@@ -88,7 +88,7 @@ func TestTracePropagationAcrossFleet(t *testing.T) {
 		t.Errorf("worker trace record = %+v, want op=diagnose scenario=fig2 algorithm=nd-edge status=200", rec)
 	}
 	names := spanNames(rec)
-	for _, want := range []string{"admission_wait", "fork", "diagnose", "encode"} {
+	for _, want := range []string{"admission_wait", "fork", "reconverge", "mesh", "adapt", "diagnose", "encode"} {
 		if names[want] == 0 {
 			t.Errorf("worker trace missing span %q (spans: %v)", want, names)
 		}

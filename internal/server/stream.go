@@ -9,7 +9,6 @@ import (
 
 	"netdiag"
 	"netdiag/internal/core"
-	"netdiag/internal/experiment"
 	"netdiag/internal/probe"
 	"netdiag/internal/stream"
 	"netdiag/internal/telemetry"
@@ -84,14 +83,14 @@ func (s *Server) processor(name string) *stream.Processor {
 // with tracing on or off. A shed reports retry=true and the processor
 // parks the event as pending.
 func (s *Server) streamDiagnoser(scenarioName string) stream.Diagnoser {
-	return func(eventID string, tminus, tplus *probe.Mesh) ([]byte, bool, error) {
+	return func(eventID string, _, tplus *probe.Mesh) ([]byte, bool, error) {
 		if s.draining.Load() {
 			return nil, false, errDraining
 		}
 		key := "event|" + scenarioName + "|" + netdiag.NDEdgeAlgo.Slug() + "|" + eventID
 		f, _, ok := s.enqueue(key, telemetry.NewRequestTrace(eventID), s.requestTimeout,
 			func(ctx context.Context) ([]byte, error) {
-				return s.diagnoseEvent(ctx, scenarioName, tminus, tplus)
+				return s.diagnoseEvent(ctx, scenarioName, tplus)
 			})
 		if !ok {
 			return nil, true, nil
@@ -105,21 +104,27 @@ func (s *Server) streamDiagnoser(scenarioName string) stream.Diagnoser {
 	}
 }
 
-// diagnoseEvent runs ND-edge on a closed event's healthy (T−) and failed
-// (T+) meshes. No fault is injected: the failure is already in the
-// measurements, so the control-plane feeds of nd-bgpigp and nd-lg do not
-// apply.
-func (s *Server) diagnoseEvent(ctx context.Context, scenarioName string, tminus, tplus *probe.Mesh) ([]byte, error) {
+// diagnoseEvent runs ND-edge on a closed event's failed (T+) mesh against
+// the scenario's healthy T−, the snapshot's BeforeMesh, which is the
+// processor's View.Baseline and so every event's T−. No fault is
+// injected: the failure is already in the measurements, so the
+// control-plane feeds of nd-bgpigp and nd-lg do not apply.
+func (s *Server) diagnoseEvent(ctx context.Context, scenarioName string, tplus *probe.Mesh) ([]byte, error) {
 	snap, err := s.store.Get(ctx, scenarioName)
 	if err != nil {
 		return nil, err
 	}
-	meas := experiment.ToMeasurementsMapped(tminus, tplus, snap.IP2AS.Lookup)
+	tr := telemetry.TraceFromContext(ctx)
+	endSpan := tr.StartSpan("adapt")
+	meas := snap.MeasurementsAfter(tplus)
+	endSpan()
+	endSpan = tr.StartSpan("diagnose")
 	res, err := netdiag.New(
 		netdiag.WithAlgorithm(netdiag.NDEdgeAlgo),
 		netdiag.WithParallelism(s.par),
 		netdiag.WithTelemetry(s.tele),
 	).Diagnose(ctx, meas)
+	endSpan()
 	if err != nil {
 		return nil, err
 	}
