@@ -40,34 +40,6 @@ func TestIncrementalSectionAbsent(t *testing.T) {
 	}
 }
 
-const snapshotOutput = `pkg: netdiag/internal/snapshot
-BenchmarkSnapshotEncode/fig1     	    5000	      4000 ns/op	 100 MB/s
-BenchmarkSnapshotDecode/fig1     	    5000	      9000 ns/op	  50 MB/s
-BenchmarkWorkerStartCold/fig2    	     100	    500000 ns/op
-BenchmarkWorkerStartCold/fig1    	     100	     60000 ns/op
-BenchmarkWorkerStartLoad/fig1    	    5000	     10000 ns/op	  50 MB/s
-BenchmarkWorkerStartLoad/fig2    	    2000	    100000 ns/op	  80 MB/s
-ok  	netdiag/internal/snapshot	1.000s
-`
-
-func TestSnapshotSection(t *testing.T) {
-	rep := mustParse(t, snapshotOutput)
-	// The codec rows keep their own ns/op; only the load speedups derive.
-	got := derivedByName(rep)
-	wantDerived(t, got, "snapshot-load-speedup/fig1", 6, 6, 6)
-	wantDerived(t, got, "snapshot-load-speedup/fig2", 5, 5, 5)
-	if len(got) != 2 {
-		t.Fatalf("derived = %+v, want the two load speedups", rep.Derived)
-	}
-}
-
-func TestSnapshotSectionAbsent(t *testing.T) {
-	rep := mustParse(t, "BenchmarkWorkerStartCold/fig1 	 10	 90000 ns/op\nok  	netdiag/internal/snapshot	0.020s\n")
-	if rep.Derived != nil {
-		t.Fatalf("derived = %+v, want none without a load counterpart", rep.Derived)
-	}
-}
-
 // writeReport marshals a Report to a temp file and returns its path.
 func writeReport(t *testing.T, dir, name string, rep *Report) string {
 	t.Helper()

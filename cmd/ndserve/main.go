@@ -34,8 +34,8 @@
 // the workers' base URLs. The front proxies /v1/diagnose and
 // /v1/diagnose/batch to the owning shard, merges /v1/scenarios and
 // aggregates /readyz; /v1/ingest/* and /v1/events are worker-only, so
-// -shards refuses -ingest (and -shard-of). -snapshot-dir lets the
-// workers persist converged scenarios and skip convergence on restart.
+// -shards refuses -ingest (and -shard-of). A worker reads no file: it
+// converges its scenarios from the built-in topologies at every start.
 package main
 
 import (
@@ -71,7 +71,6 @@ func main() {
 		eventIdle    = flag.Duration("event-idle-close", 5*time.Second, "record-time idle gap after which a streaming event closes and is diagnosed")
 		shards       = flag.String("shards", "", "run as the fleet front: comma-separated worker base URLs, index = shard id (disables local diagnosis)")
 		shardOf      = flag.String("shard-of", "", "run as fleet worker i of N (\"i/N\"): register only the scenarios shard i owns")
-		snapshotDir  = flag.String("snapshot-dir", "", "persist converged scenarios here and recover them at warm-up")
 		slowMS       = flag.Int("slow-ms", 0, "promote requests at least this slow (milliseconds) to a per-phase access-log breakdown (0 disables)")
 		traceBuffer  = flag.Int("trace-buffer", 0, "completed request traces retained for /debug/traces (0 = 64)")
 	)
@@ -108,7 +107,6 @@ func main() {
 		QueueDepth:     *queueDepth,
 		RequestTimeout: *reqTimeout,
 		DrainTimeout:   *drainTimeout,
-		SnapshotDir:    *snapshotDir,
 		Telemetry:      tele,
 		Logger:         logger,
 		SlowThreshold:  time.Duration(*slowMS) * time.Millisecond,

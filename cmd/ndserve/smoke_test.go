@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -209,23 +208,21 @@ func sigtermClean(t *testing.T, name string, cmd *exec.Cmd) {
 }
 
 // TestSmokeFleet is the end-to-end fleet check behind `make smoke`: two
-// shard workers splitting fig1+fig2 by rendezvous hash and sharing a
-// snapshot directory, one front routing over them; a batch diagnosis
-// goes through the proxy to the owning shard, and the whole fleet drains
-// cleanly on SIGTERM.
+// shard workers splitting fig1+fig2 by rendezvous hash, one front routing
+// over them; a batch diagnosis goes through the proxy to the owning
+// shard, and the whole fleet drains cleanly on SIGTERM.
 func TestSmokeFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the ndserve binary")
 	}
 	bin := buildNdserve(t)
-	snapDir := filepath.Join(t.TempDir(), "snapshots")
 
 	var workers [2]*exec.Cmd
 	var backends [2]string
 	for i := range workers {
 		workers[i], backends[i] = startNdserve(t, bin,
 			"-addr", "127.0.0.1:0", "-scenarios", "fig1,fig2",
-			"-shard-of", fmt.Sprintf("%d/2", i), "-snapshot-dir", snapDir)
+			"-shard-of", fmt.Sprintf("%d/2", i))
 	}
 	front, base := startNdserve(t, bin, "-addr", "127.0.0.1:0",
 		"-shards", backends[0]+","+backends[1])
@@ -293,13 +290,6 @@ func TestSmokeFleet(t *testing.T) {
 	for i, slot := range batch.Results {
 		if slot.Status != http.StatusOK || len(slot.Body) == 0 {
 			t.Fatalf("batch slot %d = %d %s, want 200 with a body", i, slot.Status, slot.Body)
-		}
-	}
-
-	// Workers persisted their snapshots for the next cold start.
-	for _, name := range []string{"fig1", "fig2"} {
-		if _, err := os.Stat(filepath.Join(snapDir, name+".ndsn")); err != nil {
-			t.Errorf("missing persisted snapshot: %v", err)
 		}
 	}
 

@@ -7,18 +7,12 @@ import (
 	"netdiag/internal/topology"
 )
 
-// RoutesEqual reports whether two converged states carry route-for-route
-// identical routing: the same prefix set, semantically equal best routes at
-// every router, and semantically equal Adj-RIB-In content on every eBGP
-// session either state knows about. It is the equivalence the incremental
-// reconvergence tests assert between warm and cold computes.
-func (s *State) RoutesEqual(o *State) bool {
-	return len(s.DiffRoutes(o, 1)) == 0
-}
-
 // DiffRoutes returns up to max human-readable differences between two
-// converged states (route-level, deterministic order). An empty result
-// means the states are route-for-route identical.
+// converged states (route-level, deterministic order): the prefix sets,
+// the best route at every router, and the Adj-RIB-In content on every
+// eBGP session either state knows about. An empty result means the
+// states are route-for-route identical, the equivalence the incremental
+// reconvergence tests assert between warm and cold computes.
 func (s *State) DiffRoutes(o *State, max int) []string {
 	var out []string
 	add := func(format string, args ...any) bool {

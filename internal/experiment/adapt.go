@@ -78,7 +78,7 @@ func adaptPath(p *probe.Path, i, j int, tag string, lookup func(string) (topolog
 // MeasurementsAfter returns the diagnosis input for after, a post-failure
 // mesh over e.Sensors: the value ToMeasurementsMapped(e.BeforeMesh,
 // after, e.IP2AS.Lookup) returns, without adapting T− again. Before is the
-// adaptation WrapEnv made, shared read-only by every caller. A T+ path
+// adaptation NewEnv made, shared read-only by every caller. A T+ path
 // whose outcome and probe hops equal its T− path's is the adapted T−
 // path itself, unless that has an unidentified hop, whose placeholder
 // name differs between T− and T+.

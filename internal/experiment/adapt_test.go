@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"netdiag/internal/ip2as"
@@ -11,19 +12,21 @@ import (
 	"netdiag/internal/topology"
 )
 
-// withoutAS returns a copy of table that cannot resolve any address of
-// AS as.
-func withoutAS(t *testing.T, table *ip2as.Table, as topology.ASN) *ip2as.Table {
+// withoutAS returns the table ip2as.FromTopology builds over topo's
+// router /24s, less those of AS as, so it cannot resolve any address of
+// that AS.
+func withoutAS(t *testing.T, topo *topology.Topology, as topology.ASN) *ip2as.Table {
 	t.Helper()
-	var keep []ip2as.Entry
-	for _, e := range table.Entries() {
-		if e.AS != as {
-			keep = append(keep, e)
+	out := ip2as.New()
+	for i := 0; i < topo.NumRouters(); i++ {
+		r := topo.Router(topology.RouterID(i))
+		if r.AS == as {
+			continue
 		}
-	}
-	out, err := ip2as.FromEntries(keep)
-	if err != nil {
-		t.Fatal(err)
+		cidr := r.Addr[:strings.LastIndexByte(r.Addr, '.')] + ".0/24"
+		if err := out.Insert(cidr, r.AS); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return out
 }
@@ -64,7 +67,7 @@ func TestMeasurementsAfterMatchesMapped(t *testing.T) {
 	}
 	envs := map[string]*Env{
 		"full table":    env,
-		"partial table": WrapEnv(env.Net, env.Sensors, env.BeforeMesh, withoutAS(t, env.IP2AS, hidden)),
+		"partial table": wrapEnv(env.Net, env.Sensors, env.BeforeMesh, withoutAS(t, env.Topo, hidden)),
 	}
 
 	var afters []*probe.Mesh

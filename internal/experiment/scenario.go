@@ -176,14 +176,14 @@ func NewEnv(topo *topology.Topology, sensors []topology.RouterID, netOpts ...net
 	if err != nil {
 		return nil, err
 	}
-	return WrapEnv(net, sensors, mesh, table), nil
+	return wrapEnv(net, sensors, mesh, table), nil
 }
 
-// WrapEnv builds the Env of an already-converged network from its
-// measured healthy mesh and IP-to-AS table, as a decoded warm snapshot
-// carries them, without converging or probing again. It adapts the mesh
-// through the table once, for every MeasurementsAfter to share.
-func WrapEnv(net *netsim.Network, sensors []topology.RouterID, mesh *probe.Mesh, table *ip2as.Table) *Env {
+// wrapEnv builds the Env of an already-converged network from its
+// measured healthy mesh and IP-to-AS table, without converging or probing
+// again. It adapts the mesh through the table once, for every
+// MeasurementsAfter to share.
+func wrapEnv(net *netsim.Network, sensors []topology.RouterID, mesh *probe.Mesh, table *ip2as.Table) *Env {
 	topo := net.Topology()
 	env := &Env{
 		Topo:       topo,

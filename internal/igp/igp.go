@@ -39,10 +39,9 @@ type State struct {
 	// distance row per router, itself indexed by destination RouterID with
 	// Infinity marking "no entry" (different AS or IGP-unreachable). Dense
 	// rows keep the BGP decision process's Dist reads at two slice
-	// indexings, let Rebuild clone the whole state with a memmove before
-	// overwriting the dirty ASes' rows, and let the snapshot codec rebuild
-	// all rows from one backing slab. Rows are read-only once published —
-	// Rebuild and the SPF cache share them by pointer.
+	// indexings and let Rebuild clone the whole state with a memmove
+	// before overwriting the dirty ASes' rows. Rows are read-only once
+	// published — Rebuild and the SPF cache share them by pointer.
 	dist [][]int32
 }
 

@@ -123,72 +123,6 @@ func parseQuad(s string) (uint32, bool) {
 	return ip, true
 }
 
-// Entry is one prefix-to-AS mapping of a Table in numeric form: the
-// prefix's network bits left-aligned in IP, its length in Bits. The
-// snapshot codec persists tables this way — no string parsing or
-// formatting on the load path.
-type Entry struct {
-	IP   uint32
-	Bits int
-	AS   topology.ASN
-}
-
-// Entries returns every inserted mapping in deterministic order (a
-// depth-first walk of the trie, i.e. sorted by prefix bits, shorter
-// prefixes before their longer refinements). Entries and FromEntries
-// round-trip a Table exactly; the snapshot codec persists tables this way.
-func (t *Table) Entries() []Entry {
-	out := make([]Entry, 0, t.size)
-	var walk func(n *node, ip uint32, depth int)
-	walk = func(n *node, ip uint32, depth int) {
-		if n == nil {
-			return
-		}
-		if n.set {
-			out = append(out, Entry{IP: ip, Bits: depth, AS: n.as})
-		}
-		if depth < 32 {
-			walk(n.child[0], ip, depth+1)
-			walk(n.child[1], ip|1<<(31-depth), depth+1)
-		}
-	}
-	walk(t.root, 0, 0)
-	return out
-}
-
-// FromEntries rebuilds a table from an Entries listing. All trie nodes
-// come out of one block sized by the worst case (no shared prefixes), so
-// the rebuild is a single allocation however many prefixes there are; the
-// capacity is exact, so append never moves nodes already pointed to.
-func FromEntries(entries []Entry) (*Table, error) {
-	worst := 1
-	for _, e := range entries {
-		if e.Bits < 0 || e.Bits > 32 {
-			return nil, fmt.Errorf("ip2as: entry has bad prefix length %d", e.Bits)
-		}
-		worst += e.Bits
-	}
-	arena := make([]node, 1, worst)
-	t := &Table{root: &arena[0]}
-	for _, e := range entries {
-		cur := t.root
-		for i := 0; i < e.Bits; i++ {
-			b := (e.IP >> (31 - i)) & 1
-			if cur.child[b] == nil {
-				arena = append(arena, node{})
-				cur.child[b] = &arena[len(arena)-1]
-			}
-			cur = cur.child[b]
-		}
-		if !cur.set {
-			t.size++
-		}
-		cur.as = e.AS
-		cur.set = true
-	}
-	return t, nil
-}
-
 // FromTopology builds the table a troubleshooter would assemble from the
 // announced routes: every AS owns the /24 networks its router addresses
 // fall in.

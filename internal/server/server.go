@@ -44,11 +44,6 @@ type Config struct {
 	RequestTimeout time.Duration
 	// DrainTimeout bounds the graceful drain on shutdown. Zero selects 10s.
 	DrainTimeout time.Duration
-	// SnapshotDir, when non-empty, persists converged scenarios as
-	// snapshot files (one per scenario) and recovers them at warm-up, so
-	// a restarted or newly added worker skips SPF and the BGP fixpoint.
-	// Empty disables persistence.
-	SnapshotDir string
 	// Telemetry receives the server, queue and pipeline metrics; nil
 	// disables them (and never changes results).
 	Telemetry *telemetry.Registry
@@ -137,7 +132,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		edge:           newEdge(cfg.Logger, cfg.SlowThreshold, cfg.TraceBuffer),
 		reg:            cfg.Scenarios,
-		store:          NewStore(cfg.Scenarios, cfg.Parallelism, cfg.SnapshotDir, cfg.Telemetry),
+		store:          NewStore(cfg.Scenarios, cfg.Parallelism, "", cfg.Telemetry),
 		queue:          pool.NewQueue(cfg.Workers, cfg.QueueDepth, cfg.Telemetry),
 		flights:        newFlightGroup(cfg.Telemetry),
 		par:            cfg.Parallelism,

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"netdiag/internal/experiment"
-	"netdiag/internal/igp"
 	"netdiag/internal/netsim"
 	"netdiag/internal/telemetry"
 	"netdiag/internal/topology"
@@ -52,9 +51,8 @@ type storeEntry struct {
 // scenario share one convergence (singleflight); a failed convergence is
 // cleared so the next request retries it.
 type Store struct {
-	reg     *Registry
-	par     int
-	snapDir string
+	reg *Registry
+	par int
 
 	mu      sync.Mutex
 	entries map[string]*storeEntry
@@ -62,30 +60,24 @@ type Store struct {
 	tele          *telemetry.Registry
 	warmHits      *telemetry.Counter
 	coldConverges *telemetry.Counter
-	snapLoads     *telemetry.Counter
-	snapSaves     *telemetry.Counter
 	warmupNS      *telemetry.Histogram
 }
 
 // NewStore returns a store over the registry. parallelism bounds the
 // workers each scenario's network uses for convergence and meshing (<= 0
-// selects GOMAXPROCS); snapshotDir, when non-empty, is the directory
-// warm snapshots are persisted to and recovered from (see Store.build);
-// a non-nil telemetry registry receives the "server.warm_hits" /
-// "server.cold_converges" / "server.snapshot_loads" /
-// "server.snapshot_saves" counters, the "server.warmup_ns" histogram and
-// the simulation-layer metrics.
-func NewStore(reg *Registry, parallelism int, snapshotDir string, tele *telemetry.Registry) *Store {
+// selects GOMAXPROCS); a non-nil telemetry registry receives the
+// "server.warm_hits" / "server.cold_converges" counters, the
+// "server.warmup_ns" histogram and the simulation-layer metrics. The
+// third parameter is ignored; it stays until cmd/ndbench, which passes ""
+// there, stops passing it.
+func NewStore(reg *Registry, parallelism int, _ string, tele *telemetry.Registry) *Store {
 	return &Store{
 		reg:           reg,
 		par:           parallelism,
-		snapDir:       snapshotDir,
 		entries:       map[string]*storeEntry{},
 		tele:          tele,
 		warmHits:      tele.Counter("server.warm_hits"),
 		coldConverges: tele.Counter("server.cold_converges"),
-		snapLoads:     tele.Counter("server.snapshot_loads"),
-		snapSaves:     tele.Counter("server.snapshot_saves"),
 		warmupNS:      tele.Histogram("server.warmup_ns", telemetry.DurationBuckets),
 	}
 }
@@ -150,26 +142,18 @@ func (s *Store) converge(name string, e *storeEntry) {
 }
 
 // build converges one scenario into a snapshot: an experiment Env over
-// the scenario's sensors, with a shared SPF cache so request forks reuse
-// unchanged per-AS routing tables. With a snapshot directory configured,
-// a persisted snapshot short-cuts the whole convergence, and a cold
-// convergence persists its result for the next worker.
+// the scenario's sensors (NewEnv gives the network its own SPF cache, so
+// request forks reuse unchanged per-AS routing tables) plus the index
+// that resolves router names in requests.
 func (s *Store) build(name string) (*Snapshot, error) {
 	scn, err := s.reg.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	opts := []netsim.Option{
-		netsim.WithSPFCache(igp.NewCache()),
-		netsim.WithParallelism(s.par),
-		netsim.WithTelemetry(s.tele),
-	}
-	env := s.loadSnapshot(name, scn, opts)
-	if env == nil {
-		if env, err = experiment.NewEnv(scn.Topo, scn.Sensors, opts...); err != nil {
-			return nil, fmt.Errorf("server: scenario %q: %w", name, err)
-		}
-		s.persistSnapshot(name, env)
+	env, err := experiment.NewEnv(scn.Topo, scn.Sensors,
+		netsim.WithParallelism(s.par), netsim.WithTelemetry(s.tele))
+	if err != nil {
+		return nil, fmt.Errorf("server: scenario %q: %w", name, err)
 	}
 	topo := scn.Topo
 	byName := make(map[string]topology.RouterID, topo.NumRouters())
