@@ -84,13 +84,15 @@ smoke:
 # handle hot-loop benchmarks, including the trace-plumbed variant), the
 # bitset greedy scoring kernels (scanBest / accumDelta / retireSets as the
 # greedy loop composes them), one traceroute forwarding step, one
-# IP-to-AS table hit and one BGP fixpoint round on a converged prefix
-# must report exactly 0 allocs/op.
+# IP-to-AS table hit, one single-source SPF into a reused row and one
+# BGP fixpoint round on a converged prefix must report exactly 0
+# allocs/op.
 allocguard:
 	$(GO) test -run xxx -bench 'BenchmarkHotLoopDisabled' -benchtime 100x ./internal/telemetry/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkHotLoopDisabled'
 	$(GO) test -run xxx -bench 'BenchmarkGreedyScoreKernel' -benchtime 100x ./internal/core/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkGreedyScoreKernel'
 	$(GO) test -run xxx -bench 'BenchmarkForward' -benchtime 100x ./internal/netsim/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkForward'
 	$(GO) test -run xxx -bench 'BenchmarkLookup' -benchtime 100x ./internal/ip2as/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkLookup'
+	$(GO) test -run xxx -bench '^BenchmarkSPF$$' -benchtime 100x ./internal/igp/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkSPF'
 	$(GO) test -run xxx -bench 'BenchmarkConvergedRound' -benchtime 100x ./internal/bgp/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkConvergedRound'
 
 # The full verify loop: tier-1 (build + test) plus the gofmt gate, vet

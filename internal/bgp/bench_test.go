@@ -21,7 +21,7 @@ func BenchmarkConvergence(b *testing.B) {
 		origins[PrefixFor(s)] = s
 	}
 	up := func(topology.LinkID) bool { return true }
-	ig := igp.New(res.Topo, up)
+	ig := igp.New(res.Topo, up, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -46,7 +46,7 @@ func BenchmarkConvergedRound(b *testing.B) {
 		origins[PrefixFor(s)] = s
 	}
 	up := func(topology.LinkID) bool { return true }
-	st, err := Compute(Config{Topo: res.Topo, IGP: igp.New(res.Topo, up), IsLinkUp: up, Origins: origins})
+	st, err := Compute(Config{Topo: res.Topo, IGP: igp.New(res.Topo, up, 1), IsLinkUp: up, Origins: origins})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func BenchmarkDecisionProcess(b *testing.B) {
 	f := topology.BuildFig2()
 	up := func(topology.LinkID) bool { return true }
 	st, err := Compute(Config{
-		Topo: f.Topo, IGP: igp.New(f.Topo, up), IsLinkUp: up,
+		Topo: f.Topo, IGP: igp.New(f.Topo, up, 1), IsLinkUp: up,
 		Origins: map[Prefix]topology.ASN{
 			PrefixFor(f.ASA): f.ASA,
 			PrefixFor(f.ASB): f.ASB,
@@ -105,7 +105,7 @@ func BenchmarkConvergenceParallel(b *testing.B) {
 		origins[PrefixFor(s)] = s
 	}
 	up := func(topology.LinkID) bool { return true }
-	ig := igp.New(res.Topo, up)
+	ig := igp.New(res.Topo, up, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Compute(Config{Topo: res.Topo, IGP: ig, IsLinkUp: up, Origins: origins, Parallelism: 4}); err != nil {

@@ -15,7 +15,7 @@ func fig2State(t *testing.T, f *topology.Fig2, isUp func(topology.LinkID) bool, 
 	}
 	st, err := Compute(Config{
 		Topo:     f.Topo,
-		IGP:      igp.New(f.Topo, isUp),
+		IGP:      igp.New(f.Topo, isUp, 1),
 		IsLinkUp: isUp,
 		Origins: map[Prefix]topology.ASN{
 			PrefixFor(f.ASA): f.ASA,
@@ -217,7 +217,7 @@ func TestMultihomedFailover(t *testing.T) {
 	origins := map[Prefix]topology.ASN{PrefixFor(stub): stub}
 	up := func(id topology.LinkID) bool { return id != access[0] }
 	st, err := Compute(Config{
-		Topo: topo, IGP: igp.New(topo, up), IsLinkUp: up, Origins: origins,
+		Topo: topo, IGP: igp.New(topo, up, 1), IsLinkUp: up, Origins: origins,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestRouterFailure(t *testing.T) {
 	}
 	st, err := Compute(Config{
 		Topo:       f.Topo,
-		IGP:        igp.New(f.Topo, isLinkUp),
+		IGP:        igp.New(f.Topo, isLinkUp, 1),
 		IsLinkUp:   isLinkUp,
 		IsRouterUp: isRouterUp,
 		Origins: map[Prefix]topology.ASN{
@@ -272,7 +272,7 @@ func TestConvergenceOnResearchTopology(t *testing.T) {
 		origins[PrefixFor(s)] = s
 	}
 	st, err := Compute(Config{
-		Topo: res.Topo, IGP: igp.New(res.Topo, nil2up()), IsLinkUp: nil2up(), Origins: origins,
+		Topo: res.Topo, IGP: igp.New(res.Topo, nil2up(), 1), IsLinkUp: nil2up(), Origins: origins,
 	})
 	if err != nil {
 		t.Fatal(err)

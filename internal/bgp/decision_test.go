@@ -13,7 +13,7 @@ func build(t *testing.T, topo *topology.Topology, origins map[Prefix]topology.AS
 	t.Helper()
 	up := func(topology.LinkID) bool { return true }
 	st, err := Compute(Config{
-		Topo: topo, IGP: igp.New(topo, up), IsLinkUp: up, Origins: origins,
+		Topo: topo, IGP: igp.New(topo, up, 1), IsLinkUp: up, Origins: origins,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestMaxRoundsError(t *testing.T) {
 	f := topology.BuildFig2()
 	up := func(topology.LinkID) bool { return true }
 	_, err := Compute(Config{
-		Topo: f.Topo, IGP: igp.New(f.Topo, up), IsLinkUp: up,
+		Topo: f.Topo, IGP: igp.New(f.Topo, up, 1), IsLinkUp: up,
 		Origins:   map[Prefix]topology.ASN{PrefixFor(f.ASA): f.ASA},
 		MaxRounds: 1,
 	})

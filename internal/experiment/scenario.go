@@ -8,7 +8,6 @@ import (
 
 	"netdiag/internal/bgp"
 	"netdiag/internal/core"
-	"netdiag/internal/igp"
 	"netdiag/internal/ip2as"
 	"netdiag/internal/lookingglass"
 	"netdiag/internal/netsim"
@@ -151,9 +150,8 @@ func interASPathRouters(res *topology.Research, a, b topology.ASN) ([]topology.R
 
 // NewEnv converges the network for a sensor set and takes the pre-failure
 // measurements. Optional netsim options (e.g. netsim.WithParallelism)
-// configure the environment's network; a shared SPF cache is always
-// installed (a later netsim.WithSPFCache replaces it) so the fault trials
-// reuse unchanged per-AS routing tables.
+// configure the environment's network. The fault trials fork it, and each
+// fork's reconvergence reruns SPF only for the ASes its faults dirty.
 func NewEnv(topo *topology.Topology, sensors []topology.RouterID, netOpts ...netsim.Option) (*Env, error) {
 	seen := map[topology.ASN]bool{}
 	var origins []topology.ASN
@@ -163,8 +161,7 @@ func NewEnv(topo *topology.Topology, sensors []topology.RouterID, netOpts ...net
 			origins = append(origins, as)
 		}
 	}
-	opts := append([]netsim.Option{netsim.WithSPFCache(igp.NewCache())}, netOpts...)
-	net, err := netsim.New(topo, origins, opts...)
+	net, err := netsim.New(topo, origins, netOpts...)
 	if err != nil {
 		return nil, err
 	}

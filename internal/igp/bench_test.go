@@ -7,16 +7,42 @@ import (
 )
 
 // BenchmarkFullSPF measures computing IGP state for the whole research
-// topology (all ASes, all sources) — done once per failure trial.
+// topology (all ASes, all sources).
 func BenchmarkFullSPF(b *testing.B) {
 	res, err := topology.GenerateResearch(topology.DefaultResearchConfig(1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	up := func(topology.LinkID) bool { return true }
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		New(res.Topo, up)
+		New(res.Topo, up, 1)
+	}
+}
+
+// BenchmarkSPF measures one source's Dijkstra over research-1's largest AS
+// into a caller-owned row, reusing the heap scratch. It must allocate
+// nothing (make allocguard): a reconvergence reruns this loop for every
+// source of every dirty AS instead of keeping tables per failure set.
+func BenchmarkSPF(b *testing.B) {
+	res, err := topology.GenerateResearch(topology.DefaultResearchConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New(res.Topo, func(topology.LinkID) bool { return true }, 1)
+	var largest []topology.RouterID
+	for _, asn := range res.Topo.ASNumbers() {
+		if rs := res.Topo.AS(asn).Routers; len(rs) > len(largest) {
+			largest = rs
+		}
+	}
+	row := make([]int32, res.Topo.NumRouters())
+	q := s.spf(largest[0], row, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q = s.spf(largest[0], row, q)
 	}
 }
 
@@ -26,7 +52,7 @@ func BenchmarkNextHop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := New(res.Topo, func(topology.LinkID) bool { return true })
+	s := New(res.Topo, func(topology.LinkID) bool { return true }, 1)
 	routers := res.Topo.AS(res.Cores[1]).Routers
 	src, dst := routers[0], routers[len(routers)-1]
 	b.ResetTimer()

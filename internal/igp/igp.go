@@ -5,14 +5,10 @@
 package igp
 
 import (
-	"container/heap"
 	"math"
 	"sort"
-	"strconv"
-	"sync"
 
 	"netdiag/internal/pool"
-	"netdiag/internal/telemetry"
 	"netdiag/internal/topology"
 )
 
@@ -41,145 +37,42 @@ type State struct {
 	// rows keep the BGP decision process's Dist reads at two slice
 	// indexings and let Rebuild clone the whole state with a memmove
 	// before overwriting the dirty ASes' rows. Rows are read-only once
-	// published — Rebuild and the SPF cache share them by pointer.
+	// published: a Rebuild shares every clean AS's rows with its prev by
+	// pointer.
 	dist [][]int32
 }
 
-// New computes IGP state for all ASes. isUp reports whether a physical
-// link is currently up; the function is retained for next-hop derivation
-// and must keep answering consistently until the State is discarded.
-func New(topo *topology.Topology, isUp func(topology.LinkID) bool) *State {
-	return NewCached(topo, isUp, nil, 1)
-}
-
-// Cache memoizes per-AS SPF results across IGP recomputations, keyed by
-// (AS, set of failed intra-AS links). Experiment loops converge thousands
-// of fault scenarios on one topology, and any given fault touches at most
-// a couple of ASes — every other AS's intra-domain routing is bit-identical
-// to the healthy network's, so its SPF tables are reused instead of
-// recomputed. A Cache is safe for concurrent use and returns shared,
-// read-only distance maps.
-type Cache struct {
-	mu      sync.Mutex
-	entries map[string]map[topology.RouterID][]int32
-
-	// Telemetry handles; nil (no-op) unless Instrument was called.
-	hits, misses *telemetry.Counter
-	size         *telemetry.Gauge
-}
-
-// NewCache returns an empty SPF cache.
-func NewCache() *Cache {
-	return &Cache{entries: map[string]map[topology.RouterID][]int32{}}
-}
-
-// Instrument attaches cache telemetry to a registry: the counters
-// "igp.spf_cache_hits"/"igp.spf_cache_misses", the entry-count gauge
-// "igp.spf_cache_entries", and the derived "igp.spf_cache_hit_ratio".
-// Call before the cache is shared across goroutines; a nil registry is a
-// no-op. Returns the cache for chaining.
-func (c *Cache) Instrument(r *telemetry.Registry) *Cache {
-	if r == nil {
-		return c
-	}
-	c.hits = r.Counter("igp.spf_cache_hits")
-	c.misses = r.Counter("igp.spf_cache_misses")
-	c.size = r.Gauge("igp.spf_cache_entries")
-	r.Derive("igp.spf_cache_hit_ratio", func(s telemetry.Snapshot) float64 {
-		return telemetry.Ratio(s.Counters["igp.spf_cache_hits"], s.Counters["igp.spf_cache_misses"])
-	})
-	return c
-}
-
-// Len reports the number of cached (AS, failed-link-set) entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// key canonically names one AS's intra-domain failure state. This runs on
-// every (AS, reconvergence) pair, so it avoids fmt.
-//
-//ndlint:hotpath
-func cacheKey(asn topology.ASN, failed []topology.LinkID) string {
-	b := make([]byte, 0, 16+8*len(failed))
-	b = strconv.AppendInt(b, int64(asn), 10)
-	b = append(b, '|')
-	for i, l := range failed {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(l), 10)
-	}
-	return string(b)
-}
-
-// NewCached computes IGP state for all ASes, reusing cached per-AS SPF
-// tables where the AS's failed intra-link set matches a previous
-// computation. A nil cache disables reuse. Per-AS computations fan out
-// over at most `workers` goroutines; the result is identical at any
+// New computes IGP state for all ASes: a Rebuild from an empty table with
+// every AS dirty. isUp reports whether a physical link is currently up;
+// the function is retained for next-hop derivation and must keep
+// answering consistently until the State is discarded. Per-AS SPF fans
+// out over at most `workers` goroutines; the result is identical at any
 // parallelism level.
-func NewCached(topo *topology.Topology, isUp func(topology.LinkID) bool, cache *Cache, workers int) *State {
-	s := &State{
-		topo: topo,
-		isUp: isUp,
-		dist: make([][]int32, topo.NumRouters()),
-	}
-	asns := topo.ASNumbers()
-	perAS := make([]map[topology.RouterID][]int32, len(asns))
-	_ = pool.ForEach(nil, workers, len(asns), func(i int) error {
-		perAS[i] = s.asTables(asns[i], cache)
-		return nil
-	})
-	for _, tables := range perAS {
-		for src, d := range tables {
-			s.dist[src] = d
-		}
-	}
-	return s
+func New(topo *topology.Topology, isUp func(topology.LinkID) bool, workers int) *State {
+	return Rebuild(&State{topo: topo}, isUp, topo.ASNumbers(), workers)
 }
 
 // Rebuild computes IGP state for a changed fault set by perturbing a
-// previous State: every AS outside dirty shares prev's per-AS tables by
-// pointer (its intra-domain failure set is unchanged, so its tables are
-// bit-identical), and only the dirty ASes run SPF — through the cache when
-// one is attached, so even a dirty AS whose failure set was seen before is
-// a lookup, not a recompute. isUp must describe the NEW fault state; the
-// dirty list must name every AS whose intra-AS link liveness (including
-// links silenced by router failures) differs from what prev was computed
-// with. The result is identical to a fresh NewCached over isUp.
-func Rebuild(prev *State, isUp func(topology.LinkID) bool, dirty []topology.ASN, cache *Cache, workers int) *State {
-	topo := prev.topo
+// previous State: every AS outside dirty shares prev's rows by pointer
+// (its intra-domain failure state is unchanged, so its rows are
+// bit-identical), and only the dirty ASes run SPF, over at most `workers`
+// goroutines. isUp must describe the NEW fault state; the dirty list must
+// name every AS whose intra-AS link liveness (including links silenced by
+// router failures) differs from what prev was computed with. The result
+// is identical to New over isUp.
+func Rebuild(prev *State, isUp func(topology.LinkID) bool, dirty []topology.ASN, workers int) *State {
 	s := &State{
-		topo: topo,
+		topo: prev.topo,
 		isUp: isUp,
-		// The copy shares every per-source row by pointer (read-only
-		// after construction); dirty-AS routers are overwritten below, so
-		// clean ones keep prev's rows — bit-identical, never recomputed.
-		dist: make([][]int32, len(prev.dist)),
+		dist: make([][]int32, prev.topo.NumRouters()),
 	}
 	copy(s.dist, prev.dist)
-	if len(dirty) == 1 || workers <= 1 {
-		// Single-AS deltas (the common incremental case) skip the fan-out
-		// machinery entirely.
-		for _, asn := range dirty {
-			for src, d := range s.asTables(asn, cache) {
-				s.dist[src] = d
-			}
-		}
-		return s
-	}
-	perAS := make([]map[topology.RouterID][]int32, len(dirty))
+	// Each dirty AS writes only its own routers' slots of s.dist, so the
+	// fan-out needs no merge step.
 	_ = pool.ForEach(nil, workers, len(dirty), func(i int) error {
-		perAS[i] = s.asTables(dirty[i], cache)
+		s.spfAS(dirty[i])
 		return nil
 	})
-	for _, tables := range perAS {
-		for src, d := range tables {
-			s.dist[src] = d
-		}
-	}
 	return s
 }
 
@@ -204,93 +97,47 @@ func (s *State) TablesEqual(o *State) bool {
 	return true
 }
 
-// asTables returns the per-source SPF tables of one AS, from the cache
-// when possible.
-func (s *State) asTables(asn topology.ASN, cache *Cache) map[topology.RouterID][]int32 {
-	var key string
-	if cache != nil {
-		var failed []topology.LinkID
-		for _, l := range s.topo.IntraLinks(asn) {
-			if !s.isUp(l.ID) {
-				failed = append(failed, l.ID)
-			}
-		}
-		// Insertion sort: failed sets are tiny (0–2 links), and sort.Slice
-		// would force the slice to the heap on every reconvergence.
-		for i := 1; i < len(failed); i++ {
-			for j := i; j > 0 && failed[j] < failed[j-1]; j-- {
-				failed[j], failed[j-1] = failed[j-1], failed[j]
-			}
-		}
-		key = cacheKey(asn, failed)
-		cache.mu.Lock()
-		hit, ok := cache.entries[key]
-		cache.mu.Unlock()
-		if ok {
-			cache.hits.Inc()
-			return hit
-		}
-		cache.misses.Inc()
-	}
+// spfAS runs SPF from every router of asn, writing the rows into s.dist
+// from one allocation and reusing one heap across the sources.
+func (s *State) spfAS(asn topology.ASN) {
 	routers := s.topo.AS(asn).Routers
-	tables := make(map[topology.RouterID][]int32, len(routers))
-	// Dijkstra only ever settles routers inside asn, so clearing just
-	// those positions resets the scratch for the next source.
-	visited := make([]bool, s.topo.NumRouters())
-	for _, src := range routers {
-		tables[src] = s.runSPF(src, visited)
-		for _, r := range routers {
-			visited[r] = false
-		}
+	n := s.topo.NumRouters()
+	rows := make([]int32, len(routers)*n)
+	q := make([]item, 0, len(routers))
+	for i, src := range routers {
+		row := rows[i*n : (i+1)*n : (i+1)*n]
+		q = s.spf(src, row, q)
+		s.dist[src] = row
 	}
-	if cache != nil {
-		cache.mu.Lock()
-		cache.entries[key] = tables
-		cache.size.Set(int64(len(cache.entries)))
-		cache.mu.Unlock()
-	}
-	return tables
 }
 
-// item is a priority-queue entry for Dijkstra.
+// item is a Dijkstra frontier entry.
 type item struct {
 	router topology.RouterID
-	dist   int
+	dist   int32
 }
 
-type pq []item
-
-func (q pq) Len() int           { return len(q) }
-func (q pq) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x any)        { *q = append(*q, x.(item)) }
-func (q *pq) Pop() any {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
-}
-
-// runSPF computes single-source shortest path distances within src's AS as
-// a dense row over all router IDs (Infinity outside the AS or when
-// disconnected). visited is caller-owned scratch, all-false on entry.
-func (s *State) runSPF(src topology.RouterID, visited []bool) []int32 {
+// spf fills row with the single-source shortest path distances from src
+// within its AS, over all router IDs (Infinity outside the AS or when
+// disconnected). q is heap scratch, returned for reuse; its contents on
+// entry are ignored. A popped entry longer than its router's row value is
+// stale and skipped, so no visited set is needed.
+//
+//ndlint:hotpath
+func (s *State) spf(src topology.RouterID, row []int32, q []item) []item {
 	topo := s.topo
 	asn := topo.RouterAS(src)
-	row := make([]int32, topo.NumRouters())
 	for i := range row {
 		row[i] = Infinity
 	}
 	row[src] = 0
-
-	q := &pq{{router: src, dist: 0}}
-	for q.Len() > 0 {
-		cur := heap.Pop(q).(item)
-		if visited[cur.router] {
+	q = push(q[:0], item{router: src})
+	for len(q) > 0 {
+		var cur item
+		cur, q = pop(q)
+		if cur.dist > row[cur.router] {
 			continue
 		}
-		visited[cur.router] = true
 		for _, lid := range topo.Router(cur.router).Links {
 			l := topo.Link(lid)
 			if l.Kind != topology.Intra || !s.isUp(lid) {
@@ -300,14 +147,50 @@ func (s *State) runSPF(src topology.RouterID, visited []bool) []int32 {
 			if topo.RouterAS(nb) != asn {
 				continue
 			}
-			nd := cur.dist + l.Cost
-			if int32(nd) < row[nb] {
-				row[nb] = int32(nd)
-				heap.Push(q, item{router: nb, dist: nd})
+			if nd := cur.dist + int32(l.Cost); nd < row[nb] {
+				row[nb] = nd
+				q = push(q, item{router: nb, dist: nd})
 			}
 		}
 	}
-	return row
+	return q
+}
+
+// push adds it to the binary min-heap q, ordered by dist.
+func push(q []item, it item) []item {
+	q = append(q, it)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q[p].dist <= q[i].dist {
+			break
+		}
+		q[p], q[i] = q[i], q[p]
+		i = p
+	}
+	return q
+}
+
+// pop removes and returns the minimum of the binary min-heap q.
+func pop(q []item) (item, []item) {
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= last {
+			break
+		}
+		if r := m + 1; r < last && q[r].dist < q[m].dist {
+			m = r
+		}
+		if q[i].dist <= q[m].dist {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	return top, q
 }
 
 // Dist returns the IGP distance from src to dst (same AS), or Infinity if

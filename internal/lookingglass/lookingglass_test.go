@@ -15,7 +15,7 @@ func converge(t *testing.T, f *topology.Fig2, isUp func(topology.LinkID) bool) *
 	}
 	st, err := bgp.Compute(bgp.Config{
 		Topo:     f.Topo,
-		IGP:      igp.New(f.Topo, isUp),
+		IGP:      igp.New(f.Topo, isUp, 1),
 		IsLinkUp: isUp,
 		Origins: map[bgp.Prefix]topology.ASN{
 			bgp.PrefixFor(f.ASA): f.ASA,

@@ -1,10 +1,10 @@
 package netsim
 
 import (
+	"context"
 	"testing"
 
 	"netdiag/internal/bgp"
-	"netdiag/internal/igp"
 	"netdiag/internal/topology"
 )
 
@@ -90,7 +90,7 @@ func BenchmarkFailureTrial(b *testing.B) {
 // converged base network and the fault delta applied to its fork.
 type reconvergeScenario struct {
 	name  string
-	build func(b *testing.B, incremental bool) *Network
+	build func(b *testing.B) *Network
 	fault func(n *Network)
 }
 
@@ -99,25 +99,23 @@ type reconvergeScenario struct {
 // sub-benchmark name.
 func reconvergeScenarios(b *testing.B) []reconvergeScenario {
 	b.Helper()
-	buildFig1 := func(b *testing.B, incremental bool) *Network {
+	buildFig1 := func(b *testing.B) *Network {
 		fig := topology.BuildFig1()
-		n, err := New(fig.Topo, []topology.ASN{1},
-			WithSPFCache(igp.NewCache()), WithIncrementalReconvergence(incremental))
+		n, err := New(fig.Topo, []topology.ASN{1})
 		if err != nil {
 			b.Fatal(err)
 		}
 		return n
 	}
-	buildFig2 := func(b *testing.B, incremental bool) *Network {
+	buildFig2 := func(b *testing.B) *Network {
 		fig := topology.BuildFig2()
-		n, err := New(fig.Topo, []topology.ASN{fig.ASA, fig.ASB, fig.ASC, fig.ASX, fig.ASY},
-			WithSPFCache(igp.NewCache()), WithIncrementalReconvergence(incremental))
+		n, err := New(fig.Topo, []topology.ASN{fig.ASA, fig.ASB, fig.ASC, fig.ASX, fig.ASY})
 		if err != nil {
 			b.Fatal(err)
 		}
 		return n
 	}
-	buildResearch := func(b *testing.B, incremental bool) *Network {
+	buildResearch := func(b *testing.B) *Network {
 		res, err := topology.GenerateResearch(topology.DefaultResearchConfig(1))
 		if err != nil {
 			b.Fatal(err)
@@ -126,8 +124,7 @@ func reconvergeScenarios(b *testing.B) []reconvergeScenario {
 		for i := 0; i < 10; i++ {
 			origins = append(origins, res.Stubs[i*13])
 		}
-		n, err := New(res.Topo, origins,
-			WithSPFCache(igp.NewCache()), WithIncrementalReconvergence(incremental))
+		n, err := New(res.Topo, origins)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,31 +185,17 @@ func reconvergeScenarios(b *testing.B) []reconvergeScenario {
 	}
 }
 
-// reconvergeOnce runs one fork-fault-reconverge cycle, the measured unit
-// of both Reconverge benchmarks. It doubles as the pre-timer warm-up so
-// even a one-iteration sample measures a steady-state cycle (SPF cache
-// populated) rather than first-run cache misses.
-func reconvergeOnce(b *testing.B, base *Network, fault func(*Network)) {
-	b.Helper()
-	f := base.Fork()
-	fault(f)
-	if err := f.Reconverge(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkReconvergeCold measures a from-scratch reconvergence of each
 // delta scenario: full SPF for every AS plus empty-state BGP fixpoints.
 func BenchmarkReconvergeCold(b *testing.B) {
 	for _, sc := range reconvergeScenarios(b) {
 		b.Run(sc.name, func(b *testing.B) {
-			base := sc.build(b, false)
-			reconvergeOnce(b, base, sc.fault)
+			base := sc.build(b)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f := base.Fork()
 				sc.fault(f)
-				if err := f.Reconverge(); err != nil {
+				if err := f.reconvergeCtx(context.Background(), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -227,8 +210,7 @@ func BenchmarkReconvergeCold(b *testing.B) {
 func BenchmarkReconvergeIncremental(b *testing.B) {
 	for _, sc := range reconvergeScenarios(b) {
 		b.Run(sc.name, func(b *testing.B) {
-			base := sc.build(b, true)
-			reconvergeOnce(b, base, sc.fault)
+			base := sc.build(b)
 			var dirty, skipped int
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -63,7 +63,7 @@ func TestCancellationLatency(t *testing.T) {
 	// workload must dwarf the deadline so OS timer latency cannot let the
 	// compute complete before any ctx check observes the expiry.
 	origins := append([]topology.ASN{}, res.Stubs...)
-	n, err := New(res.Topo, origins, WithIncrementalReconvergence(false))
+	n, err := New(res.Topo, origins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCancellationLatency(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err = f.ReconvergeCtx(ctx)
+	err = f.reconvergeCtx(ctx, nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("ReconvergeCtx under 5ms deadline = %v, want context.DeadlineExceeded", err)

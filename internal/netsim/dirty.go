@@ -22,10 +22,8 @@ import (
 // lossless. The scope itself is conservative — a listed prefix or link
 // may leave some paths through it untouched.
 type DirtyScope struct {
-	// ForceAll marks deltas whose reach cannot be bounded: the first
-	// (cold) convergence, restorations (links/routers back up, filters
-	// removed), or incremental reconvergence disabled. Every pair is
-	// then dirty.
+	// ForceAll marks deltas whose reach cannot be bounded: restorations
+	// (links/routers back up, filters removed). Every pair is then dirty.
 	ForceAll bool
 	// Links are the physical links that went down in this delta, as
 	// (router, router) endpoint pairs in ascending LinkID order.
@@ -105,14 +103,14 @@ func (d *DirtyScope) seal() *DirtyScope {
 
 // ReconvergeDirtyCtx reconverges exactly like ReconvergeCtx — the
 // converged state is identical — and reports the scope of the delta it
-// applied. A network with pending restorations or with incremental
-// reconvergence disabled reports ForceAll; a no-op delta (mutators
-// called but nothing actually changed against the base) reports an
-// Empty scope.
+// applied against the last converged base (New converges the first one).
+// A network with pending restorations reports ForceAll; a no-op delta
+// (mutators called but nothing actually changed against the base)
+// reports an Empty scope.
 func (n *Network) ReconvergeDirtyCtx(ctx context.Context) (*DirtyScope, error) {
 	d := n.computeDelta()
-	scope := &DirtyScope{}
-	if d != nil && !d.forceAll {
+	scope := &DirtyScope{ForceAll: d.forceAll}
+	if !d.forceAll {
 		// Diff the fault arrays against the pre-delta base before the
 		// reconvergence replaces it. Only downs appear here: any
 		// restoration sets forceAll in the delta.
@@ -125,17 +123,11 @@ func (n *Network) ReconvergeDirtyCtx(ctx context.Context) (*DirtyScope, error) {
 		scope.Routers = d.failedRouters
 		scope.ASes = d.dirtyASes
 	}
-	prior := (*baseState)(nil)
-	if d != nil {
-		prior = d.base
-	}
 	if err := n.reconvergeCtx(ctx, d); err != nil {
 		return nil, err
 	}
-	if d == nil || d.forceAll {
-		scope.ForceAll = true
-		return scope.seal(), nil
+	if !d.forceAll {
+		scope.Prefixes = n.bgp.ChangedPrefixes(d.base.bgp)
 	}
-	scope.Prefixes = n.bgp.ChangedPrefixes(prior.bgp)
 	return scope.seal(), nil
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -19,7 +20,8 @@ import (
 // chained deltas — where the warm base is itself the product of a warm
 // reconvergence — are exercised as heavily as single faults.
 
-// diffPair is a warm/cold pair of networks kept in fault lockstep.
+// diffPair is a warm/cold pair of networks kept in fault lockstep. The
+// cold one reconverges through the nil-delta cold path every time.
 type diffPair struct {
 	warm, cold *Network
 }
@@ -30,7 +32,7 @@ func newDiffPair(t testing.TB, topo *topology.Topology, origins []topology.ASN) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := New(topo, origins, WithIncrementalReconvergence(false))
+	cold, err := New(topo, origins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func (d diffPair) reconverge(t testing.TB, sensors []topology.RouterID, label st
 	if err := d.warm.Reconverge(); err != nil {
 		t.Fatalf("%s: warm reconverge: %v", label, err)
 	}
-	if err := d.cold.Reconverge(); err != nil {
+	if err := d.cold.reconvergeCtx(context.Background(), nil); err != nil {
 		t.Fatalf("%s: cold reconverge: %v", label, err)
 	}
 	if !d.warm.IGP().TablesEqual(d.cold.IGP()) {
@@ -259,7 +261,7 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 	if err := base.warm.Reconverge(); err != nil {
 		f.Fatal(err)
 	}
-	if err := base.cold.Reconverge(); err != nil {
+	if err := base.cold.reconvergeCtx(context.Background(), nil); err != nil {
 		f.Fatal(err)
 	}
 	var prefixes []bgp.Prefix

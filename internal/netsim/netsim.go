@@ -44,17 +44,13 @@ type Network struct {
 	routerUpFn func(topology.RouterID) bool
 
 	parallelism int
-	spfCache    *igp.Cache
-	tele        *telemetry.Registry
 	met         *simMetrics
-	incremental bool
 
 	igp       *igp.State
 	bgp       *bgp.State
 	converged bool
-	// base is the last converged state reconvergence can be computed as a
-	// delta of (see ReconvergeCtx); nil until the first convergence or when
-	// incremental reconvergence is disabled.
+	// base is the last converged state reconvergence is computed as a
+	// delta of (see ReconvergeCtx); nil until the first convergence.
 	base *baseState
 	// shared marks linkUp/routerUp/filters as aliased by a base snapshot
 	// or a fork; mutators clone them first (ensureOwned).
@@ -116,10 +112,10 @@ type reconvergeDelta struct {
 }
 
 // computeDelta diffs the current fault arrays against the base snapshot.
-// It returns nil when no base exists (first convergence, or incremental
-// reconvergence disabled) and the cold path must run.
+// It returns nil when no base exists (first convergence) and the cold
+// path must run.
 func (n *Network) computeDelta() *reconvergeDelta {
-	if !n.incremental || n.base == nil {
+	if n.base == nil {
 		return nil
 	}
 	b := n.base
@@ -256,34 +252,13 @@ func WithParallelism(n int) Option {
 	return func(net *Network) { net.parallelism = pool.Size(n) }
 }
 
-// WithSPFCache attaches a shared IGP SPF cache, so reconvergences across
-// fault scenarios reuse the per-AS shortest-path tables of every AS whose
-// intra-domain failure state is unchanged. The cache may be shared across
-// Networks and Forks of the same topology.
-func WithSPFCache(c *igp.Cache) Option {
-	return func(net *Network) { net.spfCache = c }
-}
-
 // WithTelemetry attaches a telemetry registry: convergence-phase latency
 // histograms ("netsim.phase.{spf,bgp,mesh}_ns"), the "netsim.reconverges"
 // and "bgp.withdrawals_seen" counters, and the bgp/probe/pool layer metrics
-// of everything the network drives. An attached SPF cache is instrumented
-// too. A nil registry (the default) disables all of it — telemetry never
-// changes routing or measurement results.
+// of everything the network drives. A nil registry (the default) disables
+// all of it — telemetry never changes routing or measurement results.
 func WithTelemetry(r *telemetry.Registry) Option {
-	return func(net *Network) { net.tele = r }
-}
-
-// WithIncrementalReconvergence enables or disables delta-driven
-// reconvergence (enabled by default): with it on, every Reconverge after
-// the first is computed as a perturbation of the last converged state —
-// per-AS SPF rebuilds only for ASes the fault delta touches, and a
-// warm-started BGP fixpoint that skips prefixes the delta provably cannot
-// affect. The converged state is route-for-route identical either way;
-// disabling it forces every Reconverge through the cold path (the
-// differential tests and benchmarks rely on this).
-func WithIncrementalReconvergence(on bool) Option {
-	return func(net *Network) { net.incremental = on }
+	return func(net *Network) { net.met = newSimMetrics(r) }
 }
 
 // New builds a network announcing one prefix per AS in originASes and
@@ -295,17 +270,10 @@ func New(topo *topology.Topology, originASes []topology.ASN, opts ...Option) (*N
 		routerUp:    make([]bool, topo.NumRouters()),
 		origins:     map[bgp.Prefix]topology.ASN{},
 		parallelism: 1,
-		incremental: true,
 	}
 	n.linkUpFn, n.routerUpFn = n.LinkIsUp, n.RouterIsUp
 	for _, o := range opts {
 		o(n)
-	}
-	if n.tele != nil {
-		n.met = newSimMetrics(n.tele)
-		if n.spfCache != nil {
-			n.spfCache.Instrument(n.tele)
-		}
 	}
 	for i := range n.linkUp {
 		n.linkUp[i] = true
@@ -326,7 +294,7 @@ func New(topo *topology.Topology, originASes []topology.ASN, opts ...Option) (*N
 }
 
 // Fork returns an independent copy of the network sharing the immutable
-// substrate (topology, origins, SPF cache), the fault configuration and
+// substrate (topology, origins), the fault configuration and
 // the routing state. Faulting and reconverging the fork never touches the
 // parent, so forks are how concurrent trials run against one environment,
 // and a fresh fork of a converged network is how a caller gets back to its
@@ -338,10 +306,7 @@ func (n *Network) Fork() *Network {
 		topo:        n.topo,
 		origins:     n.origins,
 		parallelism: n.parallelism,
-		spfCache:    n.spfCache,
-		tele:        n.tele,
 		met:         n.met,
-		incremental: n.incremental,
 		igp:         n.igp,
 		bgp:         n.bgp,
 		converged:   n.converged,
@@ -443,7 +408,8 @@ func (n *Network) Reconverge() error {
 // and the BGP fixpoint is warm-started from the base's routes with
 // prefixes the delta provably cannot affect sharing the base state
 // untouched. The result is route-for-route identical to a cold
-// reconvergence — see WithIncrementalReconvergence to force the cold path.
+// reconvergence, which the first convergence runs and the differential
+// tests reach through reconvergeCtx with a nil delta.
 func (n *Network) ReconvergeCtx(ctx context.Context) error {
 	return n.reconvergeCtx(ctx, n.computeDelta())
 }
@@ -454,9 +420,9 @@ func (n *Network) reconvergeCtx(ctx context.Context, d *reconvergeDelta) error {
 	isUp := n.linkUpFn
 	start := n.met.phaseStart()
 	if d == nil {
-		n.igp = igp.NewCached(n.topo, isUp, n.spfCache, n.parallelism)
+		n.igp = igp.New(n.topo, isUp, n.parallelism)
 	} else {
-		n.igp = igp.Rebuild(d.base.igp, isUp, d.dirtyASes, n.spfCache, n.parallelism)
+		n.igp = igp.Rebuild(d.base.igp, isUp, d.dirtyASes, n.parallelism)
 		if n.met != nil {
 			n.met.asRebuilds.Add(int64(len(d.dirtyASes)))
 		}
@@ -497,9 +463,7 @@ func (n *Network) reconvergeCtx(ctx context.Context, d *reconvergeDelta) error {
 	}
 	n.bgp = st
 	n.converged = true
-	if n.incremental {
-		n.base = n.captureBase()
-	}
+	n.base = n.captureBase()
 	return nil
 }
 

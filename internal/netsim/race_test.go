@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"netdiag/internal/igp"
 	"netdiag/internal/probe"
 	"netdiag/internal/topology"
 )
@@ -25,14 +24,14 @@ func meshKey(m *probe.Mesh) string {
 }
 
 // TestConcurrentNew converges several independent networks over one shared
-// Topology at parallelism 4, concurrently. The topology is immutable and
+// Topology at parallelism 4, concurrently, each network's per-AS SPF
+// workers writing their rows into one table. The topology is immutable and
 // each Network owns its state, so this must be race-free (run with -race)
 // and every goroutine must converge to the same forwarding behavior.
 func TestConcurrentNew(t *testing.T) {
 	f := topology.BuildFig2()
 	sensors := []topology.RouterID{f.S1, f.S2, f.S3}
 	origins := []topology.ASN{f.ASA, f.ASB, f.ASC}
-	cache := igp.NewCache()
 
 	const goroutines = 8
 	keys := make([]string, goroutines)
@@ -42,7 +41,7 @@ func TestConcurrentNew(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			n, err := New(f.Topo, origins, WithParallelism(4), WithSPFCache(cache))
+			n, err := New(f.Topo, origins, WithParallelism(4))
 			if err != nil {
 				errs[g] = err
 				return
@@ -72,8 +71,7 @@ func TestConcurrentNew(t *testing.T) {
 func TestConcurrentForkTrials(t *testing.T) {
 	f := topology.BuildFig2()
 	sensors := []topology.RouterID{f.S1, f.S2, f.S3}
-	base, err := New(f.Topo, []topology.ASN{f.ASA, f.ASB, f.ASC},
-		WithParallelism(2), WithSPFCache(igp.NewCache()))
+	base, err := New(f.Topo, []topology.ASN{f.ASA, f.ASB, f.ASC}, WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"testing"
 
 	"netdiag/internal/bgp"
@@ -103,7 +104,7 @@ func TestCheckpointDegradedRoundTrip(t *testing.T) {
 
 	// The inherited fault state must feed the next (incremental) delta: a
 	// further reconvergence must match a cold recompute of the same faults.
-	n2, err := New(f.Topo, []topology.ASN{f.ASA, f.ASB, f.ASC}, WithIncrementalReconvergence(false))
+	n2, err := New(f.Topo, []topology.ASN{f.ASA, f.ASB, f.ASC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestCheckpointDegradedRoundTrip(t *testing.T) {
 	n2.FailRouter(f.R["y2"])
 	n2.AddExportFilter(filt)
 	n2.FailRouter(f.R["x2"])
-	if err := n2.Reconverge(); err != nil {
+	if err := n2.reconvergeCtx(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	fork.FailRouter(f.R["x2"])

@@ -142,9 +142,9 @@ func (s *Store) converge(name string, e *storeEntry) {
 }
 
 // build converges one scenario into a snapshot: an experiment Env over
-// the scenario's sensors (NewEnv gives the network its own SPF cache, so
-// request forks reuse unchanged per-AS routing tables) plus the index
-// that resolves router names in requests.
+// the scenario's sensors (request forks reconverge as deltas of its
+// network, rerunning SPF only for the ASes a failure dirties) plus the
+// index that resolves router names in requests.
 func (s *Store) build(name string) (*Snapshot, error) {
 	scn, err := s.reg.Get(name)
 	if err != nil {

@@ -102,21 +102,15 @@ func pollEvents(t *testing.T, h http.Handler, scenario string) []byte {
 	}
 }
 
-// runStreamReplay replays the committed feed against a fresh ingest
-// server at the given POST parallelism, with or without client trace
-// IDs, and returns the settled /v1/events body.
-func runStreamReplay(t *testing.T, par int, withTrace bool) []byte {
+// replayStreamFeed replays the committed fig2 feed against a fresh
+// ingest server at the given POST parallelism, shuffled per parallelism,
+// with or without client trace IDs, and returns the settled /v1/events
+// body.
+func replayStreamFeed(t *testing.T, par int, withTrace bool) []byte {
 	t.Helper()
 	s := New(Config{Telemetry: telemetry.New(), Ingest: true})
 	defer s.Close()
-	return replayStreamFeed(t, s.Handler(), par, withTrace)
-}
-
-// replayStreamFeed posts the committed fig2 feed to an ingest server's
-// handler, shuffled per parallelism, and returns the settled /v1/events
-// body.
-func replayStreamFeed(t *testing.T, h http.Handler, par int, withTrace bool) []byte {
-	t.Helper()
+	h := s.Handler()
 	tasks := streamFeedTasks(t)
 	// Deterministically shuffled per configuration so different runs
 	// arrive in genuinely different orders.
@@ -181,9 +175,9 @@ func replayStreamFeed(t *testing.T, h http.Handler, par int, withTrace bool) []b
 // tracing off and on, must yield byte-identical /v1/events bodies —
 // the journal's (ts, key) order, not arrival order, defines the run.
 func TestStreamReplayDeterminism(t *testing.T) {
-	seq := runStreamReplay(t, 1, false)
-	par := runStreamReplay(t, 8, false)
-	traced := runStreamReplay(t, 8, true)
+	seq := replayStreamFeed(t, 1, false)
+	par := replayStreamFeed(t, 8, false)
+	traced := replayStreamFeed(t, 8, true)
 
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("parallel replay diverged from sequential:\n--- par=1 ---\n%s\n--- par=8 ---\n%s", seq, par)
