@@ -85,15 +85,15 @@ smoke:
 # bitset greedy scoring kernels (scanBest / accumDelta / retireSets as the
 # greedy loop composes them), one traceroute forwarding step, one
 # IP-to-AS table hit, one single-source SPF into a reused row and one
-# BGP fixpoint round on a converged prefix must report exactly 0
-# allocs/op.
+# BGP worklist drain over every router of a converged prefix must report
+# exactly 0 allocs/op.
 allocguard:
 	$(GO) test -run xxx -bench 'BenchmarkHotLoopDisabled' -benchtime 100x ./internal/telemetry/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkHotLoopDisabled'
 	$(GO) test -run xxx -bench 'BenchmarkGreedyScoreKernel' -benchtime 100x ./internal/core/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkGreedyScoreKernel'
 	$(GO) test -run xxx -bench 'BenchmarkForward' -benchtime 100x ./internal/netsim/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkForward'
 	$(GO) test -run xxx -bench 'BenchmarkLookup' -benchtime 100x ./internal/ip2as/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkLookup'
 	$(GO) test -run xxx -bench '^BenchmarkSPF$$' -benchtime 100x ./internal/igp/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkSPF'
-	$(GO) test -run xxx -bench 'BenchmarkConvergedRound' -benchtime 100x ./internal/bgp/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkConvergedRound'
+	$(GO) test -run xxx -bench 'BenchmarkConfirmFixpoint' -benchtime 100x ./internal/bgp/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkConfirmFixpoint'
 
 # The full verify loop: tier-1 (build + test) plus the gofmt gate, vet
 # (the root module and the ndbench module), the project linter, the

@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"netdiag/internal/igp"
@@ -31,11 +33,12 @@ func BenchmarkConvergence(b *testing.B) {
 	}
 }
 
-// BenchmarkConvergedRound measures one synchronous fixpoint round on an
-// already-converged prefix of the research topology: the round that
-// confirms a fixpoint, which every prefix's convergence ends with. It
-// must report no change and allocate nothing (make allocguard).
-func BenchmarkConvergedRound(b *testing.B) {
+// BenchmarkConfirmFixpoint drains a worklist seeded with every router over
+// an already converged prefix of the research topology, reusing the
+// worklist: the confirmation every router of a ForceAll delta's unaffected
+// prefixes makes. It must change nothing, so it makes exactly one decision
+// per router, and allocate nothing (make allocguard).
+func BenchmarkConfirmFixpoint(b *testing.B) {
 	res, err := topology.GenerateResearch(topology.DefaultResearchConfig(1))
 	if err != nil {
 		b.Fatal(err)
@@ -52,17 +55,23 @@ func BenchmarkConvergedRound(b *testing.B) {
 	}
 	p := st.prefixes[0]
 	conv := st.per[p]
-	next := &prefixState{
-		best:   make([]*Route, len(conv.best)),
-		adj:    make([]*Route, len(conv.adj)),
-		layout: conv.layout,
-	}
+	ps := &prefixState{best: slices.Clone(conv.best), adj: slices.Clone(conv.adj), layout: conv.layout}
+	nr := res.Topo.NumRouters()
+	wl := getWorklist(nr, nil)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if st.stepPrefix(p, origins[p], conv, next) {
-			b.Fatal("a converged prefix changed")
+		for r := 0; r < nr; r++ {
+			wl.push(topology.RouterID(r))
 		}
+		if d, err := st.drain(ctx, p, origins[p], ps, wl); err != nil || d != nr {
+			b.Fatalf("a converged prefix took %d decisions (%v), want %d", d, err, nr)
+		}
+	}
+	b.StopTimer()
+	if !slices.Equal(ps.best, conv.best) || !slices.Equal(ps.adj, conv.adj) {
+		b.Fatal("a converged prefix changed")
 	}
 }
 

@@ -6,8 +6,15 @@
 // from the topology's business relationships and optional per-neighbor
 // export filters used to simulate the paper's router misconfigurations.
 //
-// The simulator computes the stable routing state by synchronous fixpoint
-// iteration. The NetDiagnoser paper diagnoses non-transient failures after
+// The simulator computes the stable routing state with an event-driven
+// fixpoint per prefix, as C-BGP converges from a queue of update messages:
+// a FIFO worklist holds the routers whose inputs changed, and a router is
+// re-decided only when it pops. Only a router whose best route changed
+// re-exports it, and only the neighbours whose Adj-RIB-In that changes
+// (plus, for an eBGP-learned best, the routers of its AS, which read it
+// over iBGP) join the worklist. Gao–Rexford policies give each prefix a
+// unique stable state, so the order of the worklist does not change the
+// result. The NetDiagnoser paper diagnoses non-transient failures after
 // routing has converged, so the stable state — not BGP's transient message
 // dynamics — is the only thing the diagnosis algorithms observe.
 //
@@ -24,6 +31,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"netdiag/internal/igp"
 	"netdiag/internal/pool"
@@ -31,12 +39,13 @@ import (
 	"netdiag/internal/topology"
 )
 
-// Metrics instruments the convergence pipeline: the per-prefix fixpoint
-// iteration counts, a convergence counter, and the pool-layer task
+// Metrics instruments the convergence pipeline: the decisions each
+// prefix's fixpoint made, a convergence counter, and the pool-layer task
 // metrics of the per-prefix fan-out. A nil *Metrics disables everything.
 type Metrics struct {
-	// FixpointRounds observes the synchronous rounds each prefix took.
-	FixpointRounds *telemetry.Histogram
+	// Decisions observes the decision-process runs each prefix's fixpoint
+	// made.
+	Decisions *telemetry.Histogram
 	// PrefixesConverged counts successfully converged prefixes.
 	PrefixesConverged *telemetry.Counter
 	// PrefixesDirty counts prefixes a warm compute had to re-run the
@@ -44,12 +53,17 @@ type Metrics struct {
 	// state untouched.
 	PrefixesDirty   *telemetry.Counter
 	PrefixesSkipped *telemetry.Counter
-	// WarmRounds observes the fixpoint rounds of warm-started prefixes
-	// only, where a near-fixpoint seed should confirm in very few rounds.
-	WarmRounds *telemetry.Histogram
+	// WarmDecisions observes the decisions of warm-started prefixes only,
+	// where the worklist re-decides just the routers the delta reached.
+	WarmDecisions *telemetry.Histogram
 	// Pool carries the shared pool-layer task metrics.
 	Pool *pool.Metrics
 }
+
+// decisionBuckets bound the per-prefix decision counts: from a warm
+// prefix's handful to a cold prefix's few per router of a research
+// topology.
+var decisionBuckets = []int64{1, 4, 16, 64, 256, 1024, 4096, 16384}
 
 // NewMetrics returns the BGP metrics of a registry (nil registry -> nil).
 func NewMetrics(r *telemetry.Registry) *Metrics {
@@ -57,34 +71,35 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		FixpointRounds:    r.Histogram("bgp.fixpoint_rounds", telemetry.CountBuckets),
+		Decisions:         r.Histogram("bgp.decisions", decisionBuckets),
 		PrefixesConverged: r.Counter("bgp.prefixes_converged"),
 		PrefixesDirty:     r.Counter("bgp.prefixes_dirty"),
 		PrefixesSkipped:   r.Counter("bgp.prefixes_skipped"),
-		WarmRounds:        r.Histogram("bgp.warm_fixpoint_rounds", telemetry.CountBuckets),
+		WarmDecisions:     r.Histogram("bgp.warm_decisions", decisionBuckets),
 		Pool:              pool.NewMetrics(r),
 	}
 }
 
-func (m *Metrics) prefixConverged(rounds int) {
+// prefixConverged records one prefix whose fixpoint ran; warm marks a
+// warm compute's dirty prefix.
+func (m *Metrics) prefixConverged(decisions int, warm bool) {
 	if m == nil {
 		return
 	}
 	m.PrefixesConverged.Inc()
-	m.FixpointRounds.Observe(int64(rounds))
+	m.Decisions.Observe(int64(decisions))
+	if warm {
+		m.PrefixesDirty.Inc()
+		m.WarmDecisions.Observe(int64(decisions))
+	}
 }
 
-// warmOutcome records the dirty/skipped split of one warm compute and the
-// per-prefix warm fixpoint rounds.
-func (m *Metrics) warmOutcome(dirtyRounds []int, skipped int) {
+// prefixesSkipped records the prefixes a warm compute shared untouched.
+func (m *Metrics) prefixesSkipped(n int) {
 	if m == nil {
 		return
 	}
-	m.PrefixesDirty.Add(int64(len(dirtyRounds)))
-	m.PrefixesSkipped.Add(int64(skipped))
-	for _, r := range dirtyRounds {
-		m.WarmRounds.Observe(int64(r))
-	}
+	m.PrefixesSkipped.Add(int64(n))
 }
 
 func (m *Metrics) poolMetrics() *pool.Metrics {
@@ -182,8 +197,6 @@ type Config struct {
 	Origins map[Prefix]topology.ASN
 	// Filters are the active export filters (misconfigurations).
 	Filters []ExportFilter
-	// MaxRounds caps the fixpoint iteration; 0 means a generous default.
-	MaxRounds int
 	// Parallelism bounds the worker pool the per-prefix fixpoints run on.
 	// Values <= 1 converge sequentially (the default); the result is the
 	// same either way.
@@ -192,12 +205,21 @@ type Config struct {
 	// it. Telemetry never affects the converged state.
 	Metrics *Metrics
 	// Warm, when non-nil, seeds the compute from a previously converged
-	// state of the same topology and origins (see Delta): prefixes whose
-	// routing cannot be affected by the described delta share the prior
-	// state untouched, and every other prefix starts its fixpoint from the
-	// prior routes instead of empty RIBs. The converged result is
+	// state of the same topology and origins (see Delta): every prefix
+	// starts from its prior routes, its worklist seeded with just the
+	// routers the described delta reaches, and a prefix the delta does
+	// not reach shares the prior state untouched. The converged result is
 	// route-for-route identical to a cold compute.
 	Warm *Delta
+
+	// budget caps the decisions one prefix's fixpoint may make; 0 means
+	// 500 per router. Only tests lower it.
+	budget int
+	// order, when non-nil, picks which of the n queued routers each
+	// fixpoint pops next (0 is the FIFO head). Only tests set it, to drain
+	// in shuffled orders at Parallelism 1; the converged state must not
+	// depend on it.
+	order func(n int) int
 }
 
 // session is one live eBGP session endpoint as seen from Local.
@@ -220,6 +242,9 @@ type session struct {
 type sessionLayout struct {
 	start []int // len NumRouters+1
 	flat  []session
+	// rev[i] is the slot of session i's reverse direction: where flat[i]'s
+	// Remote receives what flat[i]'s Local exports.
+	rev []int32
 	// ibgp[r] lists the border routers of r's AS: those with an inter-AS
 	// link, live or not. Only they can hold an eBGP-learned best, the one
 	// kind of route decide adopts over iBGP, so they are all of r's iBGP
@@ -257,7 +282,9 @@ type prefixState struct {
 	// from a prior state keeps the prior layout, which is a superset of any
 	// later pure-degradation layout; removed sessions hold nil entries.
 	layout *sessionLayout
-	rounds int
+	// decisions counts the decision-process runs of the fixpoint that
+	// produced this state.
+	decisions int
 }
 
 // adjAt returns the route local received from remote, resolved through the
@@ -276,22 +303,21 @@ type State struct {
 	prefixes []Prefix
 	layout   *sessionLayout
 	per      map[Prefix]*prefixState
-	rounds   int
 	// warmDirty / warmSkipped describe how a warm compute split the
 	// prefixes; both zero for a cold compute.
 	warmDirty, warmSkipped int
 }
 
 // Compute converges the routing state. It returns an error only if some
-// prefix's iteration fails to reach a fixpoint within the round cap, which
-// for relationship-consistent topologies indicates a configuration bug.
+// prefix's fixpoint exceeds its decision budget, which for
+// relationship-consistent topologies indicates a configuration bug.
 func Compute(cfg Config) (*State, error) {
 	return ComputeCtx(context.Background(), cfg)
 }
 
 // ComputeCtx is Compute with cancellation: ctx is checked between the
-// synchronous rounds of every prefix's fixpoint and between the per-prefix
-// tasks of the fan-out, so a served diagnosis with a deadline aborts the
+// per-prefix tasks of the fan-out and every 1024 decisions within a
+// prefix's fixpoint, so a served diagnosis with a deadline aborts the
 // convergence promptly with ctx.Err(). The converged state is identical to
 // Compute for an uncancelled context. A nil ctx means context.Background().
 func ComputeCtx(ctx context.Context, cfg Config) (*State, error) {
@@ -331,84 +357,36 @@ func ComputeCtx(ctx context.Context, cfg Config) (*State, error) {
 		s.layout = buildLayout(&s.cfg)
 	}
 
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 500
-	}
-	var dirty []bool
-	var seeds []*prefixState
+	var plan *warmPlan
 	if prior != nil {
-		dirty, seeds = s.planWarm(cfg.Warm)
-	}
-	if dirty != nil && noneDirty(dirty) {
-		// Entirely clean delta: share every prior prefixState without
-		// spinning up the per-prefix fan-out at all.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for i, p := range s.prefixes {
-			s.per[p] = seeds[i]
-			s.warmSkipped++
-		}
-		cfg.Metrics.warmOutcome(nil, s.warmSkipped)
-		return s, nil
+		plan = s.planWarm(cfg.Warm)
 	}
 	states := make([]*prefixState, len(s.prefixes))
-	workers := cfg.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	err := pool.ForEachM(ctx, workers, len(s.prefixes), func(i int) error {
-		if dirty != nil && !dirty[i] {
-			// Clean prefix: the prior converged state is provably the
-			// fixpoint under the new configuration too — share it.
-			states[i] = seeds[i]
-			return nil
-		}
-		var seed *prefixState
-		if seeds != nil {
-			seed = seeds[i]
-		}
-		ps, err := s.convergePrefix(ctx, s.prefixes[i], maxRounds, seed)
-		if err != nil {
-			return err
-		}
-		cfg.Metrics.prefixConverged(ps.rounds)
+	err := pool.ForEachM(ctx, max(cfg.Parallelism, 1), len(s.prefixes), func(i int) error {
+		wl := getWorklist(cfg.Topo.NumRouters(), cfg.order)
+		ps, err := s.convergePrefix(ctx, s.prefixes[i], plan, wl)
+		worklists.Put(wl)
 		states[i] = ps
-		return nil
+		return err
 	}, cfg.Metrics.poolMetrics())
 	if err != nil {
 		return nil, err
 	}
-	var warmRounds []int
 	for i, p := range s.prefixes {
 		s.per[p] = states[i]
-		if dirty != nil && !dirty[i] {
+		if plan != nil && states[i] == prior.per[p] {
 			s.warmSkipped++
 			continue
 		}
-		if dirty != nil {
+		if plan != nil {
 			s.warmDirty++
-			warmRounds = append(warmRounds, states[i].rounds)
 		}
-		if states[i].rounds > s.rounds {
-			s.rounds = states[i].rounds
-		}
+		cfg.Metrics.prefixConverged(states[i].decisions, plan != nil)
 	}
-	if dirty != nil {
-		cfg.Metrics.warmOutcome(warmRounds, s.warmSkipped)
+	if plan != nil {
+		cfg.Metrics.prefixesSkipped(s.warmSkipped)
 	}
 	return s, nil
-}
-
-// noneDirty reports whether a warm plan left every prefix clean.
-func noneDirty(dirty []bool) bool {
-	for _, d := range dirty {
-		if d {
-			return false
-		}
-	}
-	return true
 }
 
 // buildLayout enumerates the live eBGP sessions into their flattened,
@@ -450,88 +428,199 @@ func buildLayout(cfg *Config) *sessionLayout {
 		ly.flat = append(ly.flat, ss...)
 	}
 	ly.start[topo.NumRouters()] = len(ly.flat)
+	// Sessions come in pairs, so every slot has its reverse.
+	ly.rev = make([]int32, len(ly.flat))
+	for i, e := range ly.flat {
+		ly.rev[i] = int32(ly.slot(e.Remote, e.Local))
+	}
 	return ly
 }
 
-// convergePrefix runs the synchronous fixpoint for one prefix, checking ctx
-// between rounds so long convergences abort promptly under a deadline. A
-// non-nil seed warm-starts the iteration from a prior converged state
-// (remapped onto the current session layout); the fixpoint reached is the
-// same either way, a seeded run just reaches it in fewer rounds.
-//
-// The two prefixStates double-buffer the iteration: each round reads one
-// and overwrites every slot of the other, so the per-round map and slice
-// churn of the hot loop collapses to two allocations per fixpoint. Routes
-// are immutable and shared between rounds: a round allocates a route only
-// where it differs from the previous round's, so a round that confirms the
-// fixpoint allocates nothing.
-func (s *State) convergePrefix(ctx context.Context, p Prefix, maxRounds int, seed *prefixState) (*prefixState, error) {
-	nr := s.cfg.Topo.NumRouters()
-	cur := &prefixState{best: make([]*Route, nr), adj: make([]*Route, len(s.layout.flat)), layout: s.layout}
-	next := &prefixState{best: make([]*Route, nr), adj: make([]*Route, len(s.layout.flat)), layout: s.layout}
-	if seed != nil {
-		copy(cur.best, seed.best)
-		for i, e := range s.layout.flat {
-			cur.adj[i] = seed.adjAt(e.Local, e.Remote)
-		}
-	}
+// convergePrefix converges prefix p on the worklist wl. A cold compute
+// (nil plan), or a prefix the prior state lacks or whose origin moved,
+// starts from empty RIBs with the origin AS's routers queued. Otherwise
+// the plan queues the routers its delta reaches: a prefix with none shares
+// the prior state by pointer, and any other drains from a copy of the
+// prior routes remapped onto the current session layout.
+func (s *State) convergePrefix(ctx context.Context, p Prefix, plan *warmPlan, wl *worklist) (*prefixState, error) {
 	origin := s.cfg.Origins[p]
-	for rounds := 1; rounds <= maxRounds; rounds++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if !s.stepPrefix(p, origin, cur, next) {
-			next.rounds = rounds
-			return next, nil
-		}
-		cur, next = next, cur
+	var old *prefixState
+	if plan != nil && plan.prior.cfg.Origins[p] == origin {
+		old = plan.prior.per[p]
 	}
-	return nil, fmt.Errorf("bgp: prefix %s: no convergence after %d rounds", p, maxRounds)
+	if old != nil {
+		if plan.seed(s, p, old, wl); wl.n == 0 {
+			return old, nil
+		}
+	}
+	ps := &prefixState{
+		best:   make([]*Route, s.cfg.Topo.NumRouters()),
+		adj:    make([]*Route, len(s.layout.flat)),
+		layout: s.layout,
+	}
+	if old == nil {
+		if as := s.cfg.Topo.AS(origin); as != nil {
+			for _, r := range as.Routers {
+				wl.push(r)
+			}
+		}
+	} else {
+		copy(ps.best, old.best)
+		plan.copyAdj(ps, old)
+		plan.refreshSlots(s, p, ps, wl)
+	}
+	decisions, err := s.drain(ctx, p, origin, ps, wl)
+	if err != nil {
+		return nil, err
+	}
+	ps.decisions = decisions
+	return ps, nil
 }
 
-// stepPrefix runs one synchronous round for prefix p, which AS origin
-// originates: recompute every router's best route from the previous
-// round's state (prev), then recompute every Adj-RIB-In slot from the new
-// bests, writing into next. It reports whether anything changed. Every
-// entry that did not change is prev's route itself, so change detection
-// is mostly a pointer comparison.
-func (s *State) stepPrefix(p Prefix, origin topology.ASN, prev, next *prefixState) bool {
-	topo := s.cfg.Topo
-	changed := false
-
-	for id := 0; id < topo.NumRouters(); id++ {
-		r := topology.RouterID(id)
-		if !s.cfg.IsRouterUp(r) {
-			next.best[r] = nil
-			if prev.best[r] != nil {
-				changed = true
+// drain runs p's fixpoint on ps: it pops routers off wl and re-decides
+// each, and where a router's best route changes it re-exports that route
+// over the router's sessions, queueing every neighbour whose Adj-RIB-In
+// slot changed and, for an eBGP-learned best, the routers of its AS, which
+// read it over iBGP. Every router outside wl already holds the decision
+// its inputs give, so ps is the fixpoint once wl is empty. drain returns
+// the decisions made; once they exceed the budget, or ctx is cancelled
+// (checked every 1024 decisions), it empties wl and returns an error.
+//
+// Routes are immutable and shared: decide returns the router's current
+// best itself when the winner equals it, and export the slot's current
+// route, so a pointer comparison detects every change and a decision that
+// changes nothing allocates nothing.
+func (s *State) drain(ctx context.Context, p Prefix, origin topology.ASN, ps *prefixState, wl *worklist) (int, error) {
+	topo, ly := s.cfg.Topo, s.layout
+	budget := s.cfg.budget
+	if budget == 0 {
+		budget = 500 * topo.NumRouters()
+	}
+	decisions := 0
+	for wl.n > 0 {
+		if decisions == budget {
+			wl.clear()
+			return decisions, fmt.Errorf("bgp: prefix %s: no convergence after %d decisions", p, decisions)
+		}
+		if decisions&1023 == 1023 {
+			if err := ctx.Err(); err != nil {
+				wl.clear()
+				return decisions, err
 			}
+		}
+		r := wl.pop()
+		decisions++
+		var nb *Route
+		if s.cfg.IsRouterUp(r) {
+			nb = s.decide(r, p, origin, ps)
+		}
+		prev := ps.best[r]
+		if nb == prev {
 			continue
 		}
-		next.best[r] = s.decide(r, p, origin, prev)
-		if !changed && !next.best[r].equal(prev.best[r]) {
-			changed = true
+		ps.best[r] = nb
+		for i := ly.start[r]; i < ly.start[r+1]; i++ {
+			s.refresh(int(ly.rev[i]), p, ps, wl)
+		}
+		if ibgpVisible(prev) || ibgpVisible(nb) {
+			for _, q := range topo.AS(topo.RouterAS(r)).Routers {
+				if q != r {
+					wl.push(q)
+				}
+			}
 		}
 	}
+	return decisions, nil
+}
 
-	// Exports read the bests just computed (next), matching the original
-	// synchronous round: best pass first, then Adj-RIB-Ins from the new
-	// bests. export only reads .best, so the half-filled next.adj is fine.
-	for i, e := range s.layout.flat {
-		in := s.export(e, p, next, prev.adj[i])
-		next.adj[i] = in
-		if !changed && !in.equal(prev.adj[i]) {
-			changed = true
-		}
+// refresh recomputes Adj-RIB-In slot j from its exporter's current best
+// and, when the slot changes, queues the receiving router.
+func (s *State) refresh(j int, p Prefix, ps *prefixState, wl *worklist) {
+	e := s.layout.flat[j]
+	if in := s.export(e, p, ps, ps.adj[j]); in != ps.adj[j] {
+		ps.adj[j] = in
+		wl.push(e.Local)
 	}
-	return changed
+}
+
+// ibgpVisible reports whether a router's best is one its AS-mates read
+// over iBGP: an eBGP-learned route (see decide).
+func ibgpVisible(b *Route) bool {
+	return b != nil && !b.viaIBGP && !b.Local
+}
+
+// worklist is the FIFO of routers whose decision inputs changed: a ring of
+// NumRouters slots with an in-queue bitmap, so a router is queued at most
+// once and the ring cannot overflow. Every drain leaves it empty, so the
+// per-prefix tasks of every compute reuse worklists through a pool.
+type worklist struct {
+	ring   []topology.RouterID
+	head   int
+	n      int
+	queued []uint64
+	// order is Config.order: nil pops the FIFO head.
+	order func(n int) int
+}
+
+// worklists holds empty worklists between per-prefix tasks.
+var worklists sync.Pool
+
+// getWorklist returns an empty worklist for a topology of the given router
+// count, reusing a pooled one that is large enough.
+func getWorklist(routers int, order func(int) int) *worklist {
+	words := (routers + 63) / 64
+	wl, _ := worklists.Get().(*worklist)
+	if wl == nil || cap(wl.ring) < routers || cap(wl.queued) < words {
+		wl = &worklist{ring: make([]topology.RouterID, routers), queued: make([]uint64, words)}
+	}
+	wl.ring, wl.queued, wl.head, wl.order = wl.ring[:routers], wl.queued[:words], 0, order
+	return wl
+}
+
+// push queues r unless it is already queued.
+func (w *worklist) push(r topology.RouterID) {
+	word, bit := r>>6, uint64(1)<<(r&63)
+	if w.queued[word]&bit != 0 {
+		return
+	}
+	w.queued[word] |= bit
+	tail := w.head + w.n
+	if tail >= len(w.ring) {
+		tail -= len(w.ring)
+	}
+	w.ring[tail] = r
+	w.n++
+}
+
+// pop dequeues the next router; w must not be empty.
+func (w *worklist) pop() topology.RouterID {
+	if w.order != nil {
+		k := w.head + w.order(w.n)
+		if k >= len(w.ring) {
+			k -= len(w.ring)
+		}
+		w.ring[w.head], w.ring[k] = w.ring[k], w.ring[w.head]
+	}
+	r := w.ring[w.head]
+	if w.head++; w.head == len(w.ring) {
+		w.head = 0
+	}
+	w.n--
+	w.queued[r>>6] &^= uint64(1) << (r & 63)
+	return r
+}
+
+// clear empties w.
+func (w *worklist) clear() {
+	w.head, w.n = 0, 0
+	clear(w.queued)
 }
 
 // export computes the route session e's Local receives from its Remote
 // for prefix p — Remote's advertisement under Gao–Rexford policy and the
 // active export filters — reading Remote's best from ps; nil means
 // nothing is advertised. When the advertisement equals prevIn, the
-// slot's route of the previous round, prevIn itself is returned.
+// slot's current route, prevIn itself is returned.
 func (s *State) export(e session, p Prefix, ps *prefixState, prevIn *Route) *Route {
 	from := e.Remote
 	b := ps.best[from]
@@ -587,10 +676,10 @@ func (s *State) filtered(from, to topology.RouterID, p Prefix) bool {
 }
 
 // decide runs the BGP decision process at router r for prefix p, which
-// AS origin originates, over the previous round's Adj-RIB-Ins and
-// iBGP-learned bests in ps. Candidates are compared as stack values, and
-// when the winner equals ps.best[r], r's best of the previous round, that
-// route is returned instead of a new one.
+// AS origin originates, over the Adj-RIB-Ins and iBGP-learned bests in
+// ps. Candidates are compared as stack values, and when the winner equals
+// ps.best[r], r's current best, that route is returned instead of a new
+// one.
 func (s *State) decide(r topology.RouterID, p Prefix, origin topology.ASN, ps *prefixState) *Route {
 	topo := s.cfg.Topo
 	asn := topo.RouterAS(r)
@@ -604,8 +693,8 @@ func (s *State) decide(r topology.RouterID, p Prefix, origin topology.ASN, ps *p
 	}
 
 	// eBGP: routes in Adj-RIB-In from live sessions. The fixpoint always
-	// iterates states indexed by s.layout, so the session slot addresses
-	// the Adj-RIB-In directly.
+	// drains states indexed by s.layout, so the session slot addresses the
+	// Adj-RIB-In directly.
 	base := s.layout.start[r]
 	for i, e := range s.layout.of(r) {
 		adv := ps.adj[base+i]
@@ -703,13 +792,8 @@ func (s *State) Best(r topology.RouterID, p Prefix) (*Route, bool) {
 // slice is shared; callers must not modify it.
 func (s *State) Prefixes() []Prefix { return s.prefixes }
 
-// Rounds returns the number of synchronous rounds the slowest prefix's
-// fixpoint took. Prefixes shared untouched from a warm compute's prior
-// state do not count — they took zero rounds this compute.
-func (s *State) Rounds() int { return s.rounds }
-
 // WarmStats reports how a warm compute split the prefixes: dirty prefixes
-// re-ran the (seeded) fixpoint, skipped prefixes shared the prior state
+// drained a seeded worklist, skipped prefixes shared the prior state
 // untouched. Both are zero for a cold compute.
 func (s *State) WarmStats() (dirty, skipped int) { return s.warmDirty, s.warmSkipped }
 

@@ -277,8 +277,12 @@ func TestConvergenceOnResearchTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Rounds() > 30 {
-		t.Fatalf("convergence took %d rounds; policy iteration is misbehaving", st.Rounds())
+	// A router is re-decided only when an input changed, and on this
+	// hierarchy most routers settle on their first decision.
+	for p := range origins {
+		if d := st.per[p].decisions; d > 2*res.Topo.NumRouters() {
+			t.Fatalf("%s: convergence took %d decisions for %d routers; the worklist is misbehaving", p, d, res.Topo.NumRouters())
+		}
 	}
 	// Every originated prefix must be reachable from every core router
 	// (the research graph is fully connected).

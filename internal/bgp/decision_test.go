@@ -175,18 +175,18 @@ func TestPeerRouteNotExportedToPeer(t *testing.T) {
 	}
 }
 
-// TestMaxRoundsError checks the convergence cap reports an error instead
-// of spinning forever.
+// TestMaxRoundsError checks the per-prefix decision budget reports an
+// error instead of spinning forever.
 func TestMaxRoundsError(t *testing.T) {
 	f := topology.BuildFig2()
 	up := func(topology.LinkID) bool { return true }
 	_, err := Compute(Config{
 		Topo: f.Topo, IGP: igp.New(f.Topo, up, 1), IsLinkUp: up,
-		Origins:   map[Prefix]topology.ASN{PrefixFor(f.ASA): f.ASA},
-		MaxRounds: 1,
+		Origins: map[Prefix]topology.ASN{PrefixFor(f.ASA): f.ASA},
+		budget:  1,
 	})
 	if err == nil || !strings.Contains(err.Error(), "no convergence") {
-		t.Fatalf("MaxRounds=1 should fail to converge, got %v", err)
+		t.Fatalf("a budget of 1 decision should fail to converge, got %v", err)
 	}
 }
 
@@ -194,8 +194,12 @@ func TestMaxRoundsError(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	f := topology.BuildFig2()
 	st := fig2State(t, f, nil, nil)
-	if st.Rounds() < 2 {
-		t.Fatalf("rounds = %d", st.Rounds())
+	// Every fig2 router holds a route to every prefix, and only a decision
+	// sets one.
+	for _, p := range st.Prefixes() {
+		if d := st.per[p].decisions; d < f.Topo.NumRouters() {
+			t.Fatalf("%s: %d decisions for %d routers", p, d, f.Topo.NumRouters())
+		}
 	}
 	if got := len(st.Prefixes()); got != 3 {
 		t.Fatalf("prefixes = %d", got)

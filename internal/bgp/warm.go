@@ -1,17 +1,18 @@
 // Warm-started convergence: a Delta describes how a Config differs from a
 // previously converged state of the same topology, and planWarm derives
-// from it the set of prefixes whose converged routing can actually be
-// affected (the "dirty set"). Clean prefixes share the prior prefixState by
-// pointer and skip the fixpoint entirely; dirty prefixes seed their
-// fixpoint from the prior routes, so an already-correct seed confirms in a
-// single verification round instead of O(diameter) rounds.
+// from it, once per compute, what seed turns into each prefix's worklist:
+// the routers whose decision the delta can change. A prefix with no such
+// router shares the prior prefixState by pointer; any other drains from
+// its prior routes, so a warm fixpoint re-decides only what the delta
+// reached and what that change propagates to.
 //
 // Soundness rests on the Gao–Rexford relationship consistency the topology
 // package enforces: the decision process has a unique stable state per
-// prefix (no dispute wheel), so any fixpoint the seeded iteration reaches
+// prefix (no dispute wheel), so any fixpoint the seeded worklist reaches
 // — and any prior state proven to still be a fixpoint — is the same state
-// a cold compute reaches. The netsim differential tests assert this
-// route-for-route over randomized fault sets.
+// a cold compute reaches. The bgp oracle tests assert this route-for-route
+// against synchronous rounds from empty RIBs, and the netsim differential
+// tests against a cold compute, over randomized fault sets.
 package bgp
 
 import (
@@ -50,113 +51,135 @@ type Delta struct {
 	SessionsUnchanged bool
 }
 
-// planWarm splits the prefixes into dirty (fixpoint re-runs, seeded) and
-// clean (share Prior's prefixState). seeds[i] is the prior state of
-// prefix i, nil for prefixes Prior did not carry.
-//
-// A prefix is dirty when the delta can reach its converged routing:
-//   - an export filter for it was added (removed filters set ForceAll);
-//   - a failed router held a best route for it (clearing that route can
-//     cascade);
-//   - a prior Adj-RIB-In entry for it rode a session that no longer exists
-//     (the entry must be dropped, which can cascade);
-//   - some router in a dirty AS held a best route whose egress the AS's
-//     IGP distance change can re-rank (hot-potato tie-breaks and iBGP
-//     egress reachability are the only IGP inputs to the decision
-//     process).
-//
-// Everything else is provably untouched: its prior routes are a fixpoint
-// under the new configuration, hence (by uniqueness) the cold result.
-func (s *State) planWarm(w *Delta) (dirty []bool, seeds []*prefixState) {
+// warmPlan is what a warm compute derives once from its Delta.
+type warmPlan struct {
+	prior *State
+	// forceAll marks restorations (ForceAll, a removed filter or an added
+	// session): new routes can then appear anywhere.
+	forceAll bool
+	removed  []session      // sessions of the prior layout absent now
+	added    []ExportFilter // filters the prior state lacked
+	failed   []topology.RouterID
+	dirty    []topology.ASN
+	// remap[i] is the prior layout's slot of session i, or -1 when the
+	// prior layout lacks it; nil when the layout is the prior one.
+	remap []int32
+}
+
+// planWarm diffs the filters and session layouts against w.Prior.
+func (s *State) planWarm(w *Delta) *warmPlan {
 	prior := w.Prior
-	n := len(s.prefixes)
-	dirty = make([]bool, n)
-	seeds = make([]*prefixState, n)
-	for i, p := range s.prefixes {
-		seeds[i] = prior.per[p]
-		// New prefixes, or prefixes whose origin moved, converge cold.
-		if seeds[i] == nil || prior.cfg.Origins[p] != s.cfg.Origins[p] {
-			dirty[i] = true
-		}
-	}
-
-	forceAll := w.ForceAll
-	added, removed := filterDelta(prior.cfg.Filters, s.cfg.Filters)
-	if removed {
-		forceAll = true
-	}
-	removedSessions, addedSessions := layoutDelta(prior.layout, s.layout)
-	if addedSessions {
-		// Restorations should have set ForceAll already; keep the pruning
+	added, removedFilter := filterDelta(prior.cfg.Filters, s.cfg.Filters)
+	removed, addedSessions := layoutDelta(prior.layout, s.layout)
+	pl := &warmPlan{
+		prior: prior,
+		// Restorations should have set ForceAll already; keep the seeding
 		// sound even if a caller under-reported the delta.
-		forceAll = true
+		forceAll: w.ForceAll || removedFilter || addedSessions,
+		removed:  removed,
+		added:    added,
+		failed:   w.FailedRouters,
+		dirty:    w.DirtyASes,
 	}
-	if forceAll {
-		for i := range dirty {
-			dirty[i] = true
+	if prior.layout != s.layout {
+		pl.remap = make([]int32, len(s.layout.flat))
+		for i, e := range s.layout.flat {
+			pl.remap[i] = int32(prior.layout.slot(e.Local, e.Remote))
 		}
-		return dirty, seeds
 	}
+	return pl
+}
 
-	if len(added) > 0 {
-		idx := make(map[Prefix]int, n)
-		for i, p := range s.prefixes {
-			idx[p] = i
+// seed queues on wl the routers of prefix p whose decision the delta can
+// change, given old, p's prior converged state:
+//   - every router under forceAll;
+//   - a failed router that held a route (it must drop it; when that route
+//     was eBGP-learned, the iBGP fan-out of the drain queues its AS-mates);
+//   - the local end of a removed session that carried a route;
+//   - a router in a dirty AS whose prior winner's egress distance changed
+//     (hot-potato tie-breaks and iBGP egress reachability are the only IGP
+//     inputs to the decision process; non-forceAll deltas are pure
+//     degradations, so distances only grow and rival candidates can only
+//     get worse: the prior winner can lose its seat only if its own egress
+//     distance changed);
+//   - the receiving end of an added filter's session that carried p
+//     (refreshSlots then drops the route).
+//
+// Every other router's inputs are what they were at the prior fixpoint,
+// so its prior decision stands until a change the drain propagates reaches
+// it. An empty worklist therefore proves the prior state is the fixpoint
+// under the new configuration, hence (by uniqueness) the cold result.
+func (pl *warmPlan) seed(s *State, p Prefix, old *prefixState, wl *worklist) {
+	if pl.forceAll {
+		for r := range old.best {
+			wl.push(topology.RouterID(r))
 		}
-		for _, f := range added {
-			if i, ok := idx[f.Prefix]; ok {
-				dirty[i] = true
+		return
+	}
+	for _, r := range pl.failed {
+		if old.best[r] != nil {
+			wl.push(r)
+		}
+	}
+	for _, e := range pl.removed {
+		if old.adjAt(e.Local, e.Remote) != nil {
+			wl.push(e.Local)
+		}
+	}
+	for _, asn := range pl.dirty {
+		for _, q := range s.cfg.Topo.AS(asn).Routers {
+			if b := old.best[q]; b != nil && pl.prior.cfg.IGP.Dist(q, b.Egress) != s.cfg.IGP.Dist(q, b.Egress) {
+				wl.push(q)
 			}
 		}
 	}
+	for _, f := range pl.added {
+		if f.Prefix == p && old.adjAt(f.Peer, f.Router) != nil {
+			wl.push(f.Peer)
+		}
+	}
+}
 
-	for i := range s.prefixes {
-		if dirty[i] {
+// copyAdj copies old's Adj-RIB-Ins into ps, remapped onto ps's layout.
+// Sessions the current layout lacks drop out; seed queued their local
+// ends if they carried a route.
+func (pl *warmPlan) copyAdj(ps, old *prefixState) {
+	switch {
+	case old.layout == ps.layout:
+		copy(ps.adj, old.adj)
+	case old.layout == pl.prior.layout:
+		for i, j := range pl.remap {
+			if j >= 0 {
+				ps.adj[i] = old.adj[j]
+			}
+		}
+	default:
+		// A state shared from an older compute keeps its older layout.
+		for i, e := range ps.layout.flat {
+			ps.adj[i] = old.adjAt(e.Local, e.Remote)
+		}
+	}
+}
+
+// refreshSlots recomputes the Adj-RIB-In slots of ps the delta changed
+// directly: every slot under forceAll (restored sessions start empty),
+// otherwise the sessions of p's added filters. A slot that changes queues
+// its receiving router.
+func (pl *warmPlan) refreshSlots(s *State, p Prefix, ps *prefixState, wl *worklist) {
+	if pl.forceAll {
+		for j := range ps.adj {
+			s.refresh(j, p, ps, wl)
+		}
+		return
+	}
+	for _, f := range pl.added {
+		if f.Prefix != p {
 			continue
 		}
-		ps := seeds[i]
-		for _, r := range w.FailedRouters {
-			if ps.best[r] != nil {
-				dirty[i] = true
-				break
-			}
-		}
-		if dirty[i] {
-			continue
-		}
-		for _, e := range removedSessions {
-			if ps.adjAt(e.Local, e.Remote) != nil {
-				dirty[i] = true
-				break
-			}
+		if j := s.layout.slot(f.Peer, f.Router); j >= 0 {
+			s.refresh(j, p, ps, wl)
 		}
 	}
-
-	for _, asn := range w.DirtyASes {
-		routers := s.cfg.Topo.AS(asn).Routers
-		for i := range s.prefixes {
-			if dirty[i] {
-				continue
-			}
-			for _, q := range routers {
-				b := seeds[i].best[q]
-				if b == nil {
-					continue
-				}
-				// Per-(router, egress) check: r's decision for p reads the
-				// IGP only through Dist(r, egress) of its candidates (the
-				// hot-potato tie-break and iBGP egress reachability). Dirty
-				// deltas are pure degradations — distances only grow — so
-				// rival candidates can only get worse; the prior winner can
-				// lose its seat only if its own egress distance changed.
-				if prior.cfg.IGP.Dist(q, b.Egress) != s.cfg.IGP.Dist(q, b.Egress) {
-					dirty[i] = true
-					break
-				}
-			}
-		}
-	}
-	return dirty, seeds
 }
 
 // filterDelta diffs two export-filter multisets.

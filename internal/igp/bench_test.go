@@ -22,27 +22,30 @@ func BenchmarkFullSPF(b *testing.B) {
 }
 
 // BenchmarkSPF measures one source's Dijkstra over research-1's largest AS
-// into a caller-owned row, reusing the heap scratch. It must allocate
-// nothing (make allocguard): a reconvergence reruns this loop for every
-// source of every dirty AS instead of keeping tables per failure set.
+// into a caller-owned row, walking the AS's adjacency and reusing the heap
+// scratch. It must allocate nothing (make allocguard): a reconvergence
+// reruns this loop for every source of every dirty AS instead of keeping
+// tables per failure set.
 func BenchmarkSPF(b *testing.B) {
 	res, err := topology.GenerateResearch(topology.DefaultResearchConfig(1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	s := New(res.Topo, func(topology.LinkID) bool { return true }, 1)
-	var largest []topology.RouterID
+	largest := res.Topo.ASNumbers()[0]
 	for _, asn := range res.Topo.ASNumbers() {
-		if rs := res.Topo.AS(asn).Routers; len(rs) > len(largest) {
-			largest = rs
+		if len(res.Topo.AS(asn).Routers) > len(res.Topo.AS(largest).Routers) {
+			largest = asn
 		}
 	}
+	routers := res.Topo.AS(largest).Routers
 	row := make([]int32, res.Topo.NumRouters())
-	q := s.spf(largest[0], row, nil)
+	g := s.adjacency(largest, routers, row)
+	q := spf(0, routers, g, row, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q = s.spf(largest[0], row, q)
+		q = spf(0, routers, g, row, q)
 	}
 }
 

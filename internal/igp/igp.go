@@ -98,58 +98,86 @@ func (s *State) TablesEqual(o *State) bool {
 }
 
 // spfAS runs SPF from every router of asn, writing the rows into s.dist
-// from one allocation and reusing one heap across the sources.
+// from one allocation and reusing one heap across the sources. The AS's up
+// intra links are read once, into the adjacency every source walks.
 func (s *State) spfAS(asn topology.ASN) {
 	routers := s.topo.AS(asn).Routers
 	n := s.topo.NumRouters()
 	rows := make([]int32, len(routers)*n)
+	// The first source's row is free until its SPF, so it serves as the
+	// adjacency's index scratch.
+	g := s.adjacency(asn, routers, rows[:n])
 	q := make([]item, 0, len(routers))
 	for i, src := range routers {
 		row := rows[i*n : (i+1)*n : (i+1)*n]
-		q = s.spf(src, row, q)
+		q = spf(int32(i), routers, g, row, q)
 		s.dist[src] = row
 	}
 }
 
-// item is a Dijkstra frontier entry.
-type item struct {
-	router topology.RouterID
-	dist   int32
+// arc is one direction of an up intra link in an AS's adjacency: the
+// neighbour's index in the AS's router list, the link's cost and the
+// index of the next arc leaving the same router (-1 ends the list).
+type arc struct {
+	to, cost, next int32
 }
 
-// spf fills row with the single-source shortest path distances from src
-// within its AS, over all router IDs (Infinity outside the AS or when
-// disconnected). q is heap scratch, returned for reuse; its contents on
-// entry are ignored. A popped entry longer than its router's row value is
-// stale and skipped, so no visited set is needed.
+// adjacency lists asn's up intra links as a forward star in one
+// allocation: g[i].next heads the arc list of routers[i] for i <
+// len(routers), and every later entry is one direction of an up link.
+// Each link's liveness is read once. at is scratch of NumRouters entries,
+// overwritten with each router's index in routers.
+func (s *State) adjacency(asn topology.ASN, routers []topology.RouterID, at []int32) []arc {
+	links := s.topo.IntraLinks(asn)
+	g := make([]arc, len(routers), len(routers)+2*len(links))
+	for i, r := range routers {
+		at[r] = int32(i)
+		g[i].next = -1
+	}
+	for _, l := range links {
+		if !s.isUp(l.ID) {
+			continue
+		}
+		a, b, c := at[l.A], at[l.B], int32(l.Cost)
+		g = append(g, arc{to: b, cost: c, next: g[a].next})
+		g[a].next = int32(len(g) - 1)
+		g = append(g, arc{to: a, cost: c, next: g[b].next})
+		g[b].next = int32(len(g) - 1)
+	}
+	return g
+}
+
+// item is a Dijkstra frontier entry: a router's index in its AS's router
+// list and its tentative distance.
+type item struct {
+	at   int32
+	dist int32
+}
+
+// spf fills row with the single-source shortest path distances from
+// routers[src] over the AS adjacency g, for all router IDs (Infinity
+// outside the AS or when disconnected). q is heap scratch, returned for
+// reuse; its contents on entry are ignored. A popped entry longer than its
+// router's row value is stale and skipped, so no visited set is needed.
 //
 //ndlint:hotpath
-func (s *State) spf(src topology.RouterID, row []int32, q []item) []item {
-	topo := s.topo
-	asn := topo.RouterAS(src)
+func spf(src int32, routers []topology.RouterID, g []arc, row []int32, q []item) []item {
 	for i := range row {
 		row[i] = Infinity
 	}
-	row[src] = 0
-	q = push(q[:0], item{router: src})
+	row[routers[src]] = 0
+	q = push(q[:0], item{at: src})
 	for len(q) > 0 {
 		var cur item
 		cur, q = pop(q)
-		if cur.dist > row[cur.router] {
+		if cur.dist > row[routers[cur.at]] {
 			continue
 		}
-		for _, lid := range topo.Router(cur.router).Links {
-			l := topo.Link(lid)
-			if l.Kind != topology.Intra || !s.isUp(lid) {
-				continue
-			}
-			nb := l.Other(cur.router)
-			if topo.RouterAS(nb) != asn {
-				continue
-			}
-			if nd := cur.dist + int32(l.Cost); nd < row[nb] {
-				row[nb] = nd
-				q = push(q, item{router: nb, dist: nd})
+		for a := g[cur.at].next; a >= 0; a = g[a].next {
+			e := g[a]
+			if nd := cur.dist + e.cost; nd < row[routers[e.to]] {
+				row[routers[e.to]] = nd
+				q = push(q, item{at: e.to, dist: nd})
 			}
 		}
 	}

@@ -47,8 +47,9 @@ func TestMeshCtxCancelled(t *testing.T) {
 
 // TestCancellationLatency bounds how long the convergence hot path keeps
 // running after its deadline fires: the BGP fixpoint checks ctx between
-// rounds and between per-prefix tasks, so even on the paper-scale research
-// topology the abort must land well within a generous wall-clock bound.
+// per-prefix tasks and every 1024 decisions, so even on the paper-scale
+// research topology the abort must land well within a generous wall-clock
+// bound.
 func TestCancellationLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("research-topology convergence in -short mode")
@@ -58,10 +59,11 @@ func TestCancellationLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Force the cold path over every stub prefix: the test measures
-	// cancellation of a long full convergence (hundreds of ms), which an
-	// incremental reconvergence would finish before the deadline fires. The
-	// workload must dwarf the deadline so OS timer latency cannot let the
-	// compute complete before any ctx check observes the expiry.
+	// cancellation of a long full convergence (140 prefixes, 20–30 ms),
+	// which an incremental reconvergence would finish before the deadline
+	// fires. The workload must dwarf the deadline so OS timer latency
+	// cannot let the compute complete before any ctx check observes the
+	// expiry.
 	origins := append([]topology.ASN{}, res.Stubs...)
 	n, err := New(res.Topo, origins)
 	if err != nil {
@@ -78,7 +80,7 @@ func TestCancellationLatency(t *testing.T) {
 		t.Fatalf("ReconvergeCtx under 5ms deadline = %v, want context.DeadlineExceeded", err)
 	}
 	// The deadline fires 5ms in; everything beyond that is cancellation
-	// latency. 5s is orders of magnitude above a single fixpoint round.
+	// latency. 5s is orders of magnitude above one prefix's fixpoint.
 	if elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v, want prompt abort", elapsed)
 	}

@@ -395,8 +395,8 @@ func (n *Network) Reconverge() error {
 }
 
 // ReconvergeCtx is Reconverge with cancellation: ctx flows into the BGP
-// fixpoint, which checks it between synchronous rounds and between
-// per-prefix tasks, so a convergence under a per-request deadline aborts
+// fixpoint, which checks it between per-prefix tasks and every 1024
+// decisions within one, so a convergence under a per-request deadline aborts
 // promptly with ctx.Err() and leaves the network unconverged. For an
 // uncancelled context the converged state is identical to Reconverge. This
 // is the warm-path entry point the ndserve diagnosis service forks through.

@@ -162,7 +162,7 @@ func ServeDebug(addr string, r *Telemetry) (*DebugServer, error) {
 
 // WithNetworkTelemetry attaches a telemetry registry to a simulated
 // Network: convergence-phase latencies, per-AS SPF rebuilds, BGP fixpoint
-// rounds, probe-mesh and worker-pool metrics.
+// decisions, probe-mesh and worker-pool metrics.
 func WithNetworkTelemetry(r *Telemetry) NetworkOption { return netsim.WithTelemetry(r) }
 
 // NewLookingGlassRegistry builds a Looking Glass oracle over converged BGP
