@@ -73,8 +73,7 @@ type derivation struct {
 
 // derivations is the one table of derived values. Values that would only
 // copy one row's column (coalesce-hit-ratio, dirty-fraction, records/s,
-// event-lag-ns) stay in that row; the exception is dirty-pair-fraction,
-// which is gated.
+// event-lag-ns) stay in that row.
 var derivations = []derivation{
 	// What a warm snapshot saves a request over a cold convergence.
 	{"server-warm-speedup", "BenchmarkServerDiagnoseCold", "BenchmarkServerDiagnoseWarm", "ns/op", "higher"},
@@ -84,9 +83,6 @@ var derivations = []derivation{
 	{"incremental-warm-speedup/fig2-2link", "BenchmarkReconvergeCold/fig2-2link", "BenchmarkReconvergeIncremental/fig2-2link", "ns/op", "higher"},
 	{"incremental-warm-speedup/fig2-filter", "BenchmarkReconvergeCold/fig2-filter", "BenchmarkReconvergeIncremental/fig2-filter", "ns/op", "higher"},
 	{"incremental-warm-speedup/research-link", "BenchmarkReconvergeCold/research-link", "BenchmarkReconvergeIncremental/research-link", "ns/op", "higher"},
-	// The fraction of mesh pairs a routing event re-probed: the delta
-	// store's pruning win.
-	{"stream-dirty-pair-fraction", "BenchmarkEventLoop", "", "dirty-pair-fraction", "lower"},
 	// The default engine against the map-based reference at the paper's
 	// largest sensor count, end to end and on the greedy phase.
 	{"diagnose-speedup/600", "BenchmarkDiagnoseMap/600", "BenchmarkDiagnoseBitset/600", "ns/op", "higher"},

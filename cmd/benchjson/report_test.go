@@ -32,7 +32,6 @@ func TestCommittedReport(t *testing.T) {
 		"incremental-warm-speedup/fig2-2link",
 		"incremental-warm-speedup/fig2-filter",
 		"incremental-warm-speedup/research-link",
-		"stream-dirty-pair-fraction",
 		"diagnose-speedup/600",
 		"diagnose-greedy-speedup/600",
 	} {

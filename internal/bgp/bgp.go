@@ -386,6 +386,9 @@ func ComputeCtx(ctx context.Context, cfg Config) (*State, error) {
 	if plan != nil {
 		cfg.Metrics.prefixesSkipped(s.warmSkipped)
 	}
+	// Only this compute reads the delta. Kept, its Prior would link every
+	// state a long-lived network converges into one chain.
+	s.cfg.Warm = nil
 	return s, nil
 }
 
@@ -796,42 +799,6 @@ func (s *State) Prefixes() []Prefix { return s.prefixes }
 // drained a seeded worklist, skipped prefixes shared the prior state
 // untouched. Both are zero for a cold compute.
 func (s *State) WarmStats() (dirty, skipped int) { return s.warmDirty, s.warmSkipped }
-
-// ChangedPrefixes returns, in sorted order, the prefixes whose converged
-// routes differ from prior: "not returned" is a proof that every router's
-// best route for the prefix is semantically unchanged. Prefixes sharing
-// the prior prefixState by pointer (a warm compute's clean set) are
-// trivially unchanged; prefixes whose fixpoint re-ran are compared
-// route-for-route, so a fixpoint that merely re-confirmed the prior
-// routes (the common case for a warm re-run whose candidates only got
-// worse) does not count as changed. A nil prior (or one missing a prefix)
-// marks every prefix changed.
-func (s *State) ChangedPrefixes(prior *State) []Prefix {
-	out := make([]Prefix, 0, len(s.prefixes))
-	for _, p := range s.prefixes {
-		if prior == nil || prefixRoutesChanged(prior.per[p], s.per[p]) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// prefixRoutesChanged reports whether any router's best route differs
-// between two converged states of one prefix.
-func prefixRoutesChanged(prior, cur *prefixState) bool {
-	if prior == cur {
-		return false
-	}
-	if prior == nil || cur == nil || len(prior.best) != len(cur.best) {
-		return true
-	}
-	for r := range cur.best {
-		if !cur.best[r].equal(prior.best[r]) {
-			return true
-		}
-	}
-	return false
-}
 
 // AdjInPrefixes returns the set of prefixes router r currently receives
 // from eBGP neighbor `from`. Diffing this across a failure event yields the

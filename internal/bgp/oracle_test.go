@@ -278,8 +278,7 @@ func TestWorklistMatchesRounds(t *testing.T) {
 // the order hook pops a uniformly random queued router each time, which
 // shuffles the seeds as well as the propagation. Over 50 random fault sets
 // on each of fig2 and research-7, every order must reach the FIFO drain's
-// state route for route and report the same ChangedPrefixes against the
-// healthy base, warm and cold.
+// state route for route, warm and cold.
 func TestWorklistOrderIndependent(t *testing.T) {
 	f2 := topology.BuildFig2()
 	for _, c := range []*oracleCase{
@@ -293,19 +292,12 @@ func TestWorklistOrderIndependent(t *testing.T) {
 			for trial := 0; trial < 50; trial++ {
 				f := c.randomFaults(rng, healthy)
 				fifo := c.compute(t, f, c.delta(base, healthy, f), nil)
-				want := fifo.ChangedPrefixes(base)
 				for k := 0; k < 3; k++ {
 					got := c.compute(t, f, c.delta(base, healthy, f), rng.Intn)
 					requireSame(t, "shuffled warm", got, fifo)
-					if changed := got.ChangedPrefixes(base); !slices.Equal(changed, want) {
-						t.Fatalf("trial %d: shuffled warm ChangedPrefixes %v, FIFO %v", trial, changed, want)
-					}
 				}
 				cold := c.compute(t, f, nil, rng.Intn)
 				requireSame(t, "shuffled cold", cold, fifo)
-				if changed := cold.ChangedPrefixes(base); !slices.Equal(changed, want) {
-					t.Fatalf("trial %d: shuffled cold ChangedPrefixes %v, FIFO warm %v", trial, changed, want)
-				}
 			}
 		})
 	}

@@ -39,10 +39,11 @@ type Delta struct {
 	// routers). Hot-potato tie-breaks and iBGP reachability read IGP
 	// distances, so prefix pruning must inspect these ASes.
 	DirtyASes []topology.ASN
-	// ForceAll marks deltas with restorations (links or routers back up,
-	// filters removed): new routes can then appear anywhere, so every
-	// prefix is treated as dirty. The fixpoints are still warm-seeded —
-	// unaffected prefixes confirm in one verification round.
+	// ForceAll marks deltas with link or router restorations: new routes
+	// can then appear anywhere, so every prefix is treated as dirty. (A
+	// removed filter needs no flag: planWarm finds it by diffing the
+	// Filters.) The fixpoints are still warm-seeded — unaffected prefixes
+	// confirm in one verification round.
 	ForceAll bool
 	// SessionsUnchanged asserts no inter-AS link or router liveness changed
 	// since Prior, so the live eBGP session set is exactly Prior's. The
@@ -73,8 +74,9 @@ func (s *State) planWarm(w *Delta) *warmPlan {
 	removed, addedSessions := layoutDelta(prior.layout, s.layout)
 	pl := &warmPlan{
 		prior: prior,
-		// Restorations should have set ForceAll already; keep the seeding
-		// sound even if a caller under-reported the delta.
+		// A removed filter is found only here. An added session comes
+		// from a restoration, which should have set ForceAll already;
+		// keep the seeding sound even if a caller under-reported it.
 		forceAll: w.ForceAll || removedFilter || addedSessions,
 		removed:  removed,
 		added:    added,

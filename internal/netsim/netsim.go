@@ -53,20 +53,20 @@ type Network struct {
 	// delta of (see ReconvergeCtx); nil until the first convergence.
 	base *baseState
 	// shared marks linkUp/routerUp/filters as aliased by a base snapshot
-	// or a fork; mutators clone them first (ensureOwned).
+	// (the converged bgp.State keeps the filters) or a fork; mutators
+	// clone them first (ensureOwned).
 	shared bool
 }
 
 // baseState is an immutable snapshot of a converged network: the routing
-// state plus the exact fault configuration it was computed under. Forks
-// share it by pointer; diffing the live fault arrays against it yields the
-// reconvergence delta.
+// state plus the liveness arrays it was computed under (the BGP layer
+// diffs the filters itself). Forks share it by pointer; diffing the live
+// liveness arrays against it yields the reconvergence delta.
 type baseState struct {
 	igp      *igp.State
 	bgp      *bgp.State
 	linkUp   []bool
 	routerUp []bool
-	filters  []bgp.ExportFilter
 }
 
 // captureBase snapshots the network's current converged state and fault
@@ -81,7 +81,6 @@ func (n *Network) captureBase() *baseState {
 		bgp:      n.bgp,
 		linkUp:   n.linkUp,
 		routerUp: n.routerUp,
-		filters:  n.filters,
 	}
 }
 
@@ -148,9 +147,6 @@ func (n *Network) computeDelta() *reconvergeDelta {
 			d.forceAll = true
 		}
 	}
-	if filtersRemoved(b.filters, n.filters) {
-		d.forceAll = true
-	}
 	sort.Slice(d.dirtyASes, func(i, j int) bool { return d.dirtyASes[i] < d.dirtyASes[j] })
 	return d
 }
@@ -165,25 +161,6 @@ func appendUniqueAS(list []topology.ASN, as topology.ASN) []topology.ASN {
 		}
 	}
 	return append(list, as)
-}
-
-// filtersRemoved reports whether any filter of the base multiset is gone
-// from the current one (additions are handled per-prefix by the BGP layer).
-func filtersRemoved(base, cur []bgp.ExportFilter) bool {
-	if len(cur) >= len(base) {
-		count := map[bgp.ExportFilter]int{}
-		for _, f := range cur {
-			count[f]++
-		}
-		for _, f := range base {
-			if count[f] == 0 {
-				return true
-			}
-			count[f]--
-		}
-		return false
-	}
-	return true
 }
 
 // simMetrics holds the simulator-level telemetry handles. A nil *simMetrics
@@ -414,8 +391,8 @@ func (n *Network) ReconvergeCtx(ctx context.Context) error {
 	return n.reconvergeCtx(ctx, n.computeDelta())
 }
 
-// reconvergeCtx applies a precomputed delta (nil forces the cold path).
-// Split out so ReconvergeDirtyCtx can inspect the delta it converged with.
+// reconvergeCtx applies a precomputed delta (nil forces the cold path,
+// which the first convergence and the differential tests take).
 func (n *Network) reconvergeCtx(ctx context.Context, d *reconvergeDelta) error {
 	isUp := n.linkUpFn
 	start := n.met.phaseStart()

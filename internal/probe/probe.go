@@ -150,60 +150,6 @@ func FillMeshCtx(ctx context.Context, sensors []topology.RouterID, workers int, 
 	return m, nil
 }
 
-// Clone returns a mesh sharing the sensor slice and all Path pointers but
-// with freshly allocated Paths rows, so re-probing pairs into the clone
-// (FillPairsCtx) never mutates the original. Paths are treated as
-// immutable once filled, so sharing the pointers is safe.
-func (m *Mesh) Clone() *Mesh {
-	out := &Mesh{Sensors: m.Sensors, Paths: make([][]*Path, len(m.Paths))}
-	for i := range m.Paths {
-		out.Paths[i] = append([]*Path(nil), m.Paths[i]...)
-	}
-	return out
-}
-
-// FillPairsCtx re-probes only the given (i, j) sensor-pair indices into an
-// existing mesh, fanning out like FillMeshCtx. This is the delta-mesh
-// primitive: a caller that knows which pairs a routing change could have
-// touched (netsim.DirtyScope) overwrites exactly those slots and keeps
-// every other path untouched. Pairs outside the mesh or on the diagonal
-// are ignored. The slot writes are per-pair, so the result is identical at
-// any parallelism level.
-func FillPairsCtx(ctx context.Context, m *Mesh, pairs [][2]int, workers int, trace func(i, j int) *Path, met *Metrics) error {
-	jobs := make([][2]int, 0, len(pairs))
-	for _, p := range pairs {
-		if p[0] == p[1] || p[0] < 0 || p[1] < 0 || p[0] >= len(m.Sensors) || p[1] >= len(m.Sensors) {
-			continue
-		}
-		jobs = append(jobs, p)
-	}
-	err := pool.ForEachM(ctx, workers, len(jobs), func(k int) error {
-		m.Paths[jobs[k][0]][jobs[k][1]] = trace(jobs[k][0], jobs[k][1])
-		return nil
-	}, met.poolMetrics())
-	if err != nil {
-		return err
-	}
-	met.pairsFilled(m, jobs)
-	return nil
-}
-
-// pairsFilled records a partial (delta) re-probe: only the re-traced pairs
-// count, and no full mesh fill is recorded.
-func (m *Metrics) pairsFilled(mesh *Mesh, pairs [][2]int) {
-	if m == nil {
-		return
-	}
-	unreachable := int64(0)
-	for _, pr := range pairs {
-		if p := mesh.Paths[pr[0]][pr[1]]; p == nil || !p.OK {
-			unreachable++
-		}
-	}
-	m.PairsTraced.Add(int64(len(pairs)))
-	m.PairsUnreachable.Add(unreachable)
-}
-
 // Reachability returns the reachability matrix R of the paper: R[i][j]
 // is true when the path from sensor i to sensor j works.
 func (m *Mesh) Reachability() [][]bool {

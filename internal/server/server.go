@@ -58,7 +58,7 @@ type Config struct {
 	// traces. Zero selects 64.
 	TraceBuffer int
 	// Ingest enables the streaming diagnosis plane: the POST
-	// /v1/ingest/* endpoints, the per-scenario delta mesh processors and
+	// /v1/ingest/* endpoints, the per-scenario stream processors and
 	// the GET /v1/events surface.
 	Ingest bool
 	// EventWindow is the streaming correlation window in record time

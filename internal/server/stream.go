@@ -14,12 +14,12 @@ import (
 	"netdiag/internal/telemetry"
 )
 
-// The streaming plane: one stream.Processor per scenario (journal, delta
-// overlay, event correlation), built by StreamProcessor over the
-// scenario's warm snapshot, behind the POST /v1/ingest/* and GET
-// /v1/events handlers. Closed events are diagnosed through enqueue, the
-// same admission queue, coalescing group and telemetry as the HTTP
-// diagnosis requests.
+// The streaming plane: one stream.Processor per scenario (journal, a
+// network fork and its current mesh, event correlation), built by
+// StreamProcessor over the scenario's warm snapshot, behind the POST
+// /v1/ingest/* and GET /v1/events handlers. Closed events are diagnosed
+// through enqueue, the same admission queue, coalescing group and
+// telemetry as the HTTP diagnosis requests.
 
 // maxIngestBytes bounds one ingest request body.
 const maxIngestBytes = 32 << 20
@@ -51,11 +51,9 @@ func (s *Server) StreamProcessor(ctx context.Context, name string) (*stream.Proc
 			Scenario: name,
 			Topo:     snap.Scenario.Topo,
 			Sensors:  snap.Scenario.Sensors,
-			Prefixes: snap.Prefixes,
 			Baseline: snap.BeforeMesh,
 			Net:      snap.Net,
 			Router:   snap.Router,
-			Workers:  s.par,
 		},
 		WindowMS:    s.eventWindowMS,
 		IdleCloseMS: s.eventIdleCloseMS,

@@ -10,8 +10,7 @@ import (
 // The stream benchmarks report NDJSON ingest throughput for both
 // endpoints (records/s), the full event-loop cost of one withdrawal ->
 // correlation -> diagnosis cycle, and the event-close-to-diagnosis
-// latency plus dirty-pair fraction as custom metrics. benchjson gates
-// the dirty-pair fraction as stream-dirty-pair-fraction.
+// latency as a custom metric.
 
 // benchProcessor builds a fresh fig2 processor over its own registry.
 func benchProcessor(b *testing.B, reg *telemetry.Registry) *Processor {
@@ -70,7 +69,7 @@ func BenchmarkIngestTraceroute(b *testing.B) {
 
 // BenchmarkIngestBGP measures the BGP endpoint with real routing churn:
 // each withdrawal/announcement toggles the fig2 backup link, forcing a
-// delta reconvergence and a dirty-pair re-probe per record.
+// delta reconvergence and a full re-mesh of the fork per record.
 func BenchmarkIngestBGP(b *testing.B) {
 	const toggles = 32
 	var lines []string
@@ -96,8 +95,8 @@ func BenchmarkIngestBGP(b *testing.B) {
 
 // BenchmarkEventLoop runs one full streaming cycle — withdrawal,
 // correlated failing trace, keepalive closing the event, stub
-// diagnosis — and reports the event-close-to-diagnosis latency and
-// dirty-pair fraction the cycle produced.
+// diagnosis — and reports the event-close-to-diagnosis latency the
+// cycle produced.
 func BenchmarkEventLoop(b *testing.B) {
 	reg := telemetry.New()
 	view, f2 := fig2View(b, 1)
@@ -117,10 +116,5 @@ func BenchmarkEventLoop(b *testing.B) {
 	lag := reg.Histogram("stream.event_lag_ns", telemetry.DurationBuckets)
 	if n := lag.Count(); n > 0 {
 		b.ReportMetric(float64(lag.Sum())/float64(n), "event-lag-ns")
-	}
-	reprobed := reg.Counter("stream.pairs_reprobed").Value()
-	skipped := reg.Counter("stream.pairs_skipped").Value()
-	if total := reprobed + skipped; total > 0 {
-		b.ReportMetric(float64(reprobed)/float64(total), "dirty-pair-fraction")
 	}
 }

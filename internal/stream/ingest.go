@@ -1,6 +1,6 @@
 // Package stream is the streaming diagnosis plane: live traceroute and
-// BGP feed ingestion over NDJSON, a per-scenario delta mesh store that
-// re-probes only the pairs a routing event could have touched, an event
+// BGP feed ingestion over NDJSON, a per-scenario network fork whose full
+// mesh is re-measured after every applied routing event, an event
 // correlator bucketing temporally/topologically related observations,
 // and an event-driven diagnosis loop feeding the server's queue/flight
 // path. Determinism is the contract throughout: the processor state is a

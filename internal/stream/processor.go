@@ -22,13 +22,14 @@ import (
 
 // View is everything the processor needs from one warm scenario
 // snapshot. The processor never mutates Net or Baseline, the healthy T−
-// mesh (the overlay clones it).
+// mesh, which is the overlay until the first applied routing change.
 type View struct {
 	Scenario string
 	Topo     *topology.Topology
 	Sensors  []topology.RouterID
-	// Prefixes holds the destination prefix per sensor index, for the
-	// dirty-scope prefix check.
+	// Prefixes is ignored: every applied routing change re-meshes all
+	// pairs, so no per-sensor prefix is consulted. The field stays only
+	// because cmd/ndbench, a separate module, still sets it.
 	Prefixes []bgp.Prefix
 	Baseline *probe.Mesh
 	// Net is the converged healthy network: a frozen base the processor
@@ -37,8 +38,6 @@ type View struct {
 	// Router resolves a router reference (name or numeric ID) from the
 	// feed against the scenario topology.
 	Router func(ref string) (topology.RouterID, bool)
-	// Workers bounds the re-probe fan-out (<= 0 means 1).
-	Workers int
 }
 
 // Diagnoser diagnoses one closed event given its T−/T+ meshes and
@@ -65,7 +64,7 @@ type Config struct {
 	// Diagnose runs the diagnosis of a closed event; nil leaves closed
 	// events "pending" forever (tests).
 	Diagnose Diagnoser
-	// Life scopes re-probes and sweeps to the owning server's lifetime;
+	// Life scopes re-meshes and sweeps to the owning server's lifetime;
 	// nil means no cancellation.
 	Life      context.Context
 	Telemetry *telemetry.Registry
@@ -81,7 +80,7 @@ const (
 
 // entry is one journal record. The journal is the processor's source of
 // truth: sorted by (ts, key), swept by a cursor, and replayable — every
-// piece of derived state (overlay mesh, events) is a pure function of
+// piece of derived state (the fork, its mesh, events) is a pure function of
 // the sorted journal, which is what makes ingest order irrelevant.
 type entry struct {
 	ts   int64
@@ -149,16 +148,11 @@ type metrics struct {
 	observations                  *telemetry.Counter
 	eventsOpened, eventsClosed    *telemetry.Counter
 	eventsDiagnosed, eventsFailed *telemetry.Counter
-	pairsReprobed, pairsSkipped   *telemetry.Counter
 	noopRecords, sweepResets      *telemetry.Counter
 	eventLag                      *telemetry.Histogram
-	probeM                        *probe.Metrics
 }
 
 func newMetrics(r *telemetry.Registry) *metrics {
-	r.Derive("stream.dirty_pair_fraction", func(snap telemetry.Snapshot) float64 {
-		return telemetry.Ratio(snap.Counters["stream.pairs_reprobed"], snap.Counters["stream.pairs_skipped"])
-	})
 	return &metrics{
 		ingested:        r.Counter("stream.records_ingested"),
 		rejected:        r.Counter("stream.records_rejected"),
@@ -167,18 +161,15 @@ func newMetrics(r *telemetry.Registry) *metrics {
 		eventsClosed:    r.Counter("stream.events_closed"),
 		eventsDiagnosed: r.Counter("stream.events_diagnosed"),
 		eventsFailed:    r.Counter("stream.events_failed"),
-		pairsReprobed:   r.Counter("stream.pairs_reprobed"),
-		pairsSkipped:    r.Counter("stream.pairs_skipped"),
 		noopRecords:     r.Counter("stream.noop_records"),
 		sweepResets:     r.Counter("stream.sweep_resets"),
 		eventLag:        r.Histogram("stream.event_lag_ns", telemetry.DurationBuckets),
-		probeM:          probe.NewMetrics(r),
 	}
 }
 
 // Processor is the per-scenario streaming state machine: it journals
-// ingested records, maintains the T− mesh as a delta overlay (re-probing
-// only dirty pairs after each applied routing event), correlates trouble
+// ingested records, keeps the overlay, the full mesh of its network fork
+// (re-measured after each applied routing event), correlates trouble
 // observations into events, and hands closed events to the Diagnoser.
 //
 // Determinism contract: after ingesting the same set of records — in any
@@ -196,8 +187,10 @@ type Processor struct {
 	log       *slog.Logger
 	met       *metrics
 
-	mu        sync.Mutex
-	fork      *netsim.Network
+	mu   sync.Mutex
+	fork *netsim.Network
+	// overlay is the fork's current mesh. It is never written after it
+	// is measured, so closed events share it as their T+.
 	overlay   *probe.Mesh
 	journal   []*entry
 	keys      map[string]bool
@@ -227,9 +220,6 @@ func NewProcessor(cfg Config) *Processor {
 	if cfg.Life == nil {
 		cfg.Life = context.Background()
 	}
-	if cfg.View.Workers <= 0 {
-		cfg.View.Workers = 1
-	}
 	p := &Processor{
 		view:      cfg.View,
 		window:    cfg.WindowMS,
@@ -239,7 +229,7 @@ func NewProcessor(cfg Config) *Processor {
 		log:       cfg.Logger,
 		met:       newMetrics(cfg.Telemetry),
 		fork:      cfg.View.Net.Fork(),
-		overlay:   cfg.View.Baseline.Clone(),
+		overlay:   cfg.View.Baseline,
 		keys:      map[string]bool{},
 		pending:   map[string]*probeBuild{},
 		results:   map[string]*diagOutcome{},
@@ -483,7 +473,7 @@ func (p *Processor) insert(e *entry) {
 // their cached outcome.
 func (p *Processor) reset() {
 	p.fork = p.view.Net.Fork()
-	p.overlay = p.view.Baseline.Clone()
+	p.overlay = p.view.Baseline
 	p.cursor = 0
 	p.open = nil
 	p.closed = nil
@@ -514,7 +504,7 @@ func (p *Processor) apply(e *entry) {
 		up := p.fork.LinkIsUp(e.link)
 		if (e.bgpType == BGPWithdrawal && !up) || (e.bgpType == BGPAnnouncement && up) {
 			// The feed repeated what the fork already knows: nothing to
-			// re-probe, no new trouble to correlate.
+			// re-measure, no new trouble to correlate.
 			p.met.noopRecords.Inc()
 			return
 		}
@@ -523,48 +513,27 @@ func (p *Processor) apply(e *entry) {
 		} else {
 			p.fork.RestoreLink(e.link)
 		}
-		p.reprobe()
+		p.remesh()
 		if p.stopped == nil {
 			p.correlate(e.obs)
 		}
 	}
 }
 
-// reprobe reconverges the fork and refreshes exactly the overlay pairs
-// the delta could have moved (see netsim.DirtyScope). This is where the
-// streaming plane earns its keep: a scoped withdrawal re-traces a
-// fraction of the mesh, and a no-op delta re-traces nothing.
-func (p *Processor) reprobe() {
-	scope, err := p.fork.ReconvergeDirtyCtx(p.life)
+// remesh reconverges the fork and replaces the overlay with the fork's
+// full mesh, measured at the network's own parallelism: T+ is a whole
+// round, as the paper's troubleshooter reads it.
+func (p *Processor) remesh() {
+	if err := p.fork.ReconvergeCtx(p.life); err != nil {
+		p.stop(err)
+		return
+	}
+	m, err := p.fork.MeshCtx(p.life, p.view.Sensors)
 	if err != nil {
 		p.stop(err)
 		return
 	}
-	var pairs [][2]int
-	skipped := 0
-	for i := range p.view.Sensors {
-		for j := range p.view.Sensors {
-			if i == j {
-				continue
-			}
-			if scope.AffectsPath(p.overlay.Paths[i][j], p.view.Prefixes[j]) {
-				pairs = append(pairs, [2]int{i, j})
-			} else {
-				skipped++
-			}
-		}
-	}
-	p.met.pairsReprobed.Add(int64(len(pairs)))
-	p.met.pairsSkipped.Add(int64(skipped))
-	if len(pairs) == 0 {
-		return
-	}
-	err = probe.FillPairsCtx(p.life, p.overlay, pairs, p.view.Workers, func(i, j int) *probe.Path {
-		return p.fork.Traceroute(p.view.Sensors[i], p.view.Sensors[j])
-	}, p.met.probeM)
-	if err != nil {
-		p.stop(err)
-	}
+	p.overlay = m
 }
 
 // stop marks the processor wedged (only lifetime-context cancellation
@@ -674,14 +643,14 @@ func (p *Processor) closeIdleBefore(ts int64) {
 	p.open = kept
 }
 
-// closeEvent seals an event: assign its digest ID, snapshot the overlay
-// as the T+ mesh unless the event's outcome is already cached (a journal
+// closeEvent seals an event: assign its digest ID, take the overlay as
+// the T+ mesh unless the event's outcome is already cached (a journal
 // reset re-closing a settled event), and start (or re-attach) its
 // diagnosis.
 func (p *Processor) closeEvent(ev *event) {
 	ev.id = p.digest(ev)
 	if _, settled := p.results[ev.id]; !settled {
-		ev.tplus = p.overlay.Clone()
+		ev.tplus = p.overlay
 	}
 	ev.closedAt = telemetry.Now()
 	p.closed = append(p.closed, ev)

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"netdiag/internal/bgp"
 	"netdiag/internal/core"
 	"netdiag/internal/netsim"
 	"netdiag/internal/probe"
@@ -18,23 +17,21 @@ import (
 )
 
 // fig2View converges the Figure 2 scenario into a processor view,
-// mirroring the server snapshot setup.
+// mirroring the server snapshot setup. workers is the network's
+// parallelism, which the processor's re-meshes run at.
 func fig2View(t testing.TB, workers int) (View, *topology.Fig2) {
 	t.Helper()
 	f2 := topology.BuildFig2()
 	sensors := []topology.RouterID{f2.S1, f2.S2, f2.S3}
 	seen := map[topology.ASN]bool{}
 	var origins []topology.ASN
-	prefixes := make([]bgp.Prefix, len(sensors))
-	for i, s := range sensors {
-		as := f2.Topo.RouterAS(s)
-		prefixes[i] = bgp.PrefixFor(as)
-		if !seen[as] {
+	for _, s := range sensors {
+		if as := f2.Topo.RouterAS(s); !seen[as] {
 			seen[as] = true
 			origins = append(origins, as)
 		}
 	}
-	n, err := netsim.New(f2.Topo, origins)
+	n, err := netsim.New(f2.Topo, origins, netsim.WithParallelism(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +44,12 @@ func fig2View(t testing.TB, workers int) (View, *topology.Fig2) {
 		Scenario: "fig2",
 		Topo:     f2.Topo,
 		Sensors:  sensors,
-		Prefixes: prefixes,
 		Baseline: n.Mesh(sensors),
 		Net:      n,
 		Router: func(ref string) (topology.RouterID, bool) {
 			id, ok := byName[ref]
 			return id, ok
 		},
-		Workers: workers,
 	}, f2
 }
 
@@ -158,12 +153,11 @@ func bgpLine(ts int64, typ, a, b string) string {
 }
 
 // TestWithdrawalEvent walks the happy path: a backup-link withdrawal
-// dirties a minority of pairs, a correlated failing traceroute joins the
-// same event, a keepalive closes it, and the diagnosis lands.
+// opens an event, a correlated failing traceroute joins it, a keepalive
+// closes it, and the diagnosis lands.
 func TestWithdrawalEvent(t *testing.T) {
-	reg := telemetry.New()
 	view, _ := fig2View(t, 2)
-	p := NewProcessor(Config{View: view, Diagnose: stubDiagnoser(), Telemetry: reg})
+	p := NewProcessor(Config{View: view, Diagnose: stubDiagnoser(), Telemetry: telemetry.New()})
 
 	ingestBGP(t, p, bgpLine(1000, BGPWithdrawal, "y3", "y4"))
 	// A failing external probe whose last hop is in AS-Y correlates via
@@ -191,14 +185,6 @@ func TestWithdrawalEvent(t *testing.T) {
 	if ev.Hypothesis == nil || ev.Hypothesis.Algorithm != "stub" {
 		t.Fatalf("hypothesis not adopted: %+v", ev.Hypothesis)
 	}
-
-	// Dirty-pair pruning: the y3-y4 withdrawal must re-probe under half
-	// of the 6 ordered pairs.
-	re := reg.Counter("stream.pairs_reprobed").Value()
-	sk := reg.Counter("stream.pairs_skipped").Value()
-	if re+sk == 0 || 2*re >= re+sk {
-		t.Fatalf("withdrawal re-probed %d/%d pairs, want < 50%%", re, re+sk)
-	}
 }
 
 // TestSeparateEvents pins the correlation rule's negative side: trouble
@@ -222,24 +208,32 @@ func TestSeparateEvents(t *testing.T) {
 }
 
 // TestNoopRecords pins the zero-work guarantees: a repeated withdrawal
-// and a successful probe neither re-probe nor observe.
+// and a successful probe neither re-measure nor observe.
 func TestNoopRecords(t *testing.T) {
 	reg := telemetry.New()
 	view, _ := fig2View(t, 1)
 	p := NewProcessor(Config{View: view, Diagnose: stubDiagnoser(), Telemetry: reg})
 
 	ingestBGP(t, p, bgpLine(1000, BGPWithdrawal, "y3", "y4"))
-	reprobed := reg.Counter("stream.pairs_reprobed").Value()
+	p.mu.Lock()
+	overlay := p.overlay
+	p.mu.Unlock()
+	if overlay == view.Baseline {
+		t.Fatal("the withdrawal did not re-measure the overlay")
+	}
 	obs := reg.Counter("stream.observations").Value()
 
 	// Same link withdrawn again: the fork already knows, so nothing
-	// re-probes and no new observation joins the event.
+	// re-measures and no new observation joins the event.
 	ingestBGP(t, p, bgpLine(1200, BGPWithdrawal, "y3", "y4"))
 	// A successful probe is a watermark, not trouble.
 	ingestTrace(t, p, traceLines(view.Topo, view.Router, "pr-3", 1300, "s1", "s2", true, "a1", "a2")...)
 
-	if got := reg.Counter("stream.pairs_reprobed").Value(); got != reprobed {
-		t.Fatalf("no-op records re-probed %d pairs", got-reprobed)
+	p.mu.Lock()
+	same := p.overlay == overlay
+	p.mu.Unlock()
+	if !same {
+		t.Fatal("no-op records re-measured the overlay")
 	}
 	if got := reg.Counter("stream.observations").Value(); got != obs {
 		t.Fatalf("no-op records produced %d observations", got-obs)
@@ -250,12 +244,11 @@ func TestNoopRecords(t *testing.T) {
 }
 
 // TestAnnouncementRestores pins the restoration path: after a
-// withdrawal, the matching announcement force-re-probes everything and
+// withdrawal, the matching announcement re-measures the restored fork and
 // the overlay returns to the baseline.
 func TestAnnouncementRestores(t *testing.T) {
-	reg := telemetry.New()
 	view, _ := fig2View(t, 1)
-	p := NewProcessor(Config{View: view, Diagnose: stubDiagnoser(), Telemetry: reg})
+	p := NewProcessor(Config{View: view, Diagnose: stubDiagnoser(), Telemetry: telemetry.New()})
 
 	ingestBGP(t, p,
 		bgpLine(1000, BGPWithdrawal, "y4", "b1"),
@@ -263,7 +256,7 @@ func TestAnnouncementRestores(t *testing.T) {
 		bgpLine(30000, BGPKeepalive, "", ""))
 
 	p.mu.Lock()
-	cur := p.overlay.Clone()
+	cur := p.overlay
 	p.mu.Unlock()
 	for i := range cur.Paths {
 		for j, path := range cur.Paths[i] {
