@@ -278,7 +278,7 @@ func TestDataflowForwardJoin(t *testing.T) {
 		}
 		return fact
 	}
-	prob := Problem{Lattice: posSetLattice{}, Direction: Forward, Transfer: transfer}
+	prob := Problem{Lattice: posSetLattice{}, Transfer: transfer}
 	sol := cfg.Solve(prob)
 	merge := blockWith(t, cfg, fset, "d()")
 	got := sol.In[merge].(posSet).sortedKeys()
@@ -296,25 +296,32 @@ func TestDataflowForwardJoin(t *testing.T) {
 	}
 }
 
-// TestDataflowBackward checks boundary facts propagate against control
-// flow, including around a loop.
-func TestDataflowBackward(t *testing.T) {
+// TestDataflowBoundary checks the boundary fact enters at Entry and
+// flows to every block, and that a fact generated in a loop's post
+// statement reaches the loop body around the back edge.
+func TestDataflowBoundary(t *testing.T) {
 	cfg, fset := cfgFromSrc(t, `
 	for i := 0; i < 3; i++ {
 		work()
 	}
 	tail()`)
-	boundary := posSet{"exit": token.Pos(1)}
 	sol := cfg.Solve(Problem{
-		Lattice:   posSetLattice{},
-		Direction: Backward,
-		Boundary:  boundary,
-		Transfer:  func(b *Block, in Fact) Fact { return in },
+		Lattice:  posSetLattice{},
+		Boundary: posSet{"entry": token.Pos(1)},
+		Transfer: func(b *Block, in Fact) Fact {
+			fact := in.(posSet)
+			for _, n := range b.Nodes {
+				if nodeText(fset, n) == "i++" {
+					fact = fact.with("i++", n.Pos())
+				}
+			}
+			return fact
+		},
 	})
 	for _, probe := range []string{"work()", "tail()"} {
-		b := blockWith(t, cfg, fset, probe)
-		if got := sol.Out[b].(posSet); len(got) != 1 {
-			t.Errorf("backward fact should reach %s; got %v", probe, got.sortedKeys())
+		got := sol.In[blockWith(t, cfg, fset, probe)].(posSet).sortedKeys()
+		if len(got) != 2 || got[0] != "entry" || got[1] != "i++" {
+			t.Errorf("fact entering %s = %v, want {entry, i++}", probe, got)
 		}
 	}
 }

@@ -8,8 +8,9 @@ import (
 // This file is the solver half of the dataflow lint framework: a
 // classic iterative worklist fixpoint over the CFG of cfg.go. An
 // analysis states its problem as a Lattice (the fact domain and its
-// join), a direction and a transfer function; Solve returns the fact at
-// every block boundary. The lattices the shipped analyzers use are
+// join), a boundary fact and a transfer function; Solve propagates facts
+// forward, along control flow from Entry, and returns the fact at every
+// block boundary. The lattices the shipped analyzers use are
 // finite (sets of lock keys, sets of live span variables), so the
 // ascending-chain condition holds and the fixpoint terminates.
 
@@ -29,33 +30,19 @@ type Lattice interface {
 	Equal(a, b Fact) bool
 }
 
-// Direction orients a dataflow problem.
-type Direction int
-
-const (
-	// Forward propagates facts along control flow (entry towards exit).
-	Forward Direction = iota
-	// Backward propagates facts against control flow (exit towards
-	// entry).
-	Backward
-)
-
-// Problem is one dataflow analysis over a CFG.
+// Problem is one forward dataflow analysis over a CFG.
 type Problem struct {
-	Lattice   Lattice
-	Direction Direction
-	// Boundary is the fact entering the graph: at Entry for a forward
-	// problem, at Exit for a backward one. Nil means Lattice.Bottom().
+	Lattice Lattice
+	// Boundary is the fact entering the graph at Entry. Nil means
+	// Lattice.Bottom().
 	Boundary Fact
 	// Transfer computes the fact leaving a block from the fact entering
-	// it (in execution order for forward problems, reverse for
-	// backward).
+	// it, in execution order.
 	Transfer func(b *Block, in Fact) Fact
 }
 
-// Solution holds the per-block boundary facts of a solved problem. For a
-// forward problem In is the fact before the block and Out after it; a
-// backward problem mirrors the meaning.
+// Solution holds the per-block boundary facts of a solved problem: In is
+// the fact before the block and Out the fact after it.
 type Solution struct {
 	In  map[*Block]Fact
 	Out map[*Block]Fact
@@ -71,31 +58,19 @@ func (c *CFG) Solve(p Problem) *Solution {
 		sol.In[b] = p.Lattice.Bottom()
 		sol.Out[b] = p.Transfer(b, sol.In[b])
 	}
-	start := c.Entry
 	preds := map[*Block][]*Block{}
 	for _, b := range c.Blocks {
 		for _, s := range b.Succs {
 			preds[s] = append(preds[s], b)
 		}
 	}
-	// flows(b) are the blocks whose out-fact joins into b's in-fact;
-	// affected(b) are the blocks to revisit when b's out-fact changes.
-	flows, affected := preds, map[*Block][]*Block(nil)
-	if p.Direction == Backward {
-		start = c.Exit
-		flows = map[*Block][]*Block{}
-		for _, b := range c.Blocks {
-			flows[b] = b.Succs
-		}
-		affected = preds
-	}
 
 	boundary := p.Boundary
 	if boundary == nil {
 		boundary = p.Lattice.Bottom()
 	}
-	sol.In[start] = boundary
-	sol.Out[start] = p.Transfer(start, boundary)
+	sol.In[c.Entry] = boundary
+	sol.Out[c.Entry] = p.Transfer(c.Entry, boundary)
 
 	work := newWorklist(c.Blocks)
 	for {
@@ -104,10 +79,10 @@ func (c *CFG) Solve(p Problem) *Solution {
 			return sol
 		}
 		in := p.Lattice.Bottom()
-		if b == start {
+		if b == c.Entry {
 			in = boundary
 		}
-		for _, f := range flows[b] {
+		for _, f := range preds[b] {
 			in = p.Lattice.Join(in, sol.Out[f])
 		}
 		out := p.Transfer(b, in)
@@ -116,11 +91,7 @@ func (c *CFG) Solve(p Problem) *Solution {
 			continue
 		}
 		sol.Out[b] = out
-		next := b.Succs
-		if p.Direction == Backward {
-			next = affected[b]
-		}
-		for _, s := range next {
+		for _, s := range b.Succs {
 			work.push(s)
 		}
 	}

@@ -206,9 +206,8 @@ func doubleRespondFunc(p *Pass, body *ast.BlockStmt) {
 	}
 
 	sol := cfg.Solve(Problem{
-		Lattice:   posSetLattice{},
-		Direction: Forward,
-		Transfer:  func(b *Block, in Fact) Fact { return apply(b, in, nil) },
+		Lattice:  posSetLattice{},
+		Transfer: func(b *Block, in Fact) Fact { return apply(b, in, nil) },
 	})
 	seen := map[token.Pos]bool{}
 	for _, b := range cfg.Blocks {

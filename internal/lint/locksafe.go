@@ -147,15 +147,13 @@ func lockSafeFunc(p *Pass, body *ast.BlockStmt) []lockOrderFact {
 	}
 
 	balanceSol := cfg.Solve(Problem{
-		Lattice:   posSetLattice{},
-		Direction: Forward,
+		Lattice: posSetLattice{},
 		Transfer: func(b *Block, in Fact) Fact {
 			return apply(b, in.(posSet), balanceWalk, lockTransfer)
 		},
 	})
 	heldSol := cfg.Solve(Problem{
-		Lattice:   posSetLattice{},
-		Direction: Forward,
+		Lattice: posSetLattice{},
 		Transfer: func(b *Block, in Fact) Fact {
 			return apply(b, in.(posSet), heldWalk, lockTransfer)
 		},

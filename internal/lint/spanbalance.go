@@ -59,9 +59,8 @@ func spanBalanceFunc(p *Pass, body *ast.BlockStmt) {
 		return spanWalkBlock(p, b, in.(posSet), nil)
 	}
 	sol := cfg.Solve(Problem{
-		Lattice:   posSetLattice{},
-		Direction: Forward,
-		Transfer:  transfer,
+		Lattice:  posSetLattice{},
+		Transfer: transfer,
 	})
 
 	type rep struct {

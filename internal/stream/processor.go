@@ -44,7 +44,7 @@ type View struct {
 // returns the wire-encoded result body. retry reports a transient
 // refusal (admission queue full): the event parks as "pending" and is
 // retried on the next sweep or listing. A non-nil err is terminal for
-// this event (status "failed") but cached like a success, so replays
+// this event (status "failed") but kept like a success, so replays
 // render it identically.
 type Diagnoser func(eventID string, tminus, tplus *probe.Mesh) (body []byte, retry bool, err error)
 
@@ -89,58 +89,45 @@ type entry struct {
 	// BGP apply info (entryBGP only).
 	bgpType string
 	link    topology.LinkID
-	// obs is the trouble observation this record contributes, nil for
-	// entryMark.
-	obs *observation
-}
-
-// observation is one trouble-indicating record, fully resolved at
-// ingest time so applying it is pure.
-type observation struct {
-	key          string
-	ts           int64
-	kind         string // "traceroute" | "bgp"
-	pair         string
-	detail       string
-	suspectLinks []string // canonical "a~b", sorted
-	suspectASes  []int    // sorted
+	// obs is the trouble observation this record contributes, in the
+	// wire form listings render, fully resolved at ingest time so
+	// applying it is pure; nil for entryMark.
+	obs *core.WireObservation
 }
 
 // event is one correlated bucket of observations. Identity (id) is
 // assigned at closure as a digest of the observation keys, so a replay
-// that reproduces the same buckets reproduces the same IDs.
+// that reproduces the same buckets reproduces the same IDs. The event's
+// diagnosis lives in Processor.diags under that ID.
 type event struct {
 	firstTS, lastTS int64
-	obs             []*observation
+	obs             []*core.WireObservation
 	links           map[string]bool
 	ases            map[int]bool
 
-	// Set at closure. tplus is the T+ mesh of an unsettled event; it is
-	// nil once the event has an outcome.
+	// Set at closure. tplus is the T+ mesh a diagnosis of the event
+	// reads; the sweep or listing after its diagnosis settles drops it.
 	id       string
-	status   string
 	tplus    *probe.Mesh
 	closedAt time.Time
-
-	// Diagnosis outcome.
-	result *core.WireResult
-	errMsg string
 }
 
-// diagOutcome is a finished diagnosis, cached by event ID so it
-// survives journal resets (a reset recreates the event; the cached
-// outcome re-attaches without recomputing).
-type diagOutcome struct {
-	result *core.WireResult
-	errMsg string
+// diagnosis is the state of one event ID's diagnosis: running until the
+// run returns, then settled with a result or an error message. Keyed by
+// event ID, it survives journal resets: an event re-closed with the same
+// observation set gets the same ID and finds its diagnosis there.
+type diagnosis struct {
+	running bool
+	result  *core.WireResult
+	errMsg  string
 }
 
 // probeBuild accumulates the hops of one in-flight streamed probe
 // before its done line journals it.
 type probeBuild struct {
-	src, dst       string
-	srcIdx, dstIdx int
-	hops           map[int]HopRecord
+	src, dst string
+	srcAS    int
+	hops     map[int]HopRecord
 }
 
 type metrics struct {
@@ -176,8 +163,8 @@ func newMetrics(r *telemetry.Registry) *metrics {
 // order, across any number of concurrent requests — and reaching
 // quiescence, Events() renders byte-identical JSON. Out-of-order
 // arrivals are handled by reset-and-replay: the journal is re-swept from
-// a fresh fork of the healthy base, and cached diagnosis outcomes
-// re-attach by event ID.
+// a fresh fork of the healthy base, and each re-closed event finds its
+// diagnosis, running or settled, in the table keyed by event ID.
 type Processor struct {
 	view      View
 	window    int64
@@ -191,17 +178,18 @@ type Processor struct {
 	fork *netsim.Network
 	// overlay is the fork's current mesh. It is never written after it
 	// is measured, so closed events share it as their T+.
-	overlay   *probe.Mesh
-	journal   []*entry
-	keys      map[string]bool
-	cursor    int
-	pending   map[string]*probeBuild
-	open      []*event
-	closed    []*event
-	results   map[string]*diagOutcome
-	inflight  map[string]bool
-	sensorIdx map[topology.RouterID]int
-	stopped   error
+	overlay *probe.Mesh
+	// journal holds each accepted record once, sorted by (ts, key).
+	journal []*entry
+	cursor  int
+	pending map[string]*probeBuild
+	open    []*event
+	closed  []*event
+	// diags is the diagnosis of every event ID that has one; an ID
+	// without an entry is pending (never started, or shed).
+	diags   map[string]*diagnosis
+	sensors map[topology.RouterID]bool
+	stopped error
 }
 
 // NewProcessor builds a processor over one scenario view. It sweeps the
@@ -230,14 +218,12 @@ func NewProcessor(cfg Config) *Processor {
 		met:       newMetrics(cfg.Telemetry),
 		fork:      cfg.View.Net.Fork(),
 		overlay:   cfg.View.Baseline,
-		keys:      map[string]bool{},
 		pending:   map[string]*probeBuild{},
-		results:   map[string]*diagOutcome{},
-		inflight:  map[string]bool{},
-		sensorIdx: map[topology.RouterID]int{},
+		diags:     map[string]*diagnosis{},
+		sensors:   map[topology.RouterID]bool{},
 	}
-	for i, s := range cfg.View.Sensors {
-		p.sensorIdx[s] = i
+	for _, s := range cfg.View.Sensors {
+		p.sensors[s] = true
 	}
 	return p
 }
@@ -270,17 +256,16 @@ func (p *Processor) IngestBGP(r io.Reader) (accepted, rejected int, firstErr, io
 	return accepted, rejected, firstErr, ioErr
 }
 
-// sensorRef resolves a feed router reference to a sensor index.
-func (p *Processor) sensorRef(ref string) (int, error) {
+// sensorRef resolves a feed router reference to a sensor.
+func (p *Processor) sensorRef(ref string) (topology.RouterID, error) {
 	id, ok := p.view.Router(ref)
 	if !ok {
 		return 0, fmt.Errorf("stream: unknown router %q", ref)
 	}
-	idx, ok := p.sensorIdx[id]
-	if !ok {
+	if !p.sensors[id] {
 		return 0, fmt.Errorf("stream: router %q is not a sensor", ref)
 	}
-	return idx, nil
+	return id, nil
 }
 
 func (p *Processor) ingestTraceLine(line []byte) error {
@@ -290,15 +275,14 @@ func (p *Processor) ingestTraceLine(line []byte) error {
 	}
 	pb := p.pending[rec.Probe]
 	if pb == nil {
-		srcIdx, err := p.sensorRef(rec.Src)
+		src, err := p.sensorRef(rec.Src)
 		if err != nil {
 			return err
 		}
-		dstIdx, err := p.sensorRef(rec.Dst)
-		if err != nil {
+		if _, err := p.sensorRef(rec.Dst); err != nil {
 			return err
 		}
-		pb = &probeBuild{src: rec.Src, dst: rec.Dst, srcIdx: srcIdx, dstIdx: dstIdx, hops: map[int]HopRecord{}}
+		pb = &probeBuild{src: rec.Src, dst: rec.Dst, srcAS: int(p.view.Topo.RouterAS(src)), hops: map[int]HopRecord{}}
 		p.pending[rec.Probe] = pb
 	} else if pb.src != rec.Src || pb.dst != rec.Dst {
 		return fmt.Errorf("stream: probe %q changed endpoints mid-flight", rec.Probe)
@@ -329,58 +313,43 @@ func (p *Processor) ingestTraceLine(line []byte) error {
 // traceObservation turns a failing completed probe into an observation:
 // the suspect is where the probe died — the last responding hop's
 // router/AS and the final observed link.
-func (p *Processor) traceObservation(key string, rec *TraceRecord, pb *probeBuild) *observation {
+func (p *Processor) traceObservation(key string, rec *TraceRecord, pb *probeBuild) *core.WireObservation {
 	ttls := make([]int, 0, len(pb.hops))
 	for ttl := range pb.hops {
 		ttls = append(ttls, ttl)
 	}
 	sort.Ints(ttls)
 	names := make([]string, len(ttls))
-	ases := map[int]bool{}
 	for i, ttl := range ttls {
-		h := pb.hops[ttl]
-		names[i] = h.Addr
-		if rtr, ok := p.view.Topo.RouterByAddr(h.Addr); ok {
+		names[i] = pb.hops[ttl].Addr
+		if rtr, ok := p.view.Topo.RouterByAddr(names[i]); ok {
 			names[i] = rtr.Name
-			if h.AS == 0 {
-				ases[int(rtr.AS)] = true
-				continue
-			}
-		}
-		if h.AS > 0 {
-			ases[h.AS] = true
 		}
 	}
-	obs := &observation{
-		key:  key,
-		ts:   rec.TS,
-		kind: "traceroute",
-		pair: rec.Src + "->" + rec.Dst,
+	obs := &core.WireObservation{
+		Key:  key,
+		TS:   rec.TS,
+		Kind: "traceroute",
+		Pair: rec.Src + "->" + rec.Dst,
 	}
-	switch {
-	case len(ttls) == 0:
+	if len(ttls) == 0 {
 		// Died before the first hop: suspect the source's own AS.
-		obs.detail = "probe lost before first hop"
-		obs.suspectASes = []int{int(p.view.Topo.RouterAS(p.view.Sensors[pb.srcIdx]))}
-	default:
-		last := names[len(names)-1]
-		obs.detail = fmt.Sprintf("traceroute stopped after %d hops at %s", len(ttls), last)
-		// Only the ASes of the failure frontier — the last responding
-		// hop — are suspects, not every AS the probe crossed.
-		lastHop := pb.hops[ttls[len(ttls)-1]]
-		frontier := map[int]bool{}
-		if rtr, ok := p.view.Topo.RouterByAddr(lastHop.Addr); ok && lastHop.AS == 0 {
-			frontier[int(rtr.AS)] = true
-		} else if lastHop.AS > 0 {
-			frontier[lastHop.AS] = true
-		}
-		for as := range frontier {
-			obs.suspectASes = append(obs.suspectASes, as)
-		}
-		sort.Ints(obs.suspectASes)
-		if len(ttls) >= 2 {
-			obs.suspectLinks = []string{linkKey(names[len(names)-2], last)}
-		}
+		obs.Detail = "probe lost before first hop"
+		obs.SuspectASes = []int{pb.srcAS}
+		return obs
+	}
+	last := names[len(names)-1]
+	obs.Detail = fmt.Sprintf("traceroute stopped after %d hops at %s", len(ttls), last)
+	// Only the AS of the failure frontier — the last responding hop — is
+	// a suspect, not every AS the probe crossed.
+	lastHop := pb.hops[ttls[len(ttls)-1]]
+	if rtr, ok := p.view.Topo.RouterByAddr(lastHop.Addr); ok && lastHop.AS == 0 {
+		obs.SuspectASes = []int{int(rtr.AS)}
+	} else if lastHop.AS > 0 {
+		obs.SuspectASes = []int{lastHop.AS}
+	}
+	if len(ttls) >= 2 {
+		obs.SuspectLinks = []string{linkKey(names[len(names)-2], last)}
 	}
 	return obs
 }
@@ -410,11 +379,8 @@ func (p *Processor) ingestBGPLine(line []byte) error {
 	if !ok {
 		return fmt.Errorf("stream: no link between %q and %q", rec.A, rec.B)
 	}
-	na, nb := p.view.Topo.Router(aID).Name, p.view.Topo.Router(bID).Name
-	if nb < na {
-		na, nb = nb, na
-	}
-	key := fmt.Sprintf("b:%012d:%s:%s~%s", rec.TS, rec.Type, na, nb)
+	lk := linkKey(p.view.Topo.Router(aID).Name, p.view.Topo.Router(bID).Name)
+	key := fmt.Sprintf("b:%012d:%s:%s", rec.TS, rec.Type, lk)
 	ases := []int{int(p.view.Topo.RouterAS(aID))}
 	if as := int(p.view.Topo.RouterAS(bID)); as != ases[0] {
 		ases = append(ases, as)
@@ -426,13 +392,13 @@ func (p *Processor) ingestBGPLine(line []byte) error {
 		kind:    entryBGP,
 		bgpType: rec.Type,
 		link:    link.ID,
-		obs: &observation{
-			key:          key,
-			ts:           rec.TS,
-			kind:         "bgp",
-			detail:       fmt.Sprintf("%s of link %s~%s", rec.Type, na, nb),
-			suspectLinks: []string{na + "~" + nb},
-			suspectASes:  ases,
+		obs: &core.WireObservation{
+			Key:          key,
+			TS:           rec.TS,
+			Kind:         "bgp",
+			Detail:       fmt.Sprintf("%s of link %s", rec.Type, lk),
+			SuspectLinks: []string{lk},
+			SuspectASes:  ases,
 		},
 	})
 	return nil
@@ -445,20 +411,20 @@ func linkKey(a, b string) string {
 	return a + "~" + b
 }
 
-// insert places an entry at its sorted (ts, key) position. A duplicate
-// key is an idempotent replay of a record already journaled and is
-// dropped. An insertion behind the sweep cursor triggers
-// reset-and-replay: the sweep restarts from the healthy base so the
-// applied order always equals the sorted order.
+// insert places an entry at its sorted (ts, key) position. A key embeds
+// its record's ts, so a duplicate, an idempotent replay of a record
+// already journaled, lands on its own copy and is dropped. An insertion
+// behind the sweep cursor triggers reset-and-replay: the sweep restarts
+// from the healthy base so the applied order always equals the sorted
+// order.
 func (p *Processor) insert(e *entry) {
-	if p.keys[e.key] {
-		return
-	}
-	p.keys[e.key] = true
 	idx := sort.Search(len(p.journal), func(i int) bool {
 		j := p.journal[i]
-		return j.ts > e.ts || (j.ts == e.ts && j.key > e.key)
+		return j.ts > e.ts || (j.ts == e.ts && j.key >= e.key)
 	})
+	if idx < len(p.journal) && p.journal[idx].key == e.key {
+		return
+	}
 	p.journal = append(p.journal, nil)
 	copy(p.journal[idx+1:], p.journal[idx:])
 	p.journal[idx] = e
@@ -468,9 +434,9 @@ func (p *Processor) insert(e *entry) {
 }
 
 // reset rewinds derived state to the healthy baseline for a full
-// journal replay. The diagnosis cache and in-flight set survive: events
-// re-closed with the same observation set get the same ID and re-attach
-// their cached outcome.
+// journal replay. The diagnosis table survives: events re-closed with the
+// same observation set get the same ID and find their diagnosis, running
+// or settled.
 func (p *Processor) reset() {
 	p.fork = p.view.Net.Fork()
 	p.overlay = p.view.Baseline
@@ -547,65 +513,41 @@ func (p *Processor) stop(err error) {
 
 // correlate buckets an observation into the open events: it joins every
 // open event within the window that shares a suspect link or AS
-// (merging them if there are several), or opens a new one.
-func (p *Processor) correlate(o *observation) {
+// (merging them into the first if there are several), or opens a new
+// one.
+func (p *Processor) correlate(o *core.WireObservation) {
 	p.met.observations.Inc()
-	var matches []int
-	for i, ev := range p.open {
-		if o.ts-ev.lastTS > p.window {
-			continue
-		}
-		if eventShares(ev, o) {
-			matches = append(matches, i)
-		}
-	}
-	if len(matches) == 0 {
-		ev := &event{firstTS: o.ts, lastTS: o.ts, links: map[string]bool{}, ases: map[int]bool{}}
-		eventAdd(ev, o)
-		p.open = append(p.open, ev)
-		p.met.eventsOpened.Inc()
-		return
-	}
-	dst := p.open[matches[0]]
-	for _, i := range matches[1:] {
-		src := p.open[i]
-		dst.obs = append(dst.obs, src.obs...)
-		if src.firstTS < dst.firstTS {
-			dst.firstTS = src.firstTS
-		}
-		if src.lastTS > dst.lastTS {
-			dst.lastTS = src.lastTS
-		}
-		for l := range src.links {
-			dst.links[l] = true
-		}
-		for a := range src.ases {
-			dst.ases[a] = true
-		}
-	}
-	if len(matches) > 1 {
-		kept := p.open[:0]
-		drop := map[int]bool{}
-		for _, i := range matches[1:] {
-			drop[i] = true
-		}
-		for i, ev := range p.open {
-			if !drop[i] {
-				kept = append(kept, ev)
+	var dst *event
+	kept := p.open[:0]
+	for _, ev := range p.open {
+		switch {
+		case o.TS-ev.lastTS > p.window || !eventShares(ev, o):
+			kept = append(kept, ev)
+		case dst == nil:
+			dst = ev
+			kept = append(kept, ev)
+		default:
+			for _, m := range ev.obs {
+				eventAdd(dst, m)
 			}
 		}
-		p.open = kept
+	}
+	p.open = kept
+	if dst == nil {
+		dst = &event{firstTS: o.TS, lastTS: o.TS, links: map[string]bool{}, ases: map[int]bool{}}
+		p.open = append(p.open, dst)
+		p.met.eventsOpened.Inc()
 	}
 	eventAdd(dst, o)
 }
 
-func eventShares(ev *event, o *observation) bool {
-	for _, l := range o.suspectLinks {
+func eventShares(ev *event, o *core.WireObservation) bool {
+	for _, l := range o.SuspectLinks {
 		if ev.links[l] {
 			return true
 		}
 	}
-	for _, a := range o.suspectASes {
+	for _, a := range o.SuspectASes {
 		if ev.ases[a] {
 			return true
 		}
@@ -613,18 +555,18 @@ func eventShares(ev *event, o *observation) bool {
 	return false
 }
 
-func eventAdd(ev *event, o *observation) {
+func eventAdd(ev *event, o *core.WireObservation) {
 	ev.obs = append(ev.obs, o)
-	if o.ts < ev.firstTS {
-		ev.firstTS = o.ts
+	if o.TS < ev.firstTS {
+		ev.firstTS = o.TS
 	}
-	if o.ts > ev.lastTS {
-		ev.lastTS = o.ts
+	if o.TS > ev.lastTS {
+		ev.lastTS = o.TS
 	}
-	for _, l := range o.suspectLinks {
+	for _, l := range o.SuspectLinks {
 		ev.links[l] = true
 	}
-	for _, a := range o.suspectASes {
+	for _, a := range o.SuspectASes {
 		ev.ases[a] = true
 	}
 }
@@ -644,12 +586,11 @@ func (p *Processor) closeIdleBefore(ts int64) {
 }
 
 // closeEvent seals an event: assign its digest ID, take the overlay as
-// the T+ mesh unless the event's outcome is already cached (a journal
-// reset re-closing a settled event), and start (or re-attach) its
-// diagnosis.
+// the T+ mesh unless the ID's diagnosis has settled (a journal reset
+// re-closing a settled event), and start a diagnosis if the ID has none.
 func (p *Processor) closeEvent(ev *event) {
 	ev.id = p.digest(ev)
-	if _, settled := p.results[ev.id]; !settled {
+	if d := p.diags[ev.id]; d == nil || d.running {
 		ev.tplus = p.overlay
 	}
 	ev.closedAt = telemetry.Now()
@@ -658,30 +599,21 @@ func (p *Processor) closeEvent(ev *event) {
 	p.startDiagnosis(ev)
 }
 
-// startDiagnosis resolves a closed event's outcome: adopt the cached
-// one, piggyback on an in-flight run for the same ID, or spawn a new
-// run. Called with mu held.
+// startDiagnosis spawns the diagnosis of a closed event whose ID has
+// none, running or settled. Called with mu held.
 func (p *Processor) startDiagnosis(ev *event) {
-	if out, ok := p.results[ev.id]; ok {
-		p.adopt(ev, out)
+	if p.diagnose == nil || p.diags[ev.id] != nil {
 		return
 	}
-	if p.diagnose == nil {
-		ev.status = core.EventPending
-		return
-	}
-	ev.status = core.EventDiagnosing
-	if p.inflight[ev.id] {
-		return
-	}
-	p.inflight[ev.id] = true
-	go p.runDiagnosis(ev.id, ev.tplus, ev.closedAt)
+	d := &diagnosis{running: true}
+	p.diags[ev.id] = d
+	go p.runDiagnosis(ev.id, d, ev.tplus, ev.closedAt)
 }
 
 // runDiagnosis executes the Diagnoser off the processor lock and
-// records the outcome. A retryable refusal parks the event as pending;
-// anything else is cached by event ID.
-func (p *Processor) runDiagnosis(id string, tplus *probe.Mesh, closedAt time.Time) {
+// settles d with the outcome. A retryable refusal deletes d from the
+// table instead, which leaves the event pending.
+func (p *Processor) runDiagnosis(id string, d *diagnosis, tplus *probe.Mesh, closedAt time.Time) {
 	var (
 		body  []byte
 		retry bool
@@ -697,67 +629,39 @@ func (p *Processor) runDiagnosis(id string, tplus *probe.Mesh, closedAt time.Tim
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	delete(p.inflight, id)
 	if retry {
-		if ev := p.findClosed(id); ev != nil && ev.status == core.EventDiagnosing {
-			ev.status = core.EventPending
-		}
+		delete(p.diags, id)
 		return
 	}
-	out := &diagOutcome{}
+	d.running = false
 	if err != nil {
-		out.errMsg = err.Error()
+		d.errMsg = err.Error()
 	} else {
 		var res core.WireResult
 		if jerr := json.Unmarshal(body, &res); jerr != nil {
-			out.errMsg = "decoding diagnosis: " + jerr.Error()
+			d.errMsg = "decoding diagnosis: " + jerr.Error()
 		} else {
-			out.result = &res
+			d.result = &res
 		}
 	}
-	p.results[id] = out
-	if out.errMsg != "" {
+	if d.errMsg != "" {
 		p.met.eventsFailed.Inc()
 	} else {
 		p.met.eventsDiagnosed.Inc()
 	}
 	p.met.eventLag.Observe(telemetry.Since(closedAt).Nanoseconds())
-	if ev := p.findClosed(id); ev != nil {
-		p.adopt(ev, out)
-	}
 }
 
-// adopt settles an event with its cached outcome. Its T+ mesh is
-// dropped: only a pending event's retry reads it.
-func (p *Processor) adopt(ev *event, out *diagOutcome) {
-	ev.tplus = nil
-	if out.errMsg != "" {
-		ev.status = core.EventFailed
-		ev.errMsg = out.errMsg
-		return
-	}
-	ev.status = core.EventDiagnosed
-	ev.result = out.result
-}
-
-func (p *Processor) findClosed(id string) *event {
-	for _, ev := range p.closed {
-		if ev.id == id {
-			return ev
-		}
-	}
-	return nil
-}
-
-// retryPending re-launches diagnosis for events parked by a shed. Called
-// with mu held, from sweeps and listings.
+// retryPending walks the closed events, with mu held, from sweeps and
+// listings: it restarts the diagnosis of each pending one and drops the
+// T+ mesh of each settled one, which only a retry would read.
 func (p *Processor) retryPending() {
-	if p.diagnose == nil {
-		return
-	}
 	for _, ev := range p.closed {
-		if ev.status == core.EventPending {
+		switch d := p.diags[ev.id]; {
+		case d == nil:
 			p.startDiagnosis(ev)
+		case !d.running:
+			ev.tplus = nil
 		}
 	}
 }
@@ -768,7 +672,7 @@ func (p *Processor) retryPending() {
 func (p *Processor) digest(ev *event) string {
 	ks := make([]string, len(ev.obs))
 	for i, o := range ev.obs {
-		ks[i] = o.key
+		ks[i] = o.Key
 	}
 	sort.Strings(ks)
 	h := sha256.New()
@@ -823,40 +727,39 @@ func (p *Processor) EventByID(id string) *core.WireEvent {
 }
 
 // wireEvent renders one event. Open events carry their digest-so-far as
-// a provisional ID and the "open" status.
+// a provisional ID and the "open" status; a closed event's status,
+// hypothesis and error come from its ID's diagnosis.
 func (p *Processor) wireEvent(ev *event) *core.WireEvent {
-	id, status := ev.id, ev.status
-	if id == "" {
-		id, status = p.digest(ev), core.EventOpen
-	}
-	obs := append([]*observation(nil), ev.obs...)
-	sort.Slice(obs, func(i, j int) bool {
-		if obs[i].ts != obs[j].ts {
-			return obs[i].ts < obs[j].ts
-		}
-		return obs[i].key < obs[j].key
-	})
 	w := &core.WireEvent{
-		ID:           id,
+		ID:           ev.id,
 		Scenario:     p.view.Scenario,
-		Status:       status,
+		Status:       core.EventPending,
 		FirstTS:      ev.firstTS,
 		LastTS:       ev.lastTS,
-		TraceID:      id,
-		Observations: make([]core.WireObservation, 0, len(obs)),
-		Hypothesis:   ev.result,
-		Error:        ev.errMsg,
+		Observations: make([]core.WireObservation, len(ev.obs)),
 	}
-	for _, o := range obs {
-		w.Observations = append(w.Observations, core.WireObservation{
-			Key:          o.key,
-			TS:           o.ts,
-			Kind:         o.kind,
-			Pair:         o.pair,
-			Detail:       o.detail,
-			SuspectLinks: o.suspectLinks,
-			SuspectASes:  o.suspectASes,
-		})
+	if ev.id == "" {
+		w.ID, w.Status = p.digest(ev), core.EventOpen
+	} else if d := p.diags[ev.id]; d != nil {
+		switch {
+		case d.running:
+			w.Status = core.EventDiagnosing
+		case d.errMsg != "":
+			w.Status, w.Error = core.EventFailed, d.errMsg
+		default:
+			w.Status, w.Hypothesis = core.EventDiagnosed, d.result
+		}
 	}
+	w.TraceID = w.ID
+	for i, o := range ev.obs {
+		w.Observations[i] = *o
+	}
+	sort.Slice(w.Observations, func(i, j int) bool {
+		a, b := &w.Observations[i], &w.Observations[j]
+		if a.TS != b.TS {
+			return a.TS < b.TS
+		}
+		return a.Key < b.Key
+	})
 	return w
 }

@@ -273,8 +273,8 @@ func TestAnnouncementRestores(t *testing.T) {
 
 // TestDeterministicReplay is the tentpole contract at the processor
 // level: the same records ingested in order, in reversed chunks (forcing
-// reset-and-replay), and in random interleavings render byte-identical
-// event listings after quiescence.
+// reset-and-replay), in random interleavings, and with every chunk
+// ingested twice render byte-identical event listings after quiescence.
 func TestDeterministicReplay(t *testing.T) {
 	type chunk struct {
 		bgp   bool
@@ -321,38 +321,110 @@ func TestDeterministicReplay(t *testing.T) {
 			t.Fatalf("replay order %v diverged:\n--- want ---\n%s--- got ---\n%s", order, want, got)
 		}
 	}
+
+	// A repeated record lands on its journaled copy and is dropped, so a
+	// second pass over the feed neither replays nor adds an observation.
+	doubled := []int{0, 1, 2, 3, 4, 0, 1, 2, 3, 4}
+	got, reg := run(t, 1, doubled)
+	if got != want {
+		t.Fatalf("doubled replay diverged:\n--- want ---\n%s--- got ---\n%s", want, got)
+	}
+	if n := reg.Counter("stream.sweep_resets").Value(); n != 0 {
+		t.Fatalf("doubled in-order replay triggered %d sweep resets", n)
+	}
+	for trial := 0; trial < 3; trial++ {
+		order := append([]int(nil), doubled...)
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		got, _ := run(t, 1+trial%2, order)
+		if got != want {
+			t.Fatalf("doubled replay order %v diverged:\n--- want ---\n%s--- got ---\n%s", order, want, got)
+		}
+	}
 }
 
 // TestPendingRetry pins the shed path: a diagnoser that sheds the first
 // attempt parks the event pending, and a later listing retries it to
-// completion.
+// completion, also when the shed run was in flight across a journal
+// reset.
 func TestPendingRetry(t *testing.T) {
-	view, _ := fig2View(t, 1)
-	attempts := 0
-	inner := stubDiagnoser()
-	var p *Processor
-	p = NewProcessor(Config{View: view, Telemetry: telemetry.New(),
-		Diagnose: func(id string, tminus, tplus *probe.Mesh) ([]byte, bool, error) {
-			attempts++
-			if attempts == 1 {
-				return nil, true, nil
-			}
-			return inner(id, tminus, tplus)
-		}})
+	t.Run("shed", func(t *testing.T) {
+		view, _ := fig2View(t, 1)
+		attempts := 0
+		inner := stubDiagnoser()
+		var p *Processor
+		p = NewProcessor(Config{View: view, Telemetry: telemetry.New(),
+			Diagnose: func(id string, tminus, tplus *probe.Mesh) ([]byte, bool, error) {
+				attempts++
+				if attempts == 1 {
+					return nil, true, nil
+				}
+				return inner(id, tminus, tplus)
+			}})
 
-	ingestBGP(t, p, bgpLine(1000, BGPWithdrawal, "y3", "y4"), bgpLine(20000, BGPKeepalive, "", ""))
-	evs := quiesce(t, p)
-	if len(evs) != 1 || evs[0].Status != core.EventDiagnosed {
-		t.Fatalf("shed event did not recover: %s", renderEvents(t, evs))
-	}
-	if attempts < 2 {
-		t.Fatalf("diagnoser attempts = %d, want >= 2", attempts)
-	}
+		ingestBGP(t, p, bgpLine(1000, BGPWithdrawal, "y3", "y4"), bgpLine(20000, BGPKeepalive, "", ""))
+		evs := quiesce(t, p)
+		if len(evs) != 1 || evs[0].Status != core.EventDiagnosed {
+			t.Fatalf("shed event did not recover: %s", renderEvents(t, evs))
+		}
+		if attempts < 2 {
+			t.Fatalf("diagnoser attempts = %d, want >= 2", attempts)
+		}
+	})
+
+	// The first run blocks until a keepalive behind the cursor has reset
+	// the journal, then sheds: the reset must keep the running diagnosis
+	// (the re-closed event lists as diagnosing and starts no second run),
+	// and the shed must leave the re-closed event pending for a retry.
+	t.Run("in flight across a reset", func(t *testing.T) {
+		reg := telemetry.New()
+		view, _ := fig2View(t, 1)
+		inner := stubDiagnoser()
+		release := make(chan struct{})
+		var (
+			mu    sync.Mutex
+			calls int
+		)
+		p := NewProcessor(Config{View: view, Telemetry: reg,
+			Diagnose: func(id string, tminus, tplus *probe.Mesh) ([]byte, bool, error) {
+				mu.Lock()
+				calls++
+				first := calls == 1
+				mu.Unlock()
+				if first {
+					<-release
+					return nil, true, nil
+				}
+				return inner(id, tminus, tplus)
+			}})
+
+		ingestBGP(t, p, bgpLine(1000, BGPWithdrawal, "y3", "y4"), bgpLine(20000, BGPKeepalive, "", ""))
+		ingestBGP(t, p, bgpLine(500, BGPKeepalive, "", ""))
+		evs := p.Events()
+		close(release)
+		if len(evs) != 1 || evs[0].Status != core.EventDiagnosing {
+			t.Fatalf("event in flight across the reset does not list as diagnosing: %s", renderEvents(t, evs))
+		}
+		evs = quiesce(t, p)
+		if len(evs) != 1 || evs[0].Status != core.EventDiagnosed {
+			t.Fatalf("shed event did not recover: %s", renderEvents(t, evs))
+		}
+		mu.Lock()
+		if calls != 2 {
+			t.Errorf("diagnoser ran %d times, want 2", calls)
+		}
+		mu.Unlock()
+		for name, want := range map[string]int64{"stream.sweep_resets": 1, "stream.events_diagnosed": 1} {
+			if got := reg.Counter(name).Value(); got != want {
+				t.Errorf("%s = %d, want %d", name, got, want)
+			}
+		}
+	})
 }
 
 // TestSettledEventsAfterReset pins what a journal reset does to settled
-// events: re-closing them re-attaches the cached outcomes without
-// counting them again, and no settled event keeps its T+ mesh.
+// events: re-closed events find their settled diagnoses in the table
+// without running or counting them again, and no settled event keeps its
+// T+ mesh.
 func TestSettledEventsAfterReset(t *testing.T) {
 	reg := telemetry.New()
 	view, _ := fig2View(t, 1)
@@ -401,8 +473,10 @@ func TestSettledEventsAfterReset(t *testing.T) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, ev := range p.closed {
-		if ev.tplus != nil {
-			t.Errorf("settled event %s (%s) still holds its T+ mesh", ev.id, ev.status)
+		if d := p.diags[ev.id]; d == nil || d.running {
+			t.Errorf("event %s has no settled diagnosis", ev.id)
+		} else if ev.tplus != nil {
+			t.Errorf("settled event %s (error %q) still holds its T+ mesh", ev.id, d.errMsg)
 		}
 	}
 }
