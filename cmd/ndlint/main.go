@@ -6,12 +6,12 @@
 //
 // Usage:
 //
-//	ndlint [-enable a,b] [-disable a,b] [-json] [-parallelism N] [packages]
+//	ndlint [-enable a,b] [-disable a,b] [-json] [packages]
 //
 // Packages default to ./... relative to the enclosing module. Every run
-// analyzes every matched package from source. Findings print as
-// file:line:col: message [analyzer], sorted and deduplicated,
-// byte-identically at any parallelism.
+// analyzes every matched package from source, in one sequential pass.
+// Findings print as file:line:col: message [analyzer], sorted and
+// deduplicated, byte-identically from run to run.
 //
 // Exit status: 0 when clean (including an empty package list), 1 when
 // findings exist, 2 on usage or load errors. Suppress a finding in place
@@ -34,7 +34,6 @@ func main() {
 		enable  = flag.String("enable", "", "comma-separated analyzers to run (default: all)")
 		disable = flag.String("disable", "", "comma-separated analyzers to skip")
 		jsonOut = flag.Bool("json", false, "emit machine-readable findings")
-		par     = flag.Int("parallelism", 0, "analysis worker count (0 = GOMAXPROCS); output is identical at any setting")
 		list    = flag.Bool("list", false, "list analyzers and exit")
 	)
 	flag.Parse()
@@ -57,10 +56,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ndlint:", err)
 		os.Exit(2)
 	}
-	diags, err := lint.Run(cwd, flag.Args(), lint.Config{
-		Analyzers:   analyzers,
-		Parallelism: *par,
-	})
+	diags, err := lint.Run(cwd, flag.Args(), lint.Config{Analyzers: analyzers})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ndlint:", err)
 		os.Exit(2)

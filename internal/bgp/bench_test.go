@@ -35,9 +35,8 @@ func BenchmarkConvergence(b *testing.B) {
 
 // BenchmarkConfirmFixpoint drains a worklist seeded with every router over
 // an already converged prefix of the research topology, reusing the
-// worklist: the confirmation every router of a ForceAll delta's unaffected
-// prefixes makes. It must change nothing, so it makes exactly one decision
-// per router, and allocate nothing (make allocguard).
+// worklist: a drain whose decisions change nothing. It must make exactly
+// one decision per router and allocate nothing (make allocguard).
 func BenchmarkConfirmFixpoint(b *testing.B) {
 	res, err := topology.GenerateResearch(topology.DefaultResearchConfig(1))
 	if err != nil {

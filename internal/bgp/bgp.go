@@ -205,11 +205,11 @@ type Config struct {
 	// it. Telemetry never affects the converged state.
 	Metrics *Metrics
 	// Warm, when non-nil, seeds the compute from a previously converged
-	// state of the same topology and origins (see Delta): every prefix
-	// starts from its prior routes, its worklist seeded with just the
-	// routers the described delta reaches, and a prefix the delta does
-	// not reach shares the prior state untouched. The converged result is
-	// route-for-route identical to a cold compute.
+	// state of the same topology and origins that this Config degrades (see
+	// Delta): every prefix starts from its prior routes, its worklist seeded
+	// with just the routers the described delta reaches, and a prefix the
+	// delta does not reach shares the prior state untouched. The converged
+	// result is route-for-route identical to a cold compute.
 	Warm *Delta
 
 	// budget caps the decisions one prefix's fixpoint may make; 0 means

@@ -189,8 +189,8 @@ func (c *oracleCase) config(f faults) Config {
 }
 
 // delta describes the move from fault set from, converged as prior, to
-// fault set to, as netsim tracks it. Filter changes are left for the
-// compute to diff.
+// fault set to, as netsim tracks it: nil, a cold compute, when a link or
+// router comes back up. Filter changes are left for the compute to diff.
 func (c *oracleCase) delta(prior *State, from, to faults) *Delta {
 	d := &Delta{Prior: prior, SessionsUnchanged: true}
 	was, is := c.linkUp(from), c.linkUp(to)
@@ -199,7 +199,9 @@ func (c *oracleCase) delta(prior *State, from, to faults) *Delta {
 		if was(l.ID) == is(l.ID) {
 			continue
 		}
-		d.ForceAll = d.ForceAll || is(l.ID)
+		if is(l.ID) {
+			return nil
+		}
 		if l.Kind == topology.Inter {
 			d.SessionsUnchanged = false
 		} else {
@@ -211,11 +213,10 @@ func (c *oracleCase) delta(prior *State, from, to faults) *Delta {
 		if from.routers[r] == to.routers[r] {
 			continue
 		}
-		if to.routers[r] {
-			d.FailedRouters = append(d.FailedRouters, r)
-		} else {
-			d.ForceAll = true
+		if !to.routers[r] {
+			return nil
 		}
+		d.FailedRouters = append(d.FailedRouters, r)
 		dirty[c.topo.RouterAS(r)] = true
 	}
 	for _, asn := range c.topo.ASNumbers() {
@@ -242,8 +243,8 @@ func (c *oracleCase) compute(t testing.TB, f faults, d *Delta, order func(int) i
 // TestWorklistMatchesRounds requires the worklist fixpoint to equal the
 // synchronous rounds from empty RIBs route for route, over random link and
 // router failures and export filters: computed cold, warm from the healthy
-// state, warm from a faulted state that degrades further, and warm back to
-// health (a restoration, which forces every router onto the worklist).
+// state, warm from a faulted state that degrades further, and back to
+// health (a restoration, which computes cold).
 func TestWorklistMatchesRounds(t *testing.T) {
 	trials := map[string]int{"fig1": 60, "fig2": 60}
 	for _, c := range oracleCases(t) {

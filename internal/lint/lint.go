@@ -42,8 +42,8 @@
 //
 // Diagnostics are deterministic: sorted by file, line, column, analyzer
 // and message, deduplicated across the test/non-test variants of a
-// package, and byte-identical at any parallelism. Every run analyzes
-// every matched package from source. Findings are suppressed in place
+// package, and byte-identical from run to run. Every run analyzes every
+// matched package from source, in one sequential pass. Findings are suppressed in place
 // with
 //
 //	//ndlint:ignore <analyzer>[,<analyzer>...] <reason>

@@ -29,8 +29,8 @@ type unit struct {
 // module-aware source importer of the framework: module-local import
 // paths map onto the module tree, everything else resolves against
 // GOROOT/src (with the std vendor directory as fallback), matching the
-// repo's zero-dependency policy. Loading is single-threaded; the
-// analyzers parallelize afterwards over the loaded units.
+// repo's zero-dependency policy. Loading is single-threaded, and so is
+// the analysis that follows over the loaded units.
 type loader struct {
 	fset    *token.FileSet
 	ctxt    build.Context

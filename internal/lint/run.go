@@ -3,24 +3,20 @@ package lint
 import (
 	"fmt"
 	"sort"
-
-	"netdiag/internal/pool"
 )
 
 // Config configures a lint run.
 type Config struct {
 	// Analyzers to run; defaults to All() when empty.
 	Analyzers []*Analyzer
-	// Parallelism bounds the worker count for the analysis phase
-	// (loading is sequential). <= 0 means GOMAXPROCS.
-	Parallelism int
 }
 
 // Run loads the packages matching patterns (relative to the module
-// containing dir) and applies the analyzers. Diagnostics come back
-// deduplicated across the test/non-test variants of each package and
-// sorted by file, line, column, analyzer and message — the output is
-// byte-deterministic at any parallelism.
+// containing dir) and applies the analyzers to each loaded unit in turn,
+// in one sequential pass: loading dominates the run, so analyzing in
+// parallel saved nothing measurable. Diagnostics come back deduplicated
+// across the test/non-test variants of each package and sorted by file,
+// line, column, analyzer and message, so the output is byte-deterministic.
 func Run(dir string, patterns []string, cfg Config) ([]Diagnostic, error) {
 	analyzers := cfg.Analyzers
 	if len(analyzers) == 0 {
@@ -40,22 +36,10 @@ func Run(dir string, patterns []string, cfg Config) ([]Diagnostic, error) {
 		return nil, err
 	}
 
-	// One task per unit, results in index-addressed slots so merge order
-	// never depends on scheduling.
-	perUnit := make([][]Diagnostic, len(units))
-	workers := pool.Size(cfg.Parallelism)
-	err = pool.ForEach(nil, workers, len(units), func(i int) error {
-		perUnit[i] = runUnit(ld, units[i], analyzers)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	seen := map[Diagnostic]bool{}
 	var out []Diagnostic
-	for _, ds := range perUnit {
-		for _, d := range ds {
+	for _, u := range units {
+		for _, d := range runUnit(ld, u, analyzers) {
 			if !seen[d] {
 				seen[d] = true
 				out = append(out, d)

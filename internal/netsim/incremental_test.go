@@ -116,7 +116,7 @@ func (m *mutator) step(d diffPair) string {
 		id := topology.LinkID(m.rng.Intn(m.topo.NumLinks()))
 		apply(func(n *Network) { n.RestoreLink(id) })
 		return fmt.Sprintf("restore link %d", id)
-	default: // clear every fault (restoration + filter removal => ForceAll)
+	default: // clear every fault (restoration + filter removal => cold BGP)
 		apply(func(n *Network) { n.ClearFaults() })
 		return "clear faults"
 	}
@@ -200,12 +200,15 @@ func TestIncrementalFilterOnlyDelta(t *testing.T) {
 	}
 }
 
-// TestIncrementalRestoreForcesAll pins the conservative fallback: restoring
-// a failed link can create routes anywhere, so every prefix re-runs its
-// (warm-seeded) fixpoint and none shares the degraded base state.
-func TestIncrementalRestoreForcesAll(t *testing.T) {
+// TestIncrementalRestoreConvergesCold pins that a warm start only
+// degrades: restoring a failed link, or removing a filter, can create
+// routes anywhere, so BGP converges cold (no prefix is warm-dirty or
+// shared with the degraded base) while the result still equals the cold
+// twin's.
+func TestIncrementalRestoreConvergesCold(t *testing.T) {
 	f := topology.BuildFig2()
 	origins := []topology.ASN{f.ASA, f.ASB, f.ASC}
+	sensors := []topology.RouterID{f.S1, f.S2, f.S3}
 	d := newDiffPair(t, f.Topo, origins)
 	l, _ := f.Topo.LinkBetween(f.R["y4"], f.R["b1"])
 	d.warm.FailLink(l.ID)
@@ -213,10 +216,20 @@ func TestIncrementalRestoreForcesAll(t *testing.T) {
 	d.reconverge(t, nil, "degrade")
 	d.warm.RestoreLink(l.ID)
 	d.cold.RestoreLink(l.ID)
-	d.reconverge(t, []topology.RouterID{f.S1, f.S2, f.S3}, "restore")
-	dirty, skipped := d.warm.BGP().WarmStats()
-	if skipped != 0 || dirty != len(origins) {
-		t.Fatalf("restore delta: dirty=%d skipped=%d, want %d/0", dirty, skipped, len(origins))
+	d.reconverge(t, sensors, "restore")
+	if dirty, skipped := d.warm.BGP().WarmStats(); dirty != 0 || skipped != 0 {
+		t.Fatalf("restore: dirty=%d skipped=%d, want a cold 0/0", dirty, skipped)
+	}
+
+	filt := bgp.ExportFilter{Router: f.R["y4"], Peer: f.R["b1"], Prefix: bgp.PrefixFor(f.ASC)}
+	d.warm.AddExportFilter(filt)
+	d.cold.AddExportFilter(filt)
+	d.reconverge(t, nil, "filter")
+	d.warm.ClearFaults()
+	d.cold.ClearFaults()
+	d.reconverge(t, sensors, "filter removed")
+	if dirty, skipped := d.warm.BGP().WarmStats(); dirty != 0 || skipped != 0 {
+		t.Fatalf("filter removal: dirty=%d skipped=%d, want a cold 0/0", dirty, skipped)
 	}
 }
 

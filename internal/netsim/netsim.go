@@ -106,7 +106,7 @@ type reconvergeDelta struct {
 	base              *baseState
 	dirtyASes         []topology.ASN
 	failedRouters     []topology.RouterID
-	forceAll          bool
+	restored          bool // a link or router came back up: BGP converges cold
 	sessionsUnchanged bool
 }
 
@@ -131,7 +131,7 @@ func (n *Network) computeDelta() *reconvergeDelta {
 		}
 		if !b.linkUp[i] {
 			// Link restored: new sessions/paths can appear anywhere.
-			d.forceAll = true
+			d.restored = true
 		}
 	}
 	for i := range n.routerUp {
@@ -144,7 +144,7 @@ func (n *Network) computeDelta() *reconvergeDelta {
 		if b.routerUp[i] {
 			d.failedRouters = append(d.failedRouters, r)
 		} else {
-			d.forceAll = true
+			d.restored = true
 		}
 	}
 	sort.Slice(d.dirtyASes, func(i, j int) bool { return d.dirtyASes[i] < d.dirtyASes[j] })
@@ -384,9 +384,10 @@ func (n *Network) Reconverge() error {
 // for ASes the delta touches (every other AS shares the base's tables),
 // and the BGP fixpoint is warm-started from the base's routes with
 // prefixes the delta provably cannot affect sharing the base state
-// untouched. The result is route-for-route identical to a cold
-// reconvergence, which the first convergence runs and the differential
-// tests reach through reconvergeCtx with a nil delta.
+// untouched, unless a link or router came back up (BGP then converges
+// cold). The result is route-for-route identical to a cold reconvergence,
+// which the first convergence runs and the differential tests reach
+// through reconvergeCtx with a nil delta.
 func (n *Network) ReconvergeCtx(ctx context.Context) error {
 	return n.reconvergeCtx(ctx, n.computeDelta())
 }
@@ -418,12 +419,11 @@ func (n *Network) reconvergeCtx(ctx context.Context, d *reconvergeDelta) error {
 		Parallelism: n.parallelism,
 		Metrics:     n.met.bgpMetrics(),
 	}
-	if d != nil {
+	if d != nil && !d.restored {
 		cfg.Warm = &bgp.Delta{
 			Prior:             d.base.bgp,
 			FailedRouters:     d.failedRouters,
 			DirtyASes:         d.dirtyASes,
-			ForceAll:          d.forceAll,
 			SessionsUnchanged: d.sessionsUnchanged,
 		}
 	}
@@ -692,6 +692,3 @@ func (n *Network) IGPLinkDowns(asx topology.ASN) []igp.LinkDown {
 	}
 	return out
 }
-
-// Origins exposes prefix origins (used by adapters and Looking Glasses).
-func (n *Network) Origins() map[bgp.Prefix]topology.ASN { return n.origins }

@@ -14,8 +14,8 @@ import (
 	"netdiag/internal/telemetry"
 )
 
-// The streaming plane: one stream.Processor per scenario (journal, a
-// network fork and its current mesh, event correlation), built by
+// The streaming plane: one stream.Processor per scenario (journal, the
+// withdrawn links and their mesh, event correlation), built by
 // StreamProcessor over the scenario's warm snapshot, behind the POST
 // /v1/ingest/* and GET /v1/events handlers. Closed events are diagnosed
 // through enqueue, the same admission queue, coalescing group and
@@ -26,10 +26,10 @@ const maxIngestBytes = 32 << 20
 
 // StreamProcessor returns the streaming processor of a registered
 // scenario, building it on first use over the warm snapshot, whose
-// healthy network the processor forks. The snapshot's convergence is the
-// Store's one shared build; the processor is built under procMu, so
-// concurrent first calls return the same processor. It errors when the server was built without
-// Config.Ingest.
+// healthy network the processor forks to measure each withdrawn set. The
+// snapshot's convergence is the Store's one shared build; the processor
+// is built under procMu, so concurrent first calls return the same
+// processor. It errors when the server was built without Config.Ingest.
 func (s *Server) StreamProcessor(ctx context.Context, name string) (*stream.Processor, error) {
 	if s.procs == nil {
 		return nil, fmt.Errorf("server: streaming ingestion disabled (Config.Ingest)")
@@ -75,9 +75,9 @@ func (s *Server) processor(name string) *stream.Processor {
 }
 
 // streamDiagnoser adapts one scenario's closed events onto enqueue. The
-// flight key is the event ID, so a re-closed event (journal reset)
-// coalesces with its own in-flight diagnosis instead of recomputing; the
-// event ID is also the trace ID, keeping replayed runs byte-identical
+// flight key names the event ID and its T+ mesh, which the flight keeps
+// alive, so a re-run under another T+ never joins a stale run in flight;
+// the event ID is also the trace ID, keeping replayed runs byte-identical
 // with tracing on or off. A shed reports retry=true and the processor
 // parks the event as pending.
 func (s *Server) streamDiagnoser(scenarioName string) stream.Diagnoser {
@@ -85,7 +85,7 @@ func (s *Server) streamDiagnoser(scenarioName string) stream.Diagnoser {
 		if s.draining.Load() {
 			return nil, false, errDraining
 		}
-		key := "event|" + scenarioName + "|" + netdiag.NDEdgeAlgo.Slug() + "|" + eventID
+		key := fmt.Sprintf("event|%s|%s|%s|%p", scenarioName, netdiag.NDEdgeAlgo.Slug(), eventID, tplus)
 		f, _, ok := s.enqueue(key, telemetry.NewRequestTrace(eventID), s.requestTimeout,
 			func(ctx context.Context) ([]byte, error) {
 				return s.diagnoseEvent(ctx, scenarioName, tplus)

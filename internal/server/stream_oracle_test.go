@@ -34,7 +34,7 @@ const (
 // generated from a ground-truth fork with that link down (the withdrawal,
 // every pair's probe on the fork, a keepalive past idle close, the
 // announcement and a closing keepalive) is replayed into one ingest
-// server, so its processor's fork goes through every delta. Each listed
+// server, so its processor withdraws and announces every link. Each listed
 // event must carry the hypothesis /v1/diagnose gives under nd-edge for the
 // fault set in force when the event closed: the link for the events of a
 // withdrawal, no failure for the event of an announcement.

@@ -284,6 +284,62 @@ func TestStreamEventHandOff(t *testing.T) {
 	}
 }
 
+// TestStreamLateRecordRediagnoses pins the flight key of an event's
+// diagnosis. The only worker holds the first run of a failing s1→s3
+// traceroute's event, closed under the healthy mesh, when a late b1~b2
+// withdrawal re-closes the event under another T+ mesh: the re-run must
+// queue as its own flight rather than join the stale one, and the settled
+// listing must equal in-order ingestion.
+func TestStreamLateRecordRediagnoses(t *testing.T) {
+	trace := func(t *testing.T, s *Server) []any {
+		snap, err := s.store.Get(context.Background(), "fig2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []any
+		for i, name := range []string{"a1", "a2"} {
+			id, _ := snap.Router(name)
+			recs = append(recs, stream.TraceRecord{Probe: "pr-late", TS: 1000, Src: "s1", Dst: "s3",
+				Hop: &stream.HopRecord{TTL: i + 1, Addr: snap.Scenario.Topo.Router(id).Addr}})
+		}
+		return append(recs, stream.TraceRecord{Probe: "pr-late", TS: 1000, Src: "s1", Dst: "s3", Done: true})
+	}
+	withdrawal := stream.BGPRecord{TS: 2000, Type: stream.BGPWithdrawal, A: "b1", B: "b2"}
+	keepalive := stream.BGPRecord{TS: 20000, Type: stream.BGPKeepalive}
+
+	inOrder := New(Config{Telemetry: telemetry.New(), Ingest: true})
+	defer inOrder.Close()
+	ingestLines(t, inOrder.Handler(), "fig2", "traceroute", trace(t, inOrder)...)
+	ingestLines(t, inOrder.Handler(), "fig2", "bgp", withdrawal, keepalive)
+	want := pollEvents(t, inOrder.Handler(), "fig2")
+
+	reg := telemetry.New()
+	s := New(Config{Workers: 1, QueueDepth: 8, Telemetry: reg, Ingest: true})
+	defer s.Close()
+	h := s.Handler()
+	held, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s.testJobStart = func() {
+		first := false
+		once.Do(func() { first = true })
+		if first {
+			close(held)
+			<-gate
+		}
+	}
+	ingestLines(t, h, "fig2", "traceroute", trace(t, s)...)
+	ingestLines(t, h, "fig2", "bgp", keepalive)
+	<-held
+	ingestLines(t, h, "fig2", "bgp", withdrawal)
+	// Three flights, one per run: the held one, the b1~b2 event's and the
+	// re-run, which has to reach the group while the held run is in it.
+	waitCounter(t, reg, "server.coalesce_misses", 3)
+	close(gate)
+	if got := pollEvents(t, h, "fig2"); !bytes.Equal(got, want) {
+		t.Fatalf("late record left a stale diagnosis:\n--- in order ---\n%s\n--- late ---\n%s", want, got)
+	}
+}
+
 // TestStreamIngestErrors pins the v1 error envelope on the ingest
 // surface: missing and unknown scenarios fail fast without converging
 // anything.

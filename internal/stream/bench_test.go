@@ -68,8 +68,10 @@ func BenchmarkIngestTraceroute(b *testing.B) {
 }
 
 // BenchmarkIngestBGP measures the BGP endpoint with real routing churn:
-// each withdrawal/announcement toggles the fig2 backup link, forcing a
-// delta reconvergence and a full re-mesh of the fork per record.
+// the records toggle the fig2 backup link. Each withdrawal reconverges a
+// fresh fork of the healthy network with the link failed and re-meshes
+// it in full; each announcement empties the withdrawn set, which returns
+// the overlay to the baseline without reconverging anything.
 func BenchmarkIngestBGP(b *testing.B) {
 	const toggles = 32
 	var lines []string

@@ -1,5 +1,5 @@
 // Package stream is the streaming diagnosis plane: live traceroute and
-// BGP feed ingestion over NDJSON, a per-scenario network fork whose full
+// BGP feed ingestion over NDJSON, per-scenario withdrawn links whose full
 // mesh is re-measured after every applied routing event, an event
 // correlator bucketing temporally/topologically related observations,
 // and an event-driven diagnosis loop feeding the server's queue/flight

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -22,7 +23,7 @@ import (
 
 // View is everything the processor needs from one warm scenario
 // snapshot. The processor never mutates Net or Baseline, the healthy T−
-// mesh, which is the overlay until the first applied routing change.
+// mesh, which is the overlay whenever no link is withdrawn.
 type View struct {
 	Scenario string
 	Topo     *topology.Topology
@@ -33,7 +34,7 @@ type View struct {
 	Prefixes []bgp.Prefix
 	Baseline *probe.Mesh
 	// Net is the converged healthy network: a frozen base the processor
-	// forks at construction and again on every journal reset.
+	// forks, failing links only, to measure each withdrawn set.
 	Net *netsim.Network
 	// Router resolves a router reference (name or numeric ID) from the
 	// feed against the scenario topology.
@@ -75,13 +76,13 @@ type Config struct {
 const (
 	entryMark  = iota // advances record time only (keepalive, successful probe)
 	entryTrace        // a failing completed traceroute: observation only
-	entryBGP          // withdrawal/announcement: mutates the fork, then observes
+	entryBGP          // withdrawal/announcement: edits the withdrawn set, then observes
 )
 
 // entry is one journal record. The journal is the processor's source of
 // truth: sorted by (ts, key), swept by a cursor, and replayable — every
-// piece of derived state (the fork, its mesh, events) is a pure function of
-// the sorted journal, which is what makes ingest order irrelevant.
+// piece of derived state (withdrawn links, their mesh, events) is a pure
+// function of the sorted journal, which makes ingest order irrelevant.
 type entry struct {
 	ts   int64
 	key  string
@@ -105,9 +106,11 @@ type event struct {
 	links           map[string]bool
 	ases            map[int]bool
 
-	// Set at closure. tplus is the T+ mesh a diagnosis of the event
-	// reads; the sweep or listing after its diagnosis settles drops it.
+	// Set at closure. down is the withdrawn set the event closed under
+	// and tplus its mesh, which a diagnosis of the event reads; the sweep
+	// or listing after its diagnosis settles drops tplus.
 	id       string
+	down     []topology.LinkID
 	tplus    *probe.Mesh
 	closedAt time.Time
 }
@@ -115,9 +118,11 @@ type event struct {
 // diagnosis is the state of one event ID's diagnosis: running until the
 // run returns, then settled with a result or an error message. Keyed by
 // event ID, it survives journal resets: an event re-closed with the same
-// observation set gets the same ID and finds its diagnosis there.
+// observation set gets the same ID and finds its diagnosis there, unless
+// the diagnosis read another withdrawn set (down).
 type diagnosis struct {
 	running bool
+	down    []topology.LinkID
 	result  *core.WireResult
 	errMsg  string
 }
@@ -155,16 +160,17 @@ func newMetrics(r *telemetry.Registry) *metrics {
 }
 
 // Processor is the per-scenario streaming state machine: it journals
-// ingested records, keeps the overlay, the full mesh of its network fork
-// (re-measured after each applied routing event), correlates trouble
-// observations into events, and hands closed events to the Diagnoser.
+// ingested records, keeps the overlay, the full mesh of the withdrawn
+// links (re-measured after each applied routing event), correlates
+// trouble observations into events, and hands closed events to the
+// Diagnoser.
 //
 // Determinism contract: after ingesting the same set of records — in any
 // order, across any number of concurrent requests — and reaching
 // quiescence, Events() renders byte-identical JSON. Out-of-order
 // arrivals are handled by reset-and-replay: the journal is re-swept from
-// a fresh fork of the healthy base, and each re-closed event finds its
-// diagnosis, running or settled, in the table keyed by event ID.
+// no withdrawn link, and each re-closed event finds its diagnosis,
+// running or settled, in the table keyed by event ID.
 type Processor struct {
 	view      View
 	window    int64
@@ -174,10 +180,12 @@ type Processor struct {
 	log       *slog.Logger
 	met       *metrics
 
-	mu   sync.Mutex
-	fork *netsim.Network
-	// overlay is the fork's current mesh. It is never written after it
-	// is measured, so closed events share it as their T+.
+	mu sync.Mutex
+	// down is the sorted set of withdrawn links; an effective record
+	// replaces it, never editing it in place, so events share it.
+	down []topology.LinkID
+	// overlay is down's mesh (View.Baseline when down is empty), never
+	// written once measured, so closed events share it as their T+.
 	overlay *probe.Mesh
 	// journal holds each accepted record once, sorted by (ts, key).
 	journal []*entry
@@ -192,9 +200,8 @@ type Processor struct {
 	stopped error
 }
 
-// NewProcessor builds a processor over one scenario view. It sweeps the
-// journal on a fork of View.Net; every journal reset replaces that fork
-// with a fresh one, which starts from View.Net's converged state.
+// NewProcessor builds a processor over one scenario view, starting with
+// no link withdrawn.
 func NewProcessor(cfg Config) *Processor {
 	if cfg.WindowMS <= 0 {
 		cfg.WindowMS = 2000
@@ -216,7 +223,6 @@ func NewProcessor(cfg Config) *Processor {
 		life:      cfg.Life,
 		log:       cfg.Logger,
 		met:       newMetrics(cfg.Telemetry),
-		fork:      cfg.View.Net.Fork(),
 		overlay:   cfg.View.Baseline,
 		pending:   map[string]*probeBuild{},
 		diags:     map[string]*diagnosis{},
@@ -438,7 +444,7 @@ func (p *Processor) insert(e *entry) {
 // same observation set get the same ID and find their diagnosis, running
 // or settled.
 func (p *Processor) reset() {
-	p.fork = p.view.Net.Fork()
+	p.down = nil
 	p.overlay = p.view.Baseline
 	p.cursor = 0
 	p.open = nil
@@ -459,7 +465,7 @@ func (p *Processor) sweep() {
 	p.retryPending()
 }
 
-// apply executes one journal entry against the fork and overlay.
+// apply executes one journal entry against the withdrawn set.
 func (p *Processor) apply(e *entry) {
 	switch e.kind {
 	case entryMark:
@@ -467,17 +473,17 @@ func (p *Processor) apply(e *entry) {
 	case entryTrace:
 		p.correlate(e.obs)
 	case entryBGP:
-		up := p.fork.LinkIsUp(e.link)
-		if (e.bgpType == BGPWithdrawal && !up) || (e.bgpType == BGPAnnouncement && up) {
-			// The feed repeated what the fork already knows: nothing to
+		i, down := slices.BinarySearch(p.down, e.link)
+		if down == (e.bgpType == BGPWithdrawal) {
+			// The feed repeated what the set already holds: nothing to
 			// re-measure, no new trouble to correlate.
 			p.met.noopRecords.Inc()
 			return
 		}
-		if e.bgpType == BGPWithdrawal {
-			p.fork.FailLink(e.link)
+		if down {
+			p.down = slices.Concat(p.down[:i], p.down[i+1:])
 		} else {
-			p.fork.RestoreLink(e.link)
+			p.down = slices.Concat(p.down[:i], []topology.LinkID{e.link}, p.down[i:])
 		}
 		p.remesh()
 		if p.stopped == nil {
@@ -486,15 +492,25 @@ func (p *Processor) apply(e *entry) {
 	}
 }
 
-// remesh reconverges the fork and replaces the overlay with the fork's
-// full mesh, measured at the network's own parallelism: T+ is a whole
-// round, as the paper's troubleshooter reads it.
+// remesh replaces the overlay with the withdrawn set's full mesh: the
+// baseline when the set is empty, else a fresh fork of the healthy base
+// with every withdrawn link failed, reconverged and measured at the
+// network's own parallelism. T+ is a whole round, as the paper's
+// troubleshooter reads it.
 func (p *Processor) remesh() {
-	if err := p.fork.ReconvergeCtx(p.life); err != nil {
+	if len(p.down) == 0 {
+		p.overlay = p.view.Baseline
+		return
+	}
+	fork := p.view.Net.Fork()
+	for _, l := range p.down {
+		fork.FailLink(l)
+	}
+	if err := fork.ReconvergeCtx(p.life); err != nil {
 		p.stop(err)
 		return
 	}
-	m, err := p.fork.MeshCtx(p.life, p.view.Sensors)
+	m, err := fork.MeshCtx(p.life, p.view.Sensors)
 	if err != nil {
 		p.stop(err)
 		return
@@ -585,11 +601,15 @@ func (p *Processor) closeIdleBefore(ts int64) {
 	p.open = kept
 }
 
-// closeEvent seals an event: assign its digest ID, take the overlay as
-// the T+ mesh unless the ID's diagnosis has settled (a journal reset
-// re-closing a settled event), and start a diagnosis if the ID has none.
+// closeEvent seals an event: assign its digest ID, drop the ID's
+// diagnosis if it read another withdrawn set, take the overlay as the T+
+// mesh unless the ID's diagnosis has settled (a journal reset re-closing
+// a settled event), and start a diagnosis if the ID has none.
 func (p *Processor) closeEvent(ev *event) {
-	ev.id = p.digest(ev)
+	ev.id, ev.down = p.digest(ev), p.down
+	if d := p.diags[ev.id]; d != nil && !slices.Equal(d.down, ev.down) {
+		delete(p.diags, ev.id)
+	}
 	if d := p.diags[ev.id]; d == nil || d.running {
 		ev.tplus = p.overlay
 	}
@@ -605,14 +625,15 @@ func (p *Processor) startDiagnosis(ev *event) {
 	if p.diagnose == nil || p.diags[ev.id] != nil {
 		return
 	}
-	d := &diagnosis{running: true}
+	d := &diagnosis{running: true, down: ev.down}
 	p.diags[ev.id] = d
 	go p.runDiagnosis(ev.id, d, ev.tplus, ev.closedAt)
 }
 
 // runDiagnosis executes the Diagnoser off the processor lock and
 // settles d with the outcome. A retryable refusal deletes d from the
-// table instead, which leaves the event pending.
+// table instead, which leaves the event pending. A run whose entry has
+// left the table meanwhile changes nothing.
 func (p *Processor) runDiagnosis(id string, d *diagnosis, tplus *probe.Mesh, closedAt time.Time) {
 	var (
 		body  []byte
@@ -629,6 +650,9 @@ func (p *Processor) runDiagnosis(id string, d *diagnosis, tplus *probe.Mesh, clo
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.diags[id] != d {
+		return
+	}
 	if retry {
 		delete(p.diags, id)
 		return
@@ -653,15 +677,24 @@ func (p *Processor) runDiagnosis(id string, d *diagnosis, tplus *probe.Mesh, clo
 }
 
 // retryPending walks the closed events, with mu held, from sweeps and
-// listings: it restarts the diagnosis of each pending one and drops the
-// T+ mesh of each settled one, which only a retry would read.
+// listings: it restarts the diagnosis of each pending one, drops the T+
+// mesh of each settled one, which only a retry would read, and deletes
+// every diagnosis whose ID no closed event holds, as a late record that
+// joins a closed event orphans its old ID.
 func (p *Processor) retryPending() {
+	ids := make(map[string]bool, len(p.closed))
 	for _, ev := range p.closed {
+		ids[ev.id] = true
 		switch d := p.diags[ev.id]; {
 		case d == nil:
 			p.startDiagnosis(ev)
 		case !d.running:
 			ev.tplus = nil
+		}
+	}
+	for id := range p.diags {
+		if !ids[id] {
+			delete(p.diags, id)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,8 +20,9 @@ import (
 
 // fig2View converges the Figure 2 scenario into a processor view,
 // mirroring the server snapshot setup. workers is the network's
-// parallelism, which the processor's re-meshes run at.
-func fig2View(t testing.TB, workers int) (View, *topology.Fig2) {
+// parallelism, which the processor's re-meshes run at; opts configure the
+// network further.
+func fig2View(t testing.TB, workers int, opts ...netsim.Option) (View, *topology.Fig2) {
 	t.Helper()
 	f2 := topology.BuildFig2()
 	sensors := []topology.RouterID{f2.S1, f2.S2, f2.S3}
@@ -31,7 +34,7 @@ func fig2View(t testing.TB, workers int) (View, *topology.Fig2) {
 			origins = append(origins, as)
 		}
 	}
-	n, err := netsim.New(f2.Topo, origins, netsim.WithParallelism(workers))
+	n, err := netsim.New(f2.Topo, origins, append([]netsim.Option{netsim.WithParallelism(workers)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +226,7 @@ func TestNoopRecords(t *testing.T) {
 	}
 	obs := reg.Counter("stream.observations").Value()
 
-	// Same link withdrawn again: the fork already knows, so nothing
+	// Same link withdrawn again: the set already holds it, so nothing
 	// re-measures and no new observation joins the event.
 	ingestBGP(t, p, bgpLine(1200, BGPWithdrawal, "y3", "y4"))
 	// A successful probe is a watermark, not trouble.
@@ -244,8 +247,8 @@ func TestNoopRecords(t *testing.T) {
 }
 
 // TestAnnouncementRestores pins the restoration path: after a
-// withdrawal, the matching announcement re-measures the restored fork and
-// the overlay returns to the baseline.
+// withdrawal, the matching announcement empties the withdrawn set and the
+// overlay is the baseline again.
 func TestAnnouncementRestores(t *testing.T) {
 	view, _ := fig2View(t, 1)
 	p := NewProcessor(Config{View: view, Diagnose: stubDiagnoser(), Telemetry: telemetry.New()})
@@ -256,17 +259,81 @@ func TestAnnouncementRestores(t *testing.T) {
 		bgpLine(30000, BGPKeepalive, "", ""))
 
 	p.mu.Lock()
-	cur := p.overlay
-	p.mu.Unlock()
-	for i := range cur.Paths {
-		for j, path := range cur.Paths[i] {
-			if i == j {
+	defer p.mu.Unlock()
+	if p.overlay != view.Baseline || len(p.down) != 0 {
+		t.Fatalf("after the announcement: %d links withdrawn, overlay is the baseline: %v", len(p.down), p.overlay == view.Baseline)
+	}
+}
+
+// TestOverlayIsWithdrawnSetMesh replays seeded random withdraw/announce
+// sequences over four of fig2's links, repeats included. After every
+// record the withdrawn set must match the sequence, and the overlay must
+// equal, path for path, the mesh of a fresh fork of the healthy network
+// with exactly those links failed: the baseline itself when no link is
+// withdrawn, reached with no reconvergence when an announcement empties
+// the set.
+func TestOverlayIsWithdrawnSetMesh(t *testing.T) {
+	reg := telemetry.New()
+	view, _ := fig2View(t, 1, netsim.WithTelemetry(reg))
+	reconverges := reg.Counter("netsim.reconverges")
+	all := view.Topo.Links()
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var links []*topology.PhysLink
+		for _, i := range rng.Perm(len(all))[:4] {
+			links = append(links, all[i])
+		}
+		p := NewProcessor(Config{View: view, Telemetry: telemetry.New()})
+		withdrawn := map[topology.LinkID]bool{}
+		emptied := 0
+		for step := 0; step < 40; step++ {
+			l := links[rng.Intn(len(links))]
+			typ := BGPAnnouncement
+			if rng.Intn(2) == 0 {
+				typ = BGPWithdrawal
+			}
+			before, was := reconverges.Value(), len(withdrawn)
+			ingestBGP(t, p, bgpLine(int64(1000*(step+1)), typ, view.Topo.Router(l.A).Name, view.Topo.Router(l.B).Name))
+			if typ == BGPWithdrawal {
+				withdrawn[l.ID] = true
+			} else {
+				delete(withdrawn, l.ID)
+			}
+
+			fork := view.Net.Fork()
+			var want []topology.LinkID
+			for id := range withdrawn {
+				want = append(want, id)
+				fork.FailLink(id)
+			}
+			slices.Sort(want)
+			p.mu.Lock()
+			down, overlay := p.down, p.overlay
+			p.mu.Unlock()
+			if !slices.Equal(down, want) {
+				t.Fatalf("seed %d step %d: withdrawn set %v, want %v", seed, step, down, want)
+			}
+			if len(want) == 0 {
+				if overlay != view.Baseline {
+					t.Fatalf("seed %d step %d: nothing withdrawn, but the overlay is not the baseline", seed, step)
+				}
+				if was > 0 {
+					emptied++
+					if got := reconverges.Value(); got != before {
+						t.Fatalf("seed %d step %d: emptying the set reconverged %d times", seed, step, got-before)
+					}
+				}
 				continue
 			}
-			base := view.Baseline.Paths[i][j]
-			if path.OK != base.OK || len(path.Hops) != len(base.Hops) {
-				t.Fatalf("pair %d->%d did not return to baseline after announcement", i, j)
+			if err := fork.Reconverge(); err != nil {
+				t.Fatal(err)
 			}
+			if !reflect.DeepEqual(overlay, fork.Mesh(view.Sensors)) {
+				t.Fatalf("seed %d step %d: overlay differs from the mesh of a fork with %v failed", seed, step, want)
+			}
+		}
+		if emptied == 0 {
+			t.Fatalf("seed %d: no announcement emptied the withdrawn set", seed)
 		}
 	}
 }
@@ -516,5 +583,95 @@ func TestIngestRejects(t *testing.T) {
 	}
 	if firstErr == nil || !strings.Contains(firstErr.Error(), "unknown router") {
 		t.Fatalf("firstErr = %v", firstErr)
+	}
+}
+
+// TestLateRecordRediagnoses pins that a late routing record which changes
+// the withdrawn set an already closed event closes under re-runs that
+// event's diagnosis, whether the first run has settled or is still in
+// flight when the record lands. A failing s1→s3 traceroute that stops at
+// a2 (ts 1000) and a keepalive (ts 20000) close one event under the
+// healthy mesh; the b1~b2 withdrawal at ts 2000 shares no suspect with
+// it, but arrives behind the cursor, and its event's T+ has that link
+// down. The listing must equal in-order ingestion.
+func TestLateRecordRediagnoses(t *testing.T) {
+	view, _ := fig2View(t, 1)
+	trace := traceLines(view.Topo, view.Router, "pr-late", 1000, "s1", "s3", false, "a1", "a2")
+	withdrawal := bgpLine(2000, BGPWithdrawal, "b1", "b2")
+	keepalive := bgpLine(20000, BGPKeepalive, "", "")
+
+	reg := telemetry.New()
+	p := NewProcessor(Config{View: view, Diagnose: stubDiagnoser(), Telemetry: reg})
+	ingestTrace(t, p, trace...)
+	ingestBGP(t, p, withdrawal, keepalive)
+	want := renderEvents(t, quiesce(t, p))
+	wantDiagnosed := reg.Counter("stream.events_diagnosed").Value()
+
+	t.Run("settled", func(t *testing.T) {
+		reg := telemetry.New()
+		p := NewProcessor(Config{View: view, Diagnose: stubDiagnoser(), Telemetry: reg})
+		ingestTrace(t, p, trace...)
+		ingestBGP(t, p, keepalive)
+		quiesce(t, p)
+		ingestBGP(t, p, withdrawal)
+		if got := renderEvents(t, quiesce(t, p)); got != want {
+			t.Fatalf("late record left a stale diagnosis:\n--- in order ---\n%s--- late ---\n%s", want, got)
+		}
+	})
+
+	// The first run blocks until the late record has re-closed its event:
+	// its result is stale, so it must settle nothing and count nothing.
+	t.Run("in flight", func(t *testing.T) {
+		reg := telemetry.New()
+		inner := stubDiagnoser()
+		entered, release := make(chan struct{}), make(chan struct{})
+		var (
+			mu    sync.Mutex
+			calls int
+		)
+		p := NewProcessor(Config{View: view, Telemetry: reg,
+			Diagnose: func(id string, tminus, tplus *probe.Mesh) ([]byte, bool, error) {
+				mu.Lock()
+				calls++
+				first := calls == 1
+				mu.Unlock()
+				if first {
+					close(entered)
+					<-release
+				}
+				return inner(id, tminus, tplus)
+			}})
+		ingestTrace(t, p, trace...)
+		ingestBGP(t, p, keepalive)
+		<-entered
+		ingestBGP(t, p, withdrawal)
+		close(release)
+		if got := renderEvents(t, quiesce(t, p)); got != want {
+			t.Fatalf("late record left a stale diagnosis:\n--- in order ---\n%s--- late ---\n%s", want, got)
+		}
+		if got := reg.Counter("stream.events_diagnosed").Value(); got != wantDiagnosed {
+			t.Fatalf("events_diagnosed = %d, want %d", got, wantDiagnosed)
+		}
+	})
+}
+
+// TestOrphanedDiagnosesReclaimed pins that the diagnosis table holds only
+// IDs of closed events. Each late failing traceroute joins the closed
+// event of a y3~y4 withdrawal and so changes its ID; the old ID's
+// diagnosis must go.
+func TestOrphanedDiagnosesReclaimed(t *testing.T) {
+	view, _ := fig2View(t, 1)
+	p := NewProcessor(Config{View: view, Diagnose: stubDiagnoser(), Telemetry: telemetry.New()})
+	ingestBGP(t, p, bgpLine(1000, BGPWithdrawal, "y3", "y4"), bgpLine(20000, BGPKeepalive, "", ""))
+	quiesce(t, p)
+	for k := int64(1); k <= 5; k++ {
+		ingestTrace(t, p, traceLines(view.Topo, view.Router, fmt.Sprintf("pr-%d", k), 1000+100*k,
+			"s1", "s3", false, "a1", "a2", "x1", "x2", "y1", "y2")...)
+		quiesce(t, p)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.closed) != 1 || len(p.diags) != len(p.closed) {
+		t.Fatalf("%d closed events and %d diagnoses, want 1 and 1", len(p.closed), len(p.diags))
 	}
 }
