@@ -682,15 +682,22 @@ func (p *Processor) runDiagnosis(id string, d *diagnosis, tplus *probe.Mesh, clo
 // every diagnosis whose ID no closed event holds, as a late record that
 // joins a closed event orphans its old ID.
 func (p *Processor) retryPending() {
-	ids := make(map[string]bool, len(p.closed))
 	for _, ev := range p.closed {
-		ids[ev.id] = true
 		switch d := p.diags[ev.id]; {
 		case d == nil:
 			p.startDiagnosis(ev)
 		case !d.running:
 			ev.tplus = nil
 		}
+	}
+	// Every closed event now has an entry (or no entry is ever made),
+	// and their IDs are distinct: only a larger table holds an orphan.
+	if len(p.diags) <= len(p.closed) {
+		return
+	}
+	ids := make(map[string]bool, len(p.closed))
+	for _, ev := range p.closed {
+		ids[ev.id] = true
 	}
 	for id := range p.diags {
 		if !ids[id] {
