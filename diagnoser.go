@@ -135,8 +135,9 @@ func WithLookingGlass(lg LookingGlass) DiagnoserOption {
 	return func(d *Diagnoser) { d.lg = lg }
 }
 
-// WithParallelism bounds the worker count used inside Diagnose. n <= 0
-// selects runtime.GOMAXPROCS(0), the default; n = 1 reproduces the exact
+// WithParallelism bounds the workers that score the greedy cover's
+// candidates once at the start; later rounds update them sequentially.
+// n <= 0 selects runtime.GOMAXPROCS(0), the default; n = 1 is the exact
 // sequential execution. The hypothesis set is identical at any setting.
 func WithParallelism(n int) DiagnoserOption {
 	return func(d *Diagnoser) { d.par = pool.Size(n) }

@@ -16,12 +16,13 @@ import (
 // maintains incremental per-candidate scores instead of rescoring every
 // candidate each round.
 //
-// Equivalence with the map-based reference (RunReference) is structural, not
-// accidental: every user-visible iteration (candidate scan, cluster pairs,
-// hypothesis order) runs in the same sorted-Link order as the reference,
-// scores are the same float expression over the same integer counts, and
-// the delta updates below are exact (see DESIGN.md, "Bitset diagnosis
-// core"). The differential harness pins byte-identical wire output.
+// Equivalence with the map reference engine (RunReference, in
+// reference_test.go) is structural: every user-visible iteration
+// (candidate scan, cluster pairs, hypothesis order) runs in the same
+// sorted-Link order as the reference, scores are the same float
+// expression over the same integer counts, and the delta updates below
+// are exact (see DESIGN.md, "Bitset diagnosis core"). "X over IDs" below
+// names the reference engine's X. The differential tests pin the wire bytes.
 type bitEngine struct {
 	e     *engine
 	m     *Measurements
@@ -335,7 +336,7 @@ func (b *bitEngine) buildCandidates() {
 	add(b.rerLinks)
 }
 
-// addPhysParents mirrors engine.addPhysParents over IDs. A physical link's
+// addPhysParents is addPhysParents over IDs. A physical link's
 // children are the links u->v(W)@u and v(W)@u->v of its logical nodes.
 // Parents go in order of their first logical node: no order is visible,
 // since extra-cover is OR-folded and link IDs never reach the output. A
@@ -689,8 +690,8 @@ func retireSets(delta, unexpl bitset, coveredBy csr, cnt []int) int {
 }
 
 // attribute builds the reported hypothesis entries with physical and AS
-// attribution, sorted by link: engine.attribute over IDs. Only here and in
-// the candidate order do logical nodes get their names.
+// attribution, sorted by link: attribute over IDs. Only here and in the
+// candidate order do logical nodes get their names.
 func (b *bitEngine) attribute() []HypLink {
 	t := b.nodes
 	seen := newBitset(b.links.size())

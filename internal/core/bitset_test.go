@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/bits"
@@ -248,11 +247,10 @@ func TestLinkInterner(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalenceSynthetic is the in-package quick differential: the
-// bitset and map engines must render byte-identical wire output on the
-// synthetic benchmark meshes across variants and parallelism. The
-// cross-variant harness over the paper topologies lives in
-// internal/experiment.
+// TestEngineEquivalenceSynthetic is the quick differential: the bitset
+// and map engines must render byte-identical wire output on the synthetic
+// benchmark meshes across variants and parallelism. The cross-variant
+// harness over the paper topologies is coreequiv_test.go.
 func TestEngineEquivalenceSynthetic(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23, 40} {
 		m := synthMeasurements(8, 6, seed)
@@ -264,24 +262,8 @@ func TestEngineEquivalenceSynthetic(t *testing.T) {
 		} {
 			for _, par := range []int{1, 8} {
 				opts.Parallelism = par
-				got, err := Run(m, opts)
-				if err != nil {
+				if err := checkEngines(t, fmt.Sprintf("seed %d opts %+v", seed, opts), m, opts); err != nil {
 					t.Fatal(err)
-				}
-				want, err := RunReference(context.Background(), m, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var gb, wb bytes.Buffer
-				if err := got.Wire("x").Encode(&gb); err != nil {
-					t.Fatal(err)
-				}
-				if err := want.Wire("x").Encode(&wb); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
-					t.Fatalf("seed %d opts %+v: engines disagree\nbitset: %s\nmap: %s",
-						seed, opts, gb.String(), wb.String())
 				}
 			}
 		}

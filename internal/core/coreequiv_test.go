@@ -1,13 +1,12 @@
-package experiment
+package core_test
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"netdiag/internal/core"
+	"netdiag/internal/experiment"
 	"netdiag/internal/topology"
 )
 
@@ -22,9 +21,9 @@ import (
 
 // equivEnv builds an experiment Env over an arbitrary topology (the paper's
 // figure examples are not research-shaped).
-func equivEnv(t *testing.T, topo *topology.Topology, sensors []topology.RouterID) *Env {
+func equivEnv(t *testing.T, topo *topology.Topology, sensors []topology.RouterID) *experiment.Env {
 	t.Helper()
-	env, err := NewEnv(topo, sensors)
+	env, err := experiment.NewEnv(topo, sensors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +33,7 @@ func equivEnv(t *testing.T, topo *topology.Topology, sensors []topology.RouterID
 // sampleEquivFault draws one fault, mixing every injectable kind and
 // falling back to a single link failure when a kind is unavailable on the
 // topology (e.g. no interdomain links to misconfigure on fig1).
-func sampleEquivFault(env *Env, rng *rand.Rand) (Fault, bool) {
+func sampleEquivFault(env *experiment.Env, rng *rand.Rand) (experiment.Fault, bool) {
 	switch rng.Intn(4) {
 	case 0:
 		return env.SampleLinkFault(rng, 1)
@@ -58,39 +57,23 @@ func sampleEquivFault(env *Env, rng *rand.Rand) (Fault, bool) {
 
 // engineDiffTrial diffs the engines over all four variants × parallelism
 // 1 and 8 on one trial's measurements.
-func engineDiffTrial(t *testing.T, td *TrialData, label string) {
+func engineDiffTrial(t *testing.T, td *experiment.TrialData, label string) {
 	t.Helper()
 	variants := []struct {
 		name string
 		opts core.Options
 	}{
-		{"tomo", tomoOpts()},
-		{"nd-edge", edgeOpts()},
-		{"nd-bgpigp", bgpigpOpts(td)},
-		{"nd-lg", ndlgOpts(td)},
+		{"tomo", core.Options{}},
+		{"nd-edge", core.Options{LogicalLinks: true, UseReroutes: true}},
+		{"nd-bgpigp", core.Options{LogicalLinks: true, UseReroutes: true, Routing: td.Routing}},
+		{"nd-lg", core.Options{LogicalLinks: true, UseReroutes: true, Routing: td.Routing, LG: td.LG, KeepUnidentified: true}},
 	}
 	for _, v := range variants {
 		for _, par := range []int{1, 8} {
 			opts := v.opts
 			opts.Parallelism = par
-			bitRes, err := core.Run(td.Meas, opts)
-			if err != nil {
-				t.Fatalf("%s %s par=%d: bitset engine: %v", label, v.name, par, err)
-			}
-			mapRes, err := core.RunReference(context.Background(), td.Meas, opts)
-			if err != nil {
-				t.Fatalf("%s %s par=%d: map engine: %v", label, v.name, par, err)
-			}
-			var bb, mb bytes.Buffer
-			if err := bitRes.Wire(v.name).Encode(&bb); err != nil {
+			if err := core.CheckEngines(t, fmt.Sprintf("%s %s par=%d", label, v.name, par), td.Meas, opts); err != nil {
 				t.Fatal(err)
-			}
-			if err := mapRes.Wire(v.name).Encode(&mb); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(bb.Bytes(), mb.Bytes()) {
-				t.Fatalf("%s %s par=%d: engines diverge\nbitset:\n%s\nmap:\n%s",
-					label, v.name, par, bb.String(), mb.String())
 			}
 		}
 	}
@@ -99,7 +82,7 @@ func engineDiffTrial(t *testing.T, td *TrialData, label string) {
 // runEngineEquivTrials drives `trials` impactful randomized fault trials
 // through the engine diff. withBlocked additionally exercises masked
 // traceroutes and partial LG coverage on half the trials.
-func runEngineEquivTrials(t *testing.T, env *Env, asx topology.ASN, seed int64, trials int, withBlocked bool) {
+func runEngineEquivTrials(t *testing.T, env *experiment.Env, asx topology.ASN, seed int64, trials int, withBlocked bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	done, tries := 0, 0
@@ -112,11 +95,11 @@ func runEngineEquivTrials(t *testing.T, env *Env, asx topology.ASN, seed int64, 
 		}
 		var blocked, lgAvail map[topology.ASN]bool
 		if withBlocked && rng.Intn(2) == 0 {
-			blocked = sampleBlocked(0.34)(env, asx, rng)
-			lgAvail = sampleLGAvail(0.8)(env, asx, rng)
+			blocked = experiment.SampleBlocked(0.34)(env, asx, rng)
+			lgAvail = experiment.SampleLGAvail(0.8)(env, asx, rng)
 		}
 		td, err := env.RunTrial(f, asx, blocked, lgAvail)
-		if err == ErrNoImpact {
+		if err == experiment.ErrNoImpact {
 			continue
 		}
 		if err != nil {
@@ -165,7 +148,7 @@ func TestEngineEquivalenceResearch(t *testing.T) {
 		res.Topo.AS(res.Stubs[2]).Routers[0],
 		res.Topo.AS(res.Stubs[3]).Routers[0],
 	}
-	env, err := NewEnv(res.Topo, sensors)
+	env, err := experiment.NewEnv(res.Topo, sensors)
 	if err != nil {
 		t.Fatal(err)
 	}

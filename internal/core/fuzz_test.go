@@ -95,7 +95,8 @@ func checkDiagnosis(t *testing.T, name string, run func() (*Result, error)) {
 
 // checkEngines runs the default engine and the RunReference oracle on the
 // same input and requires identical error text or identical wire bytes.
-func checkEngines(t *testing.T, name string, m *Measurements, opts Options) {
+// It returns the error both engines reported, if any.
+func checkEngines(t *testing.T, name string, m *Measurements, opts Options) error {
 	t.Helper()
 	got, gerr := Run(m, opts)
 	want, werr := RunReference(context.Background(), m, opts)
@@ -103,7 +104,7 @@ func checkEngines(t *testing.T, name string, m *Measurements, opts Options) {
 		t.Fatalf("%s: engines disagree on the error: %v vs reference %v", name, gerr, werr)
 	}
 	if gerr != nil {
-		return
+		return gerr
 	}
 	var gb, wb bytes.Buffer
 	if err := got.Wire(name).Encode(&gb); err != nil {
@@ -115,6 +116,7 @@ func checkEngines(t *testing.T, name string, m *Measurements, opts Options) {
 	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
 		t.Fatalf("%s: engines disagree\ndefault: %s\nreference: %s", name, gb.String(), wb.String())
 	}
+	return nil
 }
 
 // fuzzVariants are the option sets the fuzz target diagnoses under: every

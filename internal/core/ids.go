@@ -9,9 +9,10 @@ import (
 // This file reads a measurement set into the dense IDs the default engine
 // runs on. Sensor pairs are indexed by sorting (src, dst) tuples, every
 // hop becomes a node ID in one arena, and the §3.1 logical-link expansion
-// rewrites that arena rather than copying the measurements. The reference
-// engine (RunReference) keeps the string front half in types.go and
-// expand.go; the differential tests compare the two.
+// rewrites that arena rather than copying the measurements. It is the
+// package's one front half: the map reference engine's string front half
+// lives with that engine in reference_test.go, and the differential tests
+// compare the two.
 
 // pathKey places one path of a mesh in (src, dst) order; i is its index
 // in Before or After.

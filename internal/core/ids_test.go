@@ -94,7 +94,7 @@ func TestNodeTableMatchesCollectNodes(t *testing.T) {
 	for _, perPrefix := range []bool{false, true} {
 		x := readMesh(m)
 		x.expand(m, perPrefix)
-		ref := &engine{nodeAS: map[Node]topology.ASN{}, nodeUH: map[Node]bool{}}
+		ref := &refEngine{nodeAS: map[Node]topology.ASN{}, nodeUH: map[Node]bool{}}
 		ref.collectNodes(newExpander(perPrefix).expandAll(m))
 		names := map[Node]bool{}
 		for n := range ref.nodeAS {

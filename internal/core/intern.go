@@ -139,8 +139,9 @@ func (t *nodeTable) physical(from, to int32) (int32, int32) {
 	return from, to
 }
 
-// linkASes is engine.linkASes over node IDs: the sorted ASes of the
-// link's endpoints, or the Looking-Glass tags of unidentified ones.
+// linkASes is the reference engine's linkASes over node IDs: the sorted
+// ASes of the link's endpoints, or the Looking-Glass tags of unidentified
+// ones.
 func (t *nodeTable) linkASes(u, v int32) []topology.ASN {
 	out := make([]topology.ASN, 0, 2)
 	for _, n := range [2]int32{u, v} {
@@ -154,7 +155,7 @@ func (t *nodeTable) linkASes(u, v int32) []topology.ASN {
 	return slices.Compact(out)
 }
 
-// endpointKey is makeEndpointKey over node IDs.
+// endpointKey is the reference engine's makeEndpointKey over node IDs.
 func (t *nodeTable) endpointKey(id int32) endpointKey {
 	if !t.uh[id] {
 		return endpointKey{identified: t.name(id), ok: true}

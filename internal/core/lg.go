@@ -24,36 +24,8 @@ type LookingGlass interface {
 // asTag is a sorted set of candidate ASes for a UH.
 type asTag []topology.ASN
 
-func (t asTag) equal(o asTag) bool {
-	if len(t) != len(o) {
-		return false
-	}
-	for i := range t {
-		if t[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// mapUHs assigns AS tags to every unidentified hop of the measurements by
-// querying Looking Glasses. For each maximal UH run bounded by identified
-// hops in ASes A (before) and C (after), it queries, in path order, the
-// Looking Glasses of the identified ASes on the path; the first available
-// one whose AS path contains A followed by C determines the tag: the ASes
-// strictly between them. Runs that cannot be aligned stay untagged.
-func mapUHs(m *Measurements, lg LookingGlass) map[Node]asTag {
-	tags := map[Node]asTag{}
-	for _, paths := range [][]*TracePath{m.Before, m.After} {
-		for _, p := range paths {
-			mapUHsOnPath(p, lg, func(k int, tag asTag) { tags[p.Hops[k].Node] = tag })
-		}
-	}
-	return tags
-}
-
-// mapUHTags is mapUHs over node IDs: the tag of unidentified node id lands
-// in t.tags[id].
+// mapUHTags is the reference engine's mapUHs over node IDs: the tag of
+// unidentified node id lands in t.tags[id].
 func (t *nodeTable) mapUHTags(m *Measurements, lg LookingGlass) {
 	t.tags = make([]asTag, t.nPhys)
 	for _, paths := range [][]*TracePath{m.Before, m.After} {
@@ -146,13 +118,6 @@ type endpointKey struct {
 	identified Node
 	tag        string
 	ok         bool
-}
-
-func makeEndpointKey(n Node, uh bool, tags map[Node]asTag) endpointKey {
-	if !uh {
-		return endpointKey{identified: n, ok: true}
-	}
-	return tagKey(tags[n])
 }
 
 // tagKey is the endpoint key of an unidentified hop tagged t.

@@ -165,13 +165,3 @@ func TestEndpointKeyBehavior(t *testing.T) {
 		t.Fatal("identified vs UH keys must differ")
 	}
 }
-
-// TestASTagEqual covers the tag set comparison helper.
-func TestASTagEqual(t *testing.T) {
-	if !(asTag{1, 2}).equal(asTag{1, 2}) {
-		t.Fatal("equal tags")
-	}
-	if (asTag{1}).equal(asTag{1, 2}) || (asTag{1, 2}).equal(asTag{1, 3}) {
-		t.Fatal("unequal tags compared equal")
-	}
-}

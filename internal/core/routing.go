@@ -29,58 +29,6 @@ type RoutingInfo struct {
 	Withdrawals []Withdrawal
 }
 
-// trimByWithdrawals returns the failure set of a failed path, reduced by
-// the withdrawal rule of §3.3: when AS-X's border router At receives a
-// withdrawal from neighbor From for the path's destination, the failed
-// link must lie strictly beyond the At->From hop, so every link up to and
-// including it is exonerated for this path.
-//
-// bp is the (possibly logically expanded) before-failure path; links is
-// bp.Links(). The returned slice aliases links.
-func trimByWithdrawals(bp *TracePath, links []Link, ri *RoutingInfo) []Link {
-	if ri == nil || len(ri.Withdrawals) == 0 {
-		return links
-	}
-	cut := 0
-	for _, w := range ri.Withdrawals {
-		if !containsInt(w.DstSensors, bp.DstSensor) {
-			continue
-		}
-		atIdx := -1
-		for i := range bp.Hops {
-			switch bp.Hops[i].Node {
-			case w.At:
-				if atIdx == -1 {
-					atIdx = i
-				}
-			case w.From:
-				// Only trim when the path traverses At before From,
-				// i.e. the withdrawal edge lies on this path in the
-				// forwarding direction.
-				if atIdx < 0 || i <= atIdx {
-					continue
-				}
-				c := i
-				// With logical expansion, the At->From edge appears as
-				// At->From(tag)->From. The withdrawal says From offered
-				// At no route — which is exactly what a failed logical
-				// link From(tag)->From means, so that sub-link must stay
-				// a suspect: cut at the logical node, not past it.
-				if c > 0 && IsLogical(bp.Hops[c-1].Node) {
-					c--
-				}
-				if c > cut {
-					cut = c
-				}
-			}
-		}
-	}
-	if cut >= len(links) {
-		return nil
-	}
-	return links[cut:]
-}
-
 func containsInt(xs []int, x int) bool {
 	for _, v := range xs {
 		if v == x {

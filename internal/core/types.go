@@ -61,9 +61,6 @@ func (p *TracePath) Links() []Link {
 	return out
 }
 
-// pair identifies a sensor pair.
-type pair struct{ src, dst int }
-
 // Measurements is the full input of a diagnosis round: the full-mesh
 // traceroutes taken before (T-) and after (T+) the failure event. The
 // reachability matrix R of the paper is the OK flags of After.
@@ -71,53 +68,6 @@ type Measurements struct {
 	NumSensors int
 	Before     []*TracePath
 	After      []*TracePath
-}
-
-// meshIndex is the reference engine's per-pair lookup of a measurement
-// set plus the sorted pair universe. It is computed once per diagnosis run
-// — validation and set building share it — and rebound (not resorted)
-// onto the logically expanded copy of the measurements, whose pair space
-// is identical. The default engine indexes pairs in ids.go instead.
-type meshIndex struct {
-	before, after map[pair]*TracePath
-	// pairs is the after-pair universe sorted by (src, dst): the
-	// deterministic iteration order of set building.
-	pairs []pair
-}
-
-// buildIndex computes the measurement index: both per-pair maps and the
-// sorted after-pair order.
-func (m *Measurements) buildIndex() *meshIndex {
-	idx := &meshIndex{
-		before: make(map[pair]*TracePath, len(m.Before)),
-		after:  make(map[pair]*TracePath, len(m.After)),
-	}
-	for _, p := range m.Before {
-		idx.before[pair{p.SrcSensor, p.DstSensor}] = p
-	}
-	for _, p := range m.After {
-		idx.after[pair{p.SrcSensor, p.DstSensor}] = p
-	}
-	idx.pairs = sortedPairs(idx.after)
-	return idx
-}
-
-// rebind re-keys the index onto an expanded copy of the measurements. The
-// expansion rewrites paths one-for-one, so the pair universe and its sort
-// carry over; only the path pointers change.
-func (idx *meshIndex) rebind(work *Measurements) *meshIndex {
-	out := &meshIndex{
-		before: make(map[pair]*TracePath, len(work.Before)),
-		after:  make(map[pair]*TracePath, len(work.After)),
-		pairs:  idx.pairs,
-	}
-	for _, p := range work.Before {
-		out.before[pair{p.SrcSensor, p.DstSensor}] = p
-	}
-	for _, p := range work.After {
-		out.after[pair{p.SrcSensor, p.DstSensor}] = p
-	}
-	return out
 }
 
 // ValidationError reports malformed measurements: which mesh ("before" or
@@ -143,39 +93,6 @@ func (e *ValidationError) Error() string {
 func (m *Measurements) Validate() error {
 	_, err := m.indexPairs()
 	return err
-}
-
-// validateIndexed is the reference engine's Validate over its prebuilt
-// index, so a run indexes its input exactly once.
-func (m *Measurements) validateIndexed(idx *meshIndex) error {
-	before := idx.before
-	check := func(p *TracePath, mesh string) *ValidationError {
-		if p.SrcSensor < 0 || p.SrcSensor >= m.NumSensors ||
-			p.DstSensor < 0 || p.DstSensor >= m.NumSensors {
-			return &ValidationError{Mesh: mesh, Src: p.SrcSensor, Dst: p.DstSensor,
-				Reason: fmt.Sprintf("out of sensor range %d", m.NumSensors)}
-		}
-		if len(p.Hops) == 0 {
-			return &ValidationError{Mesh: mesh, Src: p.SrcSensor, Dst: p.DstSensor,
-				Reason: "no hops"}
-		}
-		return nil
-	}
-	for _, p := range m.Before {
-		if err := check(p, "before"); err != nil {
-			return err
-		}
-	}
-	for _, p := range m.After {
-		if err := check(p, "after"); err != nil {
-			return err
-		}
-		if _, ok := before[pair{p.SrcSensor, p.DstSensor}]; !ok {
-			return &ValidationError{Mesh: "after", Src: p.SrcSensor, Dst: p.DstSensor,
-				Reason: "no before measurement"}
-		}
-	}
-	return nil
 }
 
 // linkSet is a set of links with deterministic iteration helpers.

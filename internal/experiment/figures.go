@@ -502,9 +502,9 @@ func Figure10(cfg Config) (*Figure, error) {
 	return fig, nil
 }
 
-// sampleBlocked picks the traceroute-blocking ASes: a fraction fb of the
+// SampleBlocked picks the traceroute-blocking ASes: a fraction fb of the
 // probed-path ASes, never blocking sensor stubs or the troubleshooter.
-func sampleBlocked(fb float64) func(*Env, topology.ASN, *rand.Rand) map[topology.ASN]bool {
+func SampleBlocked(fb float64) func(*Env, topology.ASN, *rand.Rand) map[topology.ASN]bool {
 	return func(env *Env, asx topology.ASN, rng *rand.Rand) map[topology.ASN]bool {
 		sensorAS := map[topology.ASN]bool{}
 		for _, a := range env.SensorASes {
@@ -526,9 +526,9 @@ func sampleBlocked(fb float64) func(*Env, topology.ASN, *rand.Rand) map[topology
 	}
 }
 
-// sampleLGAvail picks the fraction of covered ASes operating Looking
+// SampleLGAvail picks the fraction of covered ASes operating Looking
 // Glasses (the troubleshooter's AS is implicitly always available).
-func sampleLGAvail(frac float64) func(*Env, topology.ASN, *rand.Rand) map[topology.ASN]bool {
+func SampleLGAvail(frac float64) func(*Env, topology.ASN, *rand.Rand) map[topology.ASN]bool {
 	return func(env *Env, _ topology.ASN, rng *rand.Rand) map[topology.ASN]bool {
 		var cands []topology.ASN
 		for as := range env.BeforeMesh.CoveredASes() {
@@ -557,7 +557,7 @@ func Figure11(cfg Config) (*Figure, error) {
 	for _, fb := range fbs {
 		var sLG, pLG, sBG, pBG metrics.Dist
 		err := runScenario(cfg, hooks{
-			blocked: sampleBlocked(fb),
+			blocked: SampleBlocked(fb),
 			sample:  linkSample(1),
 		}, func(_ int, env *Env, td *TrialData) {
 			lg := mustRun(td.Meas, ndlgOpts(td))
@@ -598,8 +598,8 @@ func Figure12(cfg Config) (*Figure, error) {
 		for _, frac := range fracs {
 			var s metrics.Dist
 			err := runScenario(cfg, hooks{
-				blocked: sampleBlocked(fb),
-				lgAvail: sampleLGAvail(frac),
+				blocked: SampleBlocked(fb),
+				lgAvail: SampleLGAvail(frac),
 				sample:  linkSample(1),
 			}, func(_ int, env *Env, td *TrialData) {
 				lg := mustRun(td.Meas, ndlgOpts(td))

@@ -45,6 +45,17 @@ func TestUnmatchedRecursivePatternIsClean(t *testing.T) {
 	}
 }
 
+// An external test package is checked as `go test` builds it, whatever
+// the directory order: d (loaded before p) and q (first imported by
+// p_test) hand p_test values of the test-augmented p, and r, loaded
+// after, sees the plain p and q again.
+func TestExternalTestLoad(t *testing.T) {
+	diags, err := Run(".", []string{"./internal/lint/testdata/src/xtestload/..."}, Config{})
+	if err != nil || len(diags) != 0 {
+		t.Fatalf("Run = %v, %v; want no findings and no error", diags, err)
+	}
+}
+
 // A non-recursive pattern naming a missing directory is a user error.
 func TestMissingDirErrors(t *testing.T) {
 	_, err := Run(".", []string{"./no/such/dir"}, Config{})

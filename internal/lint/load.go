@@ -45,12 +45,6 @@ type loader struct {
 	// as a unit is one and the same *types.Package (anything else breaks
 	// type identity across units).
 	local map[string]*unit
-
-	// selfPath/selfPkg temporarily alias an import path to a test-
-	// augmented package so an external _test package sees the in-package
-	// test helpers it is entitled to.
-	selfPath string
-	selfPkg  *types.Package
 }
 
 // newLoader finds the module root at or above dir and returns a loader
@@ -115,9 +109,6 @@ func (ld *loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if path == ld.selfPath && ld.selfPkg != nil {
-		return ld.selfPkg, nil
-	}
 	if p, ok := ld.pkgs[path]; ok {
 		return p, nil
 	}
@@ -145,7 +136,7 @@ func (ld *loader) Import(path string) (*types.Package, error) {
 	if path == ld.modPath || strings.HasPrefix(path, ld.modPath+"/") {
 		info = newInfo()
 	}
-	pkg, err := ld.check(path, files, info)
+	pkg, err := ld.check(ld, path, files, info)
 	if err != nil {
 		return nil, err
 	}
@@ -188,10 +179,10 @@ func (ld *loader) parseFiles(dir string, names []string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// check type-checks files as package path, filling info when non-nil.
-func (ld *loader) check(path string, files []*ast.File, info *types.Info) (*types.Package, error) {
+// check type-checks files as package path against imp, filling info.
+func (ld *loader) check(imp types.Importer, path string, files []*ast.File, info *types.Info) (*types.Package, error) {
 	conf := types.Config{
-		Importer:    ld,
+		Importer:    imp,
 		FakeImportC: true,
 		Sizes:       types.SizesFor("gc", runtime.GOARCH),
 	}
@@ -250,26 +241,26 @@ func (ld *loader) loadUnits(dirs []string) ([]*unit, error) {
 			}
 			all := append(append([]*ast.File{}, base...), testFiles...)
 			info := newInfo()
-			augPkg, err = ld.check(pkgPath, all, info)
+			augPkg, err = ld.check(ld, pkgPath, all, info)
 			if err != nil {
 				return nil, err
 			}
 			units = append(units, &unit{pkgPath: pkgPath, dir: dir, files: all, pkg: augPkg, info: info})
 		}
 
-		// External _test package; its self-import sees the augmented
-		// package so exported in-package test helpers resolve.
+		// External _test package, checked as `go test` builds it, so its
+		// imports see the in-package test helpers (testVariant).
 		if len(bp.XTestGoFiles) > 0 {
 			xfiles, err := ld.parseFiles(dir, bp.XTestGoFiles)
 			if err != nil {
 				return nil, err
 			}
+			var imp types.Importer = ld
 			if augPkg != nil {
-				ld.selfPath, ld.selfPkg = pkgPath, augPkg
+				imp = &testVariant{ld: ld, path: pkgPath, pkgs: map[string]*types.Package{pkgPath: augPkg}}
 			}
 			info := newInfo()
-			xpkg, err := ld.check(pkgPath+"_test", xfiles, info)
-			ld.selfPath, ld.selfPkg = "", nil
+			xpkg, err := ld.check(imp, pkgPath+"_test", xfiles, info)
 			if err != nil {
 				return nil, err
 			}
@@ -277,6 +268,48 @@ func (ld *loader) loadUnits(dirs []string) ([]*unit, error) {
 		}
 	}
 	return units, nil
+}
+
+// testVariant imports for one external test package as `go test` builds
+// it: path resolves to its test-augmented copy, every package that
+// imports path, directly or not, is checked again against that copy, and
+// every other package is the loader's shared one. The variants are
+// thrown away with the test package, so the shared loader never holds a
+// package built against the augmented copy.
+type testVariant struct {
+	ld   *loader
+	path string
+	pkgs map[string]*types.Package // the augmented package and the re-checked dependents
+}
+
+func (v *testVariant) Import(path string) (*types.Package, error) {
+	if p, ok := v.pkgs[path]; ok {
+		return p, nil
+	}
+	pkg, err := v.ld.Import(path)
+	if err != nil || !v.dependsOn(pkg) {
+		return pkg, err
+	}
+	if pkg, err = v.ld.check(v, path, v.ld.local[path].files, nil); err != nil {
+		return nil, err
+	}
+	v.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// dependsOn reports whether pkg, as the shared loader built it, imports
+// the package under test, directly or not. Only module-local packages
+// can.
+func (v *testVariant) dependsOn(pkg *types.Package) bool {
+	if v.ld.local[pkg.Path()] == nil {
+		return false
+	}
+	for _, imp := range pkg.Imports() {
+		if imp.Path() == v.path || v.dependsOn(imp) {
+			return true
+		}
+	}
+	return false
 }
 
 // importPath maps a module-local directory back to its import path.

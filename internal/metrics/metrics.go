@@ -154,20 +154,6 @@ func (d *Dist) Quantile(q float64) float64 {
 	return d.vals[idx]
 }
 
-// FracAtLeast returns the fraction of samples >= x.
-func (d *Dist) FracAtLeast(x float64) float64 {
-	if len(d.vals) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range d.vals {
-		if v >= x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(d.vals))
-}
-
 // CDFPoint is one point of an empirical CDF.
 type CDFPoint struct {
 	X float64 // value

@@ -76,9 +76,6 @@ func TestDistBasics(t *testing.T) {
 	if got := d.CDFAt(0.39); got != 0.25 {
 		t.Fatalf("CDF(0.39) = %v, want 0.25", got)
 	}
-	if got := d.FracAtLeast(0.4); got != 0.75 {
-		t.Fatalf("FracAtLeast(0.4) = %v", got)
-	}
 	pts := d.CDF()
 	if len(pts) != 3 || pts[len(pts)-1].P != 1.0 {
 		t.Fatalf("CDF points = %v", pts)
@@ -147,7 +144,7 @@ func TestAsciiCDF(t *testing.T) {
 
 func TestEmptyDistSafe(t *testing.T) {
 	d := &Dist{}
-	if d.Mean() != 0 || d.Quantile(0.5) != 0 || d.CDFAt(1) != 0 || d.FracAtLeast(0) != 0 {
+	if d.Mean() != 0 || d.Quantile(0.5) != 0 || d.CDFAt(1) != 0 {
 		t.Fatal("empty Dist should return zeros")
 	}
 	if d.CDF() != nil {

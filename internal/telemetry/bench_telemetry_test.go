@@ -39,7 +39,7 @@ func TestDisabledTelemetryZeroAllocs(t *testing.T) {
 		_ = tr.ID()
 		_ = TraceFromContext(ContextWithTrace(ctx, tr)).Views()
 		ring.Add(TraceRecord{})
-		hotLoop(64, r.Counter("c"), r.Histogram("h", CountBuckets))
+		hotLoop(64, r.Counter("c"), r.Histogram("h", DurationBuckets))
 	}); allocs != 0 {
 		t.Fatalf("disabled telemetry allocated %.1f times per run, want 0", allocs)
 	}

@@ -124,10 +124,6 @@ var DurationBuckets = []int64{
 	1_000_000_000, 10_000_000_000,
 }
 
-// CountBuckets are the standard bounds for small iteration counts
-// (BGP fixpoint rounds, greedy iterations).
-var CountBuckets = []int64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128}
-
 // Registry is a named collection of metrics. Handles are get-or-create by
 // name, so independent subsystems asking for the same name share one
 // metric. A nil *Registry hands out nil (no-op) handles, which is how

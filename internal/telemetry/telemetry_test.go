@@ -57,7 +57,7 @@ func TestNilHandlesAreNoops(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
 	g := r.Gauge("x")
-	h := r.Histogram("x", CountBuckets)
+	h := r.Histogram("x", DurationBuckets)
 	if c != nil || g != nil || h != nil {
 		t.Fatal("nil registry must hand out nil handles")
 	}
