@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test test-ndbench vet vet-ndbench race lint bench benchdiff smoke allocguard verify
+.PHONY: build fmt test test-ndbench vet vet-ndbench race lint bench benchdiff smoke verify
 
 build:
 	$(GO) build ./...
@@ -80,23 +80,9 @@ benchdiff:
 smoke:
 	$(GO) test -run TestSmoke -count=1 ./cmd/ndserve
 
-# Zero-allocation guards: the uninstrumented telemetry path (disabled-
-# handle hot-loop benchmarks, including the trace-plumbed variant), the
-# bitset greedy scoring kernels (scanBest / accumDelta / retireSets as the
-# greedy loop composes them), one traceroute forwarding step, one
-# IP-to-AS table hit, one single-source SPF into a reused row and one
-# BGP worklist drain over every router of a converged prefix must report
-# exactly 0 allocs/op.
-allocguard:
-	$(GO) test -run xxx -bench 'BenchmarkHotLoopDisabled' -benchtime 100x ./internal/telemetry/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkHotLoopDisabled'
-	$(GO) test -run xxx -bench 'BenchmarkGreedyScoreKernel' -benchtime 100x ./internal/core/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkGreedyScoreKernel'
-	$(GO) test -run xxx -bench 'BenchmarkForward' -benchtime 100x ./internal/netsim/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkForward'
-	$(GO) test -run xxx -bench 'BenchmarkLookup' -benchtime 100x ./internal/ip2as/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkLookup'
-	$(GO) test -run xxx -bench '^BenchmarkSPF$$' -benchtime 100x ./internal/igp/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkSPF'
-	$(GO) test -run xxx -bench 'BenchmarkConfirmFixpoint' -benchtime 100x ./internal/bgp/ | $(GO) run ./cmd/benchjson -allocguard '^BenchmarkConfirmFixpoint'
-
 # The full verify loop: tier-1 (build + test) plus the gofmt gate, vet
 # (the root module and the ndbench module), the project linter, the
-# ndbench tests, the race detector, the service smoke test and the
-# alloc guards. Run before every commit.
-verify: build fmt vet vet-ndbench lint test test-ndbench race smoke allocguard
+# ndbench tests, the race detector and the service smoke test. The
+# zero-allocation guards are go tests (testing.AllocsPerRun beside each
+# guarded benchmark), so test and race run them. Run before every commit.
+verify: build fmt vet vet-ndbench lint test test-ndbench race smoke

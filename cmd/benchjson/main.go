@@ -129,25 +129,7 @@ func spread(e *Entry, column string) (med, lo, hi float64, ok bool) {
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	compare := flag.Bool("compare", false, "compare two reports: benchjson -compare old.json new.json")
-	allocGuard := flag.String("allocguard", "", "assert 0 allocs/op for benchmarks matching this regex in the stdin bench output")
 	flag.Parse()
-
-	if *allocGuard != "" {
-		rep, err := parse(bufio.NewScanner(os.Stdin))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(2)
-		}
-		violations, err := runAllocGuard(rep, *allocGuard, os.Stdout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(2)
-		}
-		if violations > 0 {
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *compare {
 		if flag.NArg() != 2 {

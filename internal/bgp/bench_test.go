@@ -33,14 +33,14 @@ func BenchmarkConvergence(b *testing.B) {
 	}
 }
 
-// BenchmarkConfirmFixpoint drains a worklist seeded with every router over
-// an already converged prefix of the research topology, reusing the
-// worklist: a drain whose decisions change nothing. It must make exactly
-// one decision per router and allocate nothing (make allocguard).
-func BenchmarkConfirmFixpoint(b *testing.B) {
+// confirmFixpoint returns a drain of a worklist seeded with every router
+// over an already converged prefix of the research topology, reusing the
+// worklist: a drain whose decisions change nothing, one per router. The
+// second func reports whether the prefix is still as converged.
+func confirmFixpoint(tb testing.TB) (drain func(), unchanged func() bool) {
 	res, err := topology.GenerateResearch(topology.DefaultResearchConfig(1))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	origins := map[Prefix]topology.ASN{}
 	for i := 0; i < 10; i++ {
@@ -50,7 +50,7 @@ func BenchmarkConfirmFixpoint(b *testing.B) {
 	up := func(topology.LinkID) bool { return true }
 	st, err := Compute(Config{Topo: res.Topo, IGP: igp.New(res.Topo, up, 1), IsLinkUp: up, Origins: origins})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	p := st.prefixes[0]
 	conv := st.per[p]
@@ -58,19 +58,43 @@ func BenchmarkConfirmFixpoint(b *testing.B) {
 	nr := res.Topo.NumRouters()
 	wl := getWorklist(nr, nil)
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	drain = func() {
 		for r := 0; r < nr; r++ {
 			wl.push(topology.RouterID(r))
 		}
 		if d, err := st.drain(ctx, p, origins[p], ps, wl); err != nil || d != nr {
-			b.Fatalf("a converged prefix took %d decisions (%v), want %d", d, err, nr)
+			tb.Fatalf("a converged prefix took %d decisions (%v), want %d", d, err, nr)
 		}
 	}
+	unchanged = func() bool {
+		return slices.Equal(ps.best, conv.best) && slices.Equal(ps.adj, conv.adj)
+	}
+	return drain, unchanged
+}
+
+// BenchmarkConfirmFixpoint measures confirmFixpoint's drain.
+func BenchmarkConfirmFixpoint(b *testing.B) {
+	drain, unchanged := confirmFixpoint(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drain()
+	}
 	b.StopTimer()
-	if !slices.Equal(ps.best, conv.best) || !slices.Equal(ps.adj, conv.adj) {
+	if !unchanged() {
 		b.Fatal("a converged prefix changed")
+	}
+}
+
+// TestConfirmFixpointZeroAllocs pins that a drain confirming a converged
+// prefix allocates nothing and changes nothing.
+func TestConfirmFixpointZeroAllocs(t *testing.T) {
+	drain, unchanged := confirmFixpoint(t)
+	if allocs := testing.AllocsPerRun(100, drain); allocs != 0 {
+		t.Fatalf("confirming a converged prefix allocated %.1f times per run, want 0", allocs)
+	}
+	if !unchanged() {
+		t.Fatal("a converged prefix changed")
 	}
 }
 

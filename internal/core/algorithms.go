@@ -20,9 +20,6 @@ type Options struct {
 	// define the working constraints, and rerouted-but-working paths
 	// contribute score to the links they abandoned.
 	UseReroutes bool
-	// FailureWeight and RerouteWeight are the score weights a and b of
-	// §3.2. Zero means 1 (the paper's setting).
-	FailureWeight, RerouteWeight float64
 	// Routing supplies AS-X's control-plane observations (§3.3).
 	Routing *RoutingInfo
 	// LG enables Looking-Glass UH mapping and link clustering (§3.4).
@@ -92,12 +89,6 @@ func runWith(ctx context.Context, m *Measurements, opts Options,
 	run func(*engine, *Measurements) (*Result, error)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if opts.FailureWeight == 0 {
-		opts.FailureWeight = 1
-	}
-	if opts.RerouteWeight == 0 {
-		opts.RerouteWeight = 1
 	}
 	workers := opts.Parallelism
 	if workers < 1 {

@@ -564,7 +564,7 @@ func (b *bitEngine) initScores() {
 	}, b.e.poolM)
 }
 
-// greedy is the weighted greedy minimum-hitting-set of Algorithm 1 over
+// greedy is the greedy minimum-hitting-set of Algorithm 1 over
 // incremental scores: each round scans the live candidates (sorted-Link
 // order), selects every maximum-score candidate, retires the newly
 // explained sets, and decrements the scores of exactly the candidates
@@ -575,7 +575,6 @@ func (b *bitEngine) greedy() (int, error) {
 	e := b.e
 	b.prepareCover()
 	b.initScores()
-	fw, rw := e.opts.FailureWeight, e.opts.RerouteWeight
 	bestBuf := make([]int32, len(b.candOrder))
 	scratchF := newBitset(len(b.failLinks))
 	scratchR := newBitset(len(b.rerLinks))
@@ -589,7 +588,7 @@ func (b *bitEngine) greedy() (int, error) {
 		}
 		iters++
 		endIter := e.phaseIter("greedy_iter", iters)
-		best, k := scanBest(b.candOrder, b.alive, b.fCnt, b.rCnt, fw, rw, bestBuf)
+		best, k := scanBest(b.candOrder, b.alive, b.fCnt, b.rCnt, bestBuf)
 		if best == 0 {
 			endIter()
 			return iters, nil // remaining sets are unexplainable
@@ -608,20 +607,20 @@ func (b *bitEngine) greedy() (int, error) {
 	}
 }
 
-// scanBest finds the maximum score over live candidates and writes every
-// position attaining it into bestBuf (in scan order), returning the score
-// and the count. The comparison sequence matches the reference engine's
-// scan exactly, including the best > 0 tie rule.
+// scanBest finds the maximum score fCnt+rCnt (§3.2's a|C(ℓ)| + b|R(ℓ)|
+// with a = b = 1) over live candidates and writes every position attaining
+// it into bestBuf (in scan order), returning the score and the count. The
+// comparison sequence matches the reference engine's scan exactly,
+// including the best > 0 tie rule.
 //
 //ndlint:hotpath
-func scanBest(order []int32, alive []bool, fCnt, rCnt []int, fw, rw float64, bestBuf []int32) (float64, int) {
-	best := 0.0
-	k := 0
+func scanBest(order []int32, alive []bool, fCnt, rCnt []int, bestBuf []int32) (int, int) {
+	best, k := 0, 0
 	for pos := range order {
 		if !alive[pos] {
 			continue
 		}
-		s := fw*float64(fCnt[pos]) + rw*float64(rCnt[pos])
+		s := fCnt[pos] + rCnt[pos]
 		switch {
 		case s > best:
 			best = s

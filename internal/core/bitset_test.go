@@ -342,12 +342,11 @@ func TestLoopedPathEquivalence(t *testing.T) {
 	}
 }
 
-// BenchmarkGreedyScoreKernel exercises the sparse scoring kernels the way
-// the greedy loop composes them — initial countIn scores over sorted cover
-// rows, best scan, delta retire through the set→candidate transpose —
-// over preallocated buffers. Guarded by benchjson -allocguard: the kernels
-// must not allocate per round.
-func BenchmarkGreedyScoreKernel(b *testing.B) {
+// greedyScoreKernel returns one pass of the sparse scoring kernels the
+// way the greedy loop composes them — initial countIn scores over sorted
+// cover rows, best scan, delta retire through the set→candidate
+// transpose — over preallocated buffers.
+func greedyScoreKernel() func() {
 	const nCand, nSets = 256, 512
 	rng := rand.New(rand.NewSource(11))
 	cover := make([][]int32, nCand)
@@ -367,9 +366,7 @@ func BenchmarkGreedyScoreKernel(b *testing.B) {
 	bestBuf := make([]int32, nCand)
 	scratch := newBitset(nSets)
 	unexpl := newBitset(nSets)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		copy(unexpl, full)
 		for pos := range cover {
 			order[pos] = int32(pos)
@@ -378,7 +375,7 @@ func BenchmarkGreedyScoreKernel(b *testing.B) {
 			rCnt[pos] = 0
 		}
 		for round := 0; round < 4; round++ {
-			best, k := scanBest(order, alive, fCnt, rCnt, 1, 1, bestBuf)
+			best, k := scanBest(order, alive, fCnt, rCnt, bestBuf)
 			if best == 0 {
 				break // ties retired every set early — nothing left to score
 			}
@@ -389,5 +386,23 @@ func BenchmarkGreedyScoreKernel(b *testing.B) {
 			}
 			retireSets(scratch, unexpl, coveredBy, fCnt)
 		}
+	}
+}
+
+// BenchmarkGreedyScoreKernel measures greedyScoreKernel.
+func BenchmarkGreedyScoreKernel(b *testing.B) {
+	run := greedyScoreKernel()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// TestGreedyScoreKernelZeroAllocs pins that the scoring kernels do not
+// allocate per round.
+func TestGreedyScoreKernelZeroAllocs(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, greedyScoreKernel()); allocs != 0 {
+		t.Fatalf("the greedy scoring kernels allocated %.1f times per run, want 0", allocs)
 	}
 }

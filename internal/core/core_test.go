@@ -535,28 +535,3 @@ func TestPartialTracesExtension(t *testing.T) {
 		t.Fatal("responding prefix link must be exonerated")
 	}
 }
-
-func TestScoreWeights(t *testing.T) {
-	// With RerouteWeight 0 and only reroute sets, greedy adds nothing.
-	m := &Measurements{
-		NumSensors: 3,
-		Before: []*TracePath{
-			tp(0, 1, true, "A", "m", "B"),
-			tp(0, 2, true, "A", "q", "C"),
-		},
-		After: []*TracePath{
-			tp(0, 1, true, "A", "n", "B"),
-			tp(0, 2, false, "A"),
-		},
-	}
-	res, err := Run(m, Options{UseReroutes: true, RerouteWeight: -1}) // negative disables reroute score
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The failed path is still explained; only the reroute-driven links
-	// may be missing. Verify H covers the failed path.
-	got := hypLinks(res)
-	if !got[link("A", "q")] && !got[link("q", "C")] {
-		t.Fatalf("failed path must still be explained, H = %v", res.Hypothesis)
-	}
-}

@@ -105,41 +105,6 @@ func TestLGAdjacentInLGPath(t *testing.T) {
 	}
 }
 
-// TestScoreWeightPreferenceOrdersPicks verifies a > b makes failure
-// evidence dominate reroute evidence in the greedy ordering.
-func TestScoreWeightPreferenceOrdersPicks(t *testing.T) {
-	// One failed path {A->q} and two rerouted paths abandoning {A->m}.
-	m := &Measurements{
-		NumSensors: 4,
-		Before: []*TracePath{
-			tp(0, 1, true, "A", "m", "B"),
-			tp(0, 3, true, "A", "m", "D"),
-			tp(0, 2, true, "A", "q", "C"),
-		},
-		After: []*TracePath{
-			tp(0, 1, true, "A", "n", "B"),
-			tp(0, 3, true, "A", "n", "D"),
-			tp(0, 2, false, "A"),
-		},
-	}
-	// With a=10, b=1: the failed path's links (score 10) beat A->m
-	// (score 2) in the first iteration.
-	res, err := Run(m, Options{UseReroutes: true, FailureWeight: 10, RerouteWeight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations < 2 {
-		t.Fatalf("weighted run should need two iterations, got %d", res.Iterations)
-	}
-	got := hypLinks(res)
-	if !got[link("A", "q")] && !got[link("q", "C")] {
-		t.Fatalf("failure evidence missing from H: %v", res.Hypothesis)
-	}
-	if !got[link("A", "m")] {
-		t.Fatalf("reroute evidence should still be explained eventually: %v", res.Hypothesis)
-	}
-}
-
 // TestEndpointKeyBehavior pins the clustering key rules: identified
 // endpoints compare by node, UHs by tag, and missing tags invalidate.
 func TestEndpointKeyBehavior(t *testing.T) {

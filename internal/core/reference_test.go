@@ -376,7 +376,7 @@ func sharesPath(a, b map[pair]bool) bool {
 	return false
 }
 
-// greedy runs the weighted greedy minimum-hitting-set of Algorithm 1,
+// greedy runs the greedy minimum-hitting-set of Algorithm 1,
 // extended with reroute sets (§3.2) and link clusters (§3.4). It returns
 // the number of iterations. Every round rescores every candidate, in
 // sorted-link order. Cancellation is checked once per iteration.
@@ -403,11 +403,11 @@ func (e *refEngine) greedy() (int, error) {
 		iters++
 		endIter := e.phaseIter("greedy_iter", iters)
 
-		best := 0.0
+		best := 0
 		var bestLinks []Link
 		for _, l := range e.cand.sorted() {
 			f, r := e.coverCounts(l)
-			score := e.opts.FailureWeight*float64(f) + e.opts.RerouteWeight*float64(r)
+			score := f + r
 			switch {
 			case score > best:
 				best = score

@@ -21,9 +21,6 @@ type Config struct {
 	NumSensors           int
 	Placements           int
 	FailuresPerPlacement int
-	// MaxTriesFactor bounds fault resampling: a placement gives up after
-	// FailuresPerPlacement*MaxTriesFactor non-impactful samples.
-	MaxTriesFactor int
 	// Parallelism bounds the worker pool shared by environment setup,
 	// simulated trials and network convergence. 1 runs everything
 	// sequentially; 0 picks runtime.GOMAXPROCS(0).
@@ -47,9 +44,12 @@ func DefaultConfig(seed int64) Config {
 		NumSensors:           10,
 		Placements:           10,
 		FailuresPerPlacement: 100,
-		MaxTriesFactor:       12,
 	}
 }
+
+// maxTriesFactor bounds fault resampling: a placement gives up after
+// FailuresPerPlacement*maxTriesFactor non-impactful samples.
+const maxTriesFactor = 12
 
 // parallelism resolves the configured worker count.
 func (c Config) parallelism() int { return pool.Size(c.Parallelism) }
@@ -224,7 +224,7 @@ func runScenario(cfg Config, h hooks, v visit) error {
 	// trials concurrently. Sampling stays sequential on the placement RNG;
 	// results are scanned in sampling order, so the selected trials are
 	// exactly the ones a sequential run would have kept.
-	maxTries := cfg.FailuresPerPlacement * cfg.MaxTriesFactor
+	maxTries := cfg.FailuresPerPlacement * maxTriesFactor
 	waveSize := workers * 2
 	if waveSize < 1 {
 		waveSize = 1

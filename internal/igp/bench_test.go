@@ -21,15 +21,14 @@ func BenchmarkFullSPF(b *testing.B) {
 	}
 }
 
-// BenchmarkSPF measures one source's Dijkstra over research-1's largest AS
+// spfKernel returns one source's Dijkstra over research-1's largest AS
 // into a caller-owned row, walking the AS's adjacency and reusing the heap
-// scratch. It must allocate nothing (make allocguard): a reconvergence
-// reruns this loop for every source of every dirty AS instead of keeping
-// tables per failure set.
-func BenchmarkSPF(b *testing.B) {
+// scratch. A reconvergence reruns it for every source of every dirty AS
+// instead of keeping tables per failure set.
+func spfKernel(tb testing.TB) func() {
 	res, err := topology.GenerateResearch(topology.DefaultResearchConfig(1))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s := New(res.Topo, func(topology.LinkID) bool { return true }, 1)
 	largest := res.Topo.ASNumbers()[0]
@@ -42,10 +41,23 @@ func BenchmarkSPF(b *testing.B) {
 	row := make([]int32, res.Topo.NumRouters())
 	g := s.adjacency(largest, routers, row)
 	q := spf(0, routers, g, row, nil)
+	return func() { q = spf(0, routers, g, row, q) }
+}
+
+// BenchmarkSPF measures spfKernel.
+func BenchmarkSPF(b *testing.B) {
+	run := spfKernel(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q = spf(0, routers, g, row, q)
+		run()
+	}
+}
+
+// TestSPFZeroAllocs pins that one source's SPF allocates nothing.
+func TestSPFZeroAllocs(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, spfKernel(t)); allocs != 0 {
+		t.Fatalf("one source's SPF allocated %.1f times per run, want 0", allocs)
 	}
 }
 

@@ -169,25 +169,39 @@ func TestParseQuadMatchesSplit(t *testing.T) {
 	}
 }
 
-// BenchmarkLookup measures one table hit on a research-topology router
-// address, the per-hop cost of adapting a traceroute. It must allocate
-// nothing (make allocguard).
-func BenchmarkLookup(b *testing.B) {
+// lookupKernel returns one table hit on a research-topology router
+// address, the per-hop cost of adapting a traceroute.
+func lookupKernel(tb testing.TB) func() {
 	res, err := topology.GenerateResearch(topology.DefaultResearchConfig(1))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	tb, err := FromTopology(res.Topo)
+	tbl, err := FromTopology(res.Topo)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	r := res.Topo.Router(topology.RouterID(res.Topo.NumRouters() / 2))
+	return func() {
+		if as, ok := tbl.Lookup(r.Addr); !ok || as != r.AS {
+			tb.Fatalf("Lookup(%s) = AS%d,%v; want AS%d", r.Addr, as, ok, r.AS)
+		}
+	}
+}
+
+// BenchmarkLookup measures lookupKernel.
+func BenchmarkLookup(b *testing.B) {
+	run := lookupKernel(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if as, ok := tb.Lookup(r.Addr); !ok || as != r.AS {
-			b.Fatalf("Lookup(%s) = AS%d,%v; want AS%d", r.Addr, as, ok, r.AS)
-		}
+		run()
+	}
+}
+
+// TestLookupZeroAllocs pins that a table hit allocates nothing.
+func TestLookupZeroAllocs(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, lookupKernel(t)); allocs != 0 {
+		t.Fatalf("Lookup allocated %.1f times per run, want 0", allocs)
 	}
 }
 

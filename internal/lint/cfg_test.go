@@ -266,8 +266,8 @@ func TestDataflowForwardJoin(t *testing.T) {
 		b()
 	}
 	d()`)
-	transfer := func(b *Block, in Fact) Fact {
-		fact := in.(posSet)
+	transfer := func(b *Block, in posSet) posSet {
+		fact := in
 		for _, n := range b.Nodes {
 			txt := nodeText(fset, n)
 			for _, gen := range []string{"a()", "b()"} {
@@ -278,19 +278,19 @@ func TestDataflowForwardJoin(t *testing.T) {
 		}
 		return fact
 	}
-	prob := Problem{Lattice: posSetLattice{}, Transfer: transfer}
+	prob := Problem{Transfer: transfer}
 	sol := cfg.Solve(prob)
 	merge := blockWith(t, cfg, fset, "d()")
-	got := sol.In[merge].(posSet).sortedKeys()
+	got := sol.In[merge].sortedKeys()
 	if len(got) != 2 || got[0] != "a()" || got[1] != "b()" {
 		t.Errorf("fact at merge = %v, want union {a(), b()}", got)
 	}
-	if thenIn := sol.In[blockWith(t, cfg, fset, "a()")].(posSet); len(thenIn) != 0 {
+	if thenIn := sol.In[blockWith(t, cfg, fset, "a()")]; len(thenIn) != 0 {
 		t.Errorf("branch entry fact should be empty, got %v", thenIn.sortedKeys())
 	}
 	again := cfg.Solve(prob)
 	for _, b := range cfg.Blocks {
-		if !prob.Lattice.Equal(sol.In[b], again.In[b]) || !prob.Lattice.Equal(sol.Out[b], again.Out[b]) {
+		if !sol.In[b].equal(again.In[b]) || !sol.Out[b].equal(again.Out[b]) {
 			t.Fatalf("solver is not deterministic at block %d", b.Index)
 		}
 	}
@@ -306,10 +306,9 @@ func TestDataflowBoundary(t *testing.T) {
 	}
 	tail()`)
 	sol := cfg.Solve(Problem{
-		Lattice:  posSetLattice{},
 		Boundary: posSet{"entry": token.Pos(1)},
-		Transfer: func(b *Block, in Fact) Fact {
-			fact := in.(posSet)
+		Transfer: func(b *Block, in posSet) posSet {
+			fact := in
 			for _, n := range b.Nodes {
 				if nodeText(fset, n) == "i++" {
 					fact = fact.with("i++", n.Pos())
@@ -319,7 +318,7 @@ func TestDataflowBoundary(t *testing.T) {
 		},
 	})
 	for _, probe := range []string{"work()", "tail()"} {
-		got := sol.In[blockWith(t, cfg, fset, probe)].(posSet).sortedKeys()
+		got := sol.In[blockWith(t, cfg, fset, probe)].sortedKeys()
 		if len(got) != 2 || got[0] != "entry" || got[1] != "i++" {
 			t.Errorf("fact entering %s = %v, want {entry, i++}", probe, got)
 		}

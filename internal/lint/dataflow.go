@@ -7,45 +7,29 @@ import (
 
 // This file is the solver half of the dataflow lint framework: a
 // classic iterative worklist fixpoint over the CFG of cfg.go. An
-// analysis states its problem as a Lattice (the fact domain and its
-// join), a boundary fact and a transfer function; Solve propagates facts
-// forward, along control flow from Entry, and returns the fact at every
-// block boundary. The lattices the shipped analyzers use are
-// finite (sets of lock keys, sets of live span variables), so the
-// ascending-chain condition holds and the fixpoint terminates.
-
-// Fact is one analysis's dataflow fact. Implementations must treat
-// returned facts as immutable: transfer and join produce new values
-// rather than mutating their inputs, so facts can be shared between
-// blocks.
-type Fact any
-
-// Lattice defines the fact domain of one dataflow problem.
-type Lattice interface {
-	// Bottom is the initial fact of every block boundary.
-	Bottom() Fact
-	// Join combines the facts of two converging paths.
-	Join(a, b Fact) Fact
-	// Equal reports whether two facts are the same (the fixpoint test).
-	Equal(a, b Fact) bool
-}
+// analysis states its problem as a boundary fact and a transfer function
+// over posSet facts; Solve propagates facts forward, along control flow
+// from Entry, joins converging paths by union and returns the fact at
+// every block boundary. The sets are finite (lock keys, live span
+// variables), so the ascending-chain condition holds and the fixpoint
+// terminates.
 
 // Problem is one forward dataflow analysis over a CFG.
 type Problem struct {
-	Lattice Lattice
-	// Boundary is the fact entering the graph at Entry. Nil means
-	// Lattice.Bottom().
-	Boundary Fact
+	// Boundary is the fact entering the graph at Entry; nil is the empty
+	// set, every other block boundary's initial fact.
+	Boundary posSet
 	// Transfer computes the fact leaving a block from the fact entering
-	// it, in execution order.
-	Transfer func(b *Block, in Fact) Fact
+	// it, in execution order. Facts are shared between blocks, so it
+	// returns a new set rather than mutating in.
+	Transfer func(b *Block, in posSet) posSet
 }
 
 // Solution holds the per-block boundary facts of a solved problem: In is
 // the fact before the block and Out the fact after it.
 type Solution struct {
-	In  map[*Block]Fact
-	Out map[*Block]Fact
+	In  map[*Block]posSet
+	Out map[*Block]posSet
 }
 
 // Solve runs the worklist fixpoint and returns the boundary facts. The
@@ -53,10 +37,10 @@ type Solution struct {
 // therefore any diagnostic an analyzer derives while re-walking blocks —
 // is deterministic.
 func (c *CFG) Solve(p Problem) *Solution {
-	sol := &Solution{In: map[*Block]Fact{}, Out: map[*Block]Fact{}}
+	sol := &Solution{In: map[*Block]posSet{}, Out: map[*Block]posSet{}}
 	for _, b := range c.Blocks {
-		sol.In[b] = p.Lattice.Bottom()
-		sol.Out[b] = p.Transfer(b, sol.In[b])
+		sol.In[b] = nil
+		sol.Out[b] = p.Transfer(b, nil)
 	}
 	preds := map[*Block][]*Block{}
 	for _, b := range c.Blocks {
@@ -65,12 +49,8 @@ func (c *CFG) Solve(p Problem) *Solution {
 		}
 	}
 
-	boundary := p.Boundary
-	if boundary == nil {
-		boundary = p.Lattice.Bottom()
-	}
-	sol.In[c.Entry] = boundary
-	sol.Out[c.Entry] = p.Transfer(c.Entry, boundary)
+	sol.In[c.Entry] = p.Boundary
+	sol.Out[c.Entry] = p.Transfer(c.Entry, p.Boundary)
 
 	work := newWorklist(c.Blocks)
 	for {
@@ -78,16 +58,16 @@ func (c *CFG) Solve(p Problem) *Solution {
 		if !ok {
 			return sol
 		}
-		in := p.Lattice.Bottom()
+		var in posSet
 		if b == c.Entry {
-			in = boundary
+			in = p.Boundary
 		}
 		for _, f := range preds[b] {
-			in = p.Lattice.Join(in, sol.Out[f])
+			in = in.join(sol.Out[f])
 		}
 		out := p.Transfer(b, in)
 		sol.In[b] = in
-		if p.Lattice.Equal(out, sol.Out[b]) {
+		if out.equal(sol.Out[b]) {
 			continue
 		}
 		sol.Out[b] = out
@@ -147,25 +127,20 @@ func (w *worklist) pop() (*Block, bool) {
 // once published to the solver.
 type posSet map[string]token.Pos
 
-// posSetLattice joins by union, keeping the earliest position per key so
-// merged facts stay deterministic.
-type posSetLattice struct{}
-
-func (posSetLattice) Bottom() Fact { return posSet(nil) }
-
-func (posSetLattice) Join(a, b Fact) Fact {
-	x, y := a.(posSet), b.(posSet)
-	if len(x) == 0 {
-		return y
+// join is the union of two facts, keeping the earliest position per key
+// so merged facts stay deterministic.
+func (s posSet) join(o posSet) posSet {
+	if len(s) == 0 {
+		return o
 	}
-	if len(y) == 0 {
-		return x
+	if len(o) == 0 {
+		return s
 	}
-	out := make(posSet, len(x)+len(y))
-	for k, p := range x {
+	out := make(posSet, len(s)+len(o))
+	for k, p := range s {
 		out[k] = p
 	}
-	for k, p := range y {
+	for k, p := range o {
 		if q, ok := out[k]; !ok || p < q {
 			out[k] = p
 		}
@@ -173,13 +148,14 @@ func (posSetLattice) Join(a, b Fact) Fact {
 	return out
 }
 
-func (posSetLattice) Equal(a, b Fact) bool {
-	x, y := a.(posSet), b.(posSet)
-	if len(x) != len(y) {
+// equal reports whether two facts hold the same keys at the same
+// positions: the fixpoint test.
+func (s posSet) equal(o posSet) bool {
+	if len(s) != len(o) {
 		return false
 	}
-	for k, p := range x {
-		if q, ok := y[k]; !ok || p != q {
+	for k, p := range s {
+		if q, ok := o[k]; !ok || p != q {
 			return false
 		}
 	}

@@ -188,8 +188,7 @@ func doubleRespondFunc(p *Pass, body *ast.BlockStmt) {
 		return "", false
 	}
 
-	apply := func(b *Block, in Fact, report func(pos, firstPos token.Pos)) Fact {
-		fact := in.(posSet)
+	apply := func(b *Block, fact posSet, report func(pos, firstPos token.Pos)) posSet {
 		for _, n := range b.Nodes {
 			walkSkipFuncLit(n, func(sub ast.Node) {
 				key, ok := statusWrite(sub)
@@ -206,8 +205,7 @@ func doubleRespondFunc(p *Pass, body *ast.BlockStmt) {
 	}
 
 	sol := cfg.Solve(Problem{
-		Lattice:  posSetLattice{},
-		Transfer: func(b *Block, in Fact) Fact { return apply(b, in, nil) },
+		Transfer: func(b *Block, in posSet) posSet { return apply(b, in, nil) },
 	})
 	seen := map[token.Pos]bool{}
 	for _, b := range cfg.Blocks {

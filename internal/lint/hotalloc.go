@@ -9,7 +9,7 @@ import (
 
 // HotAlloc enforces the zero-alloc budget on functions marked with a
 // `//ndlint:hotpath` doc comment — the Fork/Reconverge/mesh/diagnose
-// hot loop that `make allocguard` pins at 0 allocs/op. Inside a marked
+// hot loop whose zero-alloc tests pin it at 0 allocs/op. Inside a marked
 // function it flags the alloc-inducing constructs that have crept into
 // hot loops before: fmt calls (every verb allocates), non-constant
 // string concatenation, map literals and make(map), and append to a

@@ -147,15 +147,13 @@ func lockSafeFunc(p *Pass, body *ast.BlockStmt) []lockOrderFact {
 	}
 
 	balanceSol := cfg.Solve(Problem{
-		Lattice: posSetLattice{},
-		Transfer: func(b *Block, in Fact) Fact {
-			return apply(b, in.(posSet), balanceWalk, lockTransfer)
+		Transfer: func(b *Block, in posSet) posSet {
+			return apply(b, in, balanceWalk, lockTransfer)
 		},
 	})
 	heldSol := cfg.Solve(Problem{
-		Lattice: posSetLattice{},
-		Transfer: func(b *Block, in Fact) Fact {
-			return apply(b, in.(posSet), heldWalk, lockTransfer)
+		Transfer: func(b *Block, in posSet) posSet {
+			return apply(b, in, heldWalk, lockTransfer)
 		},
 	})
 
@@ -178,7 +176,7 @@ func lockSafeFunc(p *Pass, body *ast.BlockStmt) []lockOrderFact {
 		}
 	}
 	for _, b := range cfg.Blocks {
-		apply(b, heldSol.In[b].(posSet), heldWalk, func(sub ast.Node, fact posSet) posSet {
+		apply(b, heldSol.In[b], heldWalk, func(sub ast.Node, fact posSet) posSet {
 			if len(fact) > 0 {
 				if msg := bannedUnderLock(p.Info, sub, exemptChanOps); msg != "" {
 					report(sub.Pos(), "%s while holding %s; move it outside the critical section",
@@ -198,7 +196,7 @@ func lockSafeFunc(p *Pass, body *ast.BlockStmt) []lockOrderFact {
 			return lockTransfer(sub, fact)
 		})
 	}
-	exitFact := balanceSol.In[cfg.Exit].(posSet)
+	exitFact := balanceSol.In[cfg.Exit]
 	for _, key := range exitFact.sortedKeys() {
 		report(exitFact[key], "%s is not released on every path out of the function; add the missing Unlock or use the defer idiom", lockKeyName(key))
 	}

@@ -55,12 +55,8 @@ func spanBalanceFunc(p *Pass, body *ast.BlockStmt) {
 		return "span"
 	}
 
-	transfer := func(b *Block, in Fact) Fact {
-		return spanWalkBlock(p, b, in.(posSet), nil)
-	}
 	sol := cfg.Solve(Problem{
-		Lattice:  posSetLattice{},
-		Transfer: transfer,
+		Transfer: func(b *Block, in posSet) posSet { return spanWalkBlock(p, b, in, nil) },
 	})
 
 	type rep struct {
@@ -79,7 +75,7 @@ func spanBalanceFunc(p *Pass, body *ast.BlockStmt) {
 		}
 	}
 	for _, b := range cfg.Blocks {
-		spanWalkBlock(p, b, sol.In[b].(posSet), func(pos token.Pos, startPos token.Pos, kind string) {
+		spanWalkBlock(p, b, sol.In[b], func(pos token.Pos, startPos token.Pos, kind string) {
 			switch kind {
 			case "discard":
 				report(pos, "the end func returned by the span start is discarded; the %s is never ended", spanLabel(pos))
@@ -89,7 +85,7 @@ func spanBalanceFunc(p *Pass, body *ast.BlockStmt) {
 			}
 		})
 	}
-	exitFact := sol.In[cfg.Exit].(posSet)
+	exitFact := sol.In[cfg.Exit]
 	for _, key := range exitFact.sortedKeys() {
 		pos := exitFact[key]
 		report(pos, "%s started here is not ended on every path out of the function; end it before each return or use defer", spanLabel(pos))

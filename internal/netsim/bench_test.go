@@ -8,11 +8,11 @@ import (
 	"netdiag/internal/topology"
 )
 
-func benchNetwork(b *testing.B) (*Network, []topology.RouterID) {
-	b.Helper()
+func benchNetwork(tb testing.TB) (*Network, []topology.RouterID) {
+	tb.Helper()
 	res, err := topology.GenerateResearch(topology.DefaultResearchConfig(1))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var origins []topology.ASN
 	var sensors []topology.RouterID
@@ -23,24 +23,39 @@ func benchNetwork(b *testing.B) (*Network, []topology.RouterID) {
 	}
 	n, err := New(res.Topo, origins)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return n, sensors
 }
 
-// BenchmarkForward measures one forwarding step of a traceroute: the
-// BGP best-route lookup and IGP next hop at the source sensor towards
-// another stub AS. It must allocate nothing (make allocguard).
-func BenchmarkForward(b *testing.B) {
-	n, sensors := benchNetwork(b)
+// forwardKernel returns one forwarding step of a traceroute: the BGP
+// best-route lookup and IGP next hop at the source sensor towards another
+// stub AS.
+func forwardKernel(tb testing.TB) func() {
+	n, sensors := benchNetwork(tb)
 	src, dst := sensors[0], sensors[9]
 	pfx := bgp.PrefixFor(n.Topology().RouterAS(dst))
+	return func() {
+		if _, ok := n.forward(src, dst, pfx); !ok {
+			tb.Fatal("blackhole")
+		}
+	}
+}
+
+// BenchmarkForward measures forwardKernel.
+func BenchmarkForward(b *testing.B) {
+	run := forwardKernel(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := n.forward(src, dst, pfx); !ok {
-			b.Fatal("blackhole")
-		}
+		run()
+	}
+}
+
+// TestForwardZeroAllocs pins that one forwarding step allocates nothing.
+func TestForwardZeroAllocs(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, forwardKernel(t)); allocs != 0 {
+		t.Fatalf("one forwarding step allocated %.1f times per run, want 0", allocs)
 	}
 }
 

@@ -46,81 +46,43 @@ type Network struct {
 	parallelism int
 	met         *simMetrics
 
-	igp       *igp.State
-	bgp       *bgp.State
-	converged bool
-	// base is the last converged state reconvergence is computed as a
-	// delta of (see ReconvergeCtx); nil until the first convergence.
-	base *baseState
-	// shared marks linkUp/routerUp/filters as aliased by a base snapshot
-	// (the converged bgp.State keeps the filters) or a fork; mutators
-	// clone them first (ensureOwned).
-	shared bool
+	// The last converged routing state and a private copy of the liveness
+	// it was computed under (nil until the first convergence). Only a
+	// successful reconvergence replaces them, all four at once, so forks
+	// share them.
+	igp          *igp.State
+	bgp          *bgp.State
+	baseLinkUp   []bool
+	baseRouterUp []bool
+	converged    bool
 }
 
-// baseState is an immutable snapshot of a converged network: the routing
-// state plus the liveness arrays it was computed under (the BGP layer
-// diffs the filters itself). Forks share it by pointer; diffing the live
-// liveness arrays against it yields the reconvergence delta.
-type baseState struct {
-	igp      *igp.State
-	bgp      *bgp.State
-	linkUp   []bool
-	routerUp []bool
+// cloneLiveness copies both liveness arrays into one allocation.
+func cloneLiveness(linkUp, routerUp []bool) ([]bool, []bool) {
+	buf := make([]bool, len(linkUp)+len(routerUp))
+	copy(buf, linkUp)
+	copy(buf[len(linkUp):], routerUp)
+	return buf[:len(linkUp):len(linkUp)], buf[len(linkUp):]
 }
 
-// captureBase snapshots the network's current converged state and fault
-// configuration. The returned baseState is never mutated afterwards: the
-// snapshot aliases the live arrays and flips the network to copy-on-write
-// (the next fault mutation clones them), so reconverging a long chain of
-// deltas never re-copies an unchanged fault configuration.
-func (n *Network) captureBase() *baseState {
-	n.shared = true
-	return &baseState{
-		igp:      n.igp,
-		bgp:      n.bgp,
-		linkUp:   n.linkUp,
-		routerUp: n.routerUp,
-	}
-}
-
-// ensureOwned clones the fault arrays when they alias a base snapshot or
-// a forked sibling, so mutations never reach shared state.
-func (n *Network) ensureOwned() {
-	if !n.shared {
-		return
-	}
-	// One backing buffer for both liveness arrays; they are never appended
-	// to, only indexed.
-	buf := make([]bool, len(n.linkUp)+len(n.routerUp))
-	copy(buf, n.linkUp)
-	copy(buf[len(n.linkUp):], n.routerUp)
-	n.linkUp, n.routerUp = buf[:len(n.linkUp):len(n.linkUp)], buf[len(n.linkUp):]
-	n.filters = append([]bgp.ExportFilter(nil), n.filters...)
-	n.shared = false
-}
-
-// reconvergeDelta is the difference between the live fault configuration
-// and the base snapshot, in the terms the incremental pipeline consumes.
+// reconvergeDelta is the difference between the live liveness arrays and
+// the converged ones, in the terms the incremental pipeline consumes.
 type reconvergeDelta struct {
-	base              *baseState
 	dirtyASes         []topology.ASN
 	failedRouters     []topology.RouterID
 	restored          bool // a link or router came back up: BGP converges cold
 	sessionsUnchanged bool
 }
 
-// computeDelta diffs the current fault arrays against the base snapshot.
-// It returns nil when no base exists (first convergence) and the cold
-// path must run.
+// computeDelta diffs the live liveness arrays against the converged ones.
+// It returns nil before the first convergence: the cold path must run.
 func (n *Network) computeDelta() *reconvergeDelta {
-	if n.base == nil {
+	if n.baseLinkUp == nil {
 		return nil
 	}
-	b := n.base
-	d := &reconvergeDelta{base: b, sessionsUnchanged: true}
+	d := &reconvergeDelta{sessionsUnchanged: true}
 	for i := range n.linkUp {
-		if n.linkUp[i] == b.linkUp[i] {
+		if n.linkUp[i] == n.baseLinkUp[i] {
 			continue
 		}
 		l := n.topo.Link(topology.LinkID(i))
@@ -129,19 +91,19 @@ func (n *Network) computeDelta() *reconvergeDelta {
 		} else {
 			d.sessionsUnchanged = false
 		}
-		if !b.linkUp[i] {
+		if !n.baseLinkUp[i] {
 			// Link restored: new sessions/paths can appear anywhere.
 			d.restored = true
 		}
 	}
 	for i := range n.routerUp {
-		if n.routerUp[i] == b.routerUp[i] {
+		if n.routerUp[i] == n.baseRouterUp[i] {
 			continue
 		}
 		r := topology.RouterID(i)
 		d.dirtyASes = appendUniqueAS(d.dirtyASes, n.topo.RouterAS(r))
 		d.sessionsUnchanged = false
-		if b.routerUp[i] {
+		if n.baseRouterUp[i] {
 			d.failedRouters = append(d.failedRouters, r)
 		} else {
 			d.restored = true
@@ -271,37 +233,27 @@ func New(topo *topology.Topology, originASes []topology.ASN, opts ...Option) (*N
 }
 
 // Fork returns an independent copy of the network sharing the immutable
-// substrate (topology, origins), the fault configuration and
-// the routing state. Faulting and reconverging the fork never touches the
-// parent, so forks are how concurrent trials run against one environment,
-// and a fresh fork of a converged network is how a caller gets back to its
-// warm state: the fork starts converged, and its next Reconverge is a
-// delta against the parent's converged base. A fork of a network with
-// unconverged mutations is unconverged.
+// substrate (topology, origins) and the converged routing state, with its
+// own copy of the fault configuration, so faulting either one never
+// touches the other. Forks are how concurrent trials run against one
+// environment, and a fresh fork of a converged network is how a caller
+// gets back to its warm state: its next Reconverge is a delta against the
+// parent's converged state. A fork of an unconverged network is unconverged.
 func (n *Network) Fork() *Network {
 	f := &Network{
-		topo:        n.topo,
-		origins:     n.origins,
-		parallelism: n.parallelism,
-		met:         n.met,
-		igp:         n.igp,
-		bgp:         n.bgp,
-		converged:   n.converged,
-		base:        n.base,
+		topo:         n.topo,
+		origins:      n.origins,
+		filters:      slices.Clone(n.filters),
+		parallelism:  n.parallelism,
+		met:          n.met,
+		igp:          n.igp,
+		bgp:          n.bgp,
+		baseLinkUp:   n.baseLinkUp,
+		baseRouterUp: n.baseRouterUp,
+		converged:    n.converged,
 	}
+	f.linkUp, f.routerUp = cloneLiveness(n.linkUp, n.routerUp)
 	f.linkUpFn, f.routerUpFn = f.LinkIsUp, f.RouterIsUp
-	if n.shared {
-		// The parent's arrays are already frozen copy-on-write (a base
-		// snapshot aliases them), so the fork can alias them too — its
-		// first mutation clones. Fork never writes to the parent, keeping
-		// concurrent Forks of one parent race-free.
-		f.linkUp, f.routerUp, f.filters = n.linkUp, n.routerUp, n.filters
-		f.shared = true
-	} else {
-		f.linkUp = append([]bool(nil), n.linkUp...)
-		f.routerUp = append([]bool(nil), n.routerUp...)
-		f.filters = append([]bgp.ExportFilter(nil), n.filters...)
-	}
 	return f
 }
 
@@ -326,21 +278,18 @@ func (n *Network) RouterIsUp(r topology.RouterID) bool { return n.routerUp[r] }
 
 // FailLink takes a physical link down. Call Reconverge afterwards.
 func (n *Network) FailLink(id topology.LinkID) {
-	n.ensureOwned()
 	n.linkUp[id] = false
 	n.converged = false
 }
 
 // RestoreLink brings a physical link back up. Call Reconverge afterwards.
 func (n *Network) RestoreLink(id topology.LinkID) {
-	n.ensureOwned()
 	n.linkUp[id] = true
 	n.converged = false
 }
 
 // FailRouter takes a router down along with all its links' sessions.
 func (n *Network) FailRouter(r topology.RouterID) {
-	n.ensureOwned()
 	n.routerUp[r] = false
 	n.converged = false
 }
@@ -348,14 +297,12 @@ func (n *Network) FailRouter(r topology.RouterID) {
 // AddExportFilter installs a BGP export filter (a simulated
 // misconfiguration). Call Reconverge afterwards.
 func (n *Network) AddExportFilter(f bgp.ExportFilter) {
-	n.ensureOwned()
 	n.filters = append(n.filters, f)
 	n.converged = false
 }
 
 // ClearFaults restores all links and routers and removes all filters.
 func (n *Network) ClearFaults() {
-	n.ensureOwned()
 	for i := range n.linkUp {
 		n.linkUp[i] = true
 	}
@@ -379,15 +326,16 @@ func (n *Network) Reconverge() error {
 // is the warm-path entry point the ndserve diagnosis service forks through.
 //
 // After the first convergence (and on every Fork, which inherits its
-// parent's converged snapshot) reconvergence is incremental: the fault
-// arrays are diffed against the last converged base, per-AS SPF runs only
-// for ASes the delta touches (every other AS shares the base's tables),
-// and the BGP fixpoint is warm-started from the base's routes with
-// prefixes the delta provably cannot affect sharing the base state
+// parent's converged state) reconvergence is incremental: the liveness
+// arrays are diffed against the ones the last converged state was computed
+// under, per-AS SPF runs only for ASes the delta touches (every other AS
+// shares that state's tables), and the BGP fixpoint is warm-started from
+// its routes with prefixes the delta provably cannot affect sharing them
 // untouched, unless a link or router came back up (BGP then converges
 // cold). The result is route-for-route identical to a cold reconvergence,
 // which the first convergence runs and the differential tests reach
-// through reconvergeCtx with a nil delta.
+// through reconvergeCtx with a nil delta. A cancelled reconvergence keeps
+// the last converged state, so a retry diffs against the same one.
 func (n *Network) ReconvergeCtx(ctx context.Context) error {
 	return n.reconvergeCtx(ctx, n.computeDelta())
 }
@@ -397,10 +345,11 @@ func (n *Network) ReconvergeCtx(ctx context.Context) error {
 func (n *Network) reconvergeCtx(ctx context.Context, d *reconvergeDelta) error {
 	isUp := n.linkUpFn
 	start := n.met.phaseStart()
+	var ig *igp.State
 	if d == nil {
-		n.igp = igp.New(n.topo, isUp, n.parallelism)
+		ig = igp.New(n.topo, isUp, n.parallelism)
 	} else {
-		n.igp = igp.Rebuild(d.base.igp, isUp, d.dirtyASes, n.parallelism)
+		ig = igp.Rebuild(n.igp, isUp, d.dirtyASes, n.parallelism)
 		if n.met != nil {
 			n.met.asRebuilds.Add(int64(len(d.dirtyASes)))
 		}
@@ -411,7 +360,7 @@ func (n *Network) reconvergeCtx(ctx context.Context, d *reconvergeDelta) error {
 	}
 	cfg := bgp.Config{
 		Topo:        n.topo,
-		IGP:         n.igp,
+		IGP:         ig,
 		IsLinkUp:    isUp,
 		IsRouterUp:  n.routerUpFn,
 		Origins:     n.origins,
@@ -421,7 +370,7 @@ func (n *Network) reconvergeCtx(ctx context.Context, d *reconvergeDelta) error {
 	}
 	if d != nil && !d.restored {
 		cfg.Warm = &bgp.Delta{
-			Prior:             d.base.bgp,
+			Prior:             n.bgp,
 			FailedRouters:     d.failedRouters,
 			DirtyASes:         d.dirtyASes,
 			SessionsUnchanged: d.sessionsUnchanged,
@@ -438,9 +387,9 @@ func (n *Network) reconvergeCtx(ctx context.Context, d *reconvergeDelta) error {
 			n.met.reconvergesInc.Inc()
 		}
 	}
-	n.bgp = st
+	n.igp, n.bgp = ig, st
+	n.baseLinkUp, n.baseRouterUp = cloneLiveness(n.linkUp, n.routerUp)
 	n.converged = true
-	n.base = n.captureBase()
 	return nil
 }
 

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"netdiag/internal/bgp"
@@ -148,6 +149,59 @@ func TestRestoreDoesNotShareFilterState(t *testing.T) {
 	if got := b.Traceroute(f.S1, f.S2); !got.OK {
 		t.Fatal("sibling fork saw a filter appended to the other network")
 	}
+}
+
+// TestForkIsolatedFromParentFaults pins that a fork owns its fault
+// configuration: faulting the parent in place after Fork leaves the
+// fork's liveness as it was, and the fork's next reconvergence matches a
+// cold twin that never saw the parent's faults.
+func TestForkIsolatedFromParentFaults(t *testing.T) {
+	f, n := fig2Net(t)
+	fork := n.Fork()
+	lb, _ := f.Topo.LinkBetween(f.R["b1"], f.R["b2"])
+	n.FailLink(lb.ID)
+	n.FailRouter(f.R["y2"])
+	n.AddExportFilter(bgp.ExportFilter{Router: f.R["y3"], Peer: f.R["c1"], Prefix: bgp.PrefixFor(f.ASA)})
+	if !fork.Converged() || !fork.LinkIsUp(lb.ID) || !fork.RouterIsUp(f.R["y2"]) {
+		t.Fatal("faulting the parent after Fork reached the fork")
+	}
+
+	twin, err := New(f.Topo, []topology.ASN{f.ASA, f.ASB, f.ASC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, _ := f.Topo.LinkBetween(f.R["c1"], f.R["c2"])
+	fork.FailLink(lc.ID)
+	twin.FailLink(lc.ID)
+	diffPair{warm: fork, cold: twin}.reconverge(t, []topology.RouterID{f.S1, f.S2, f.S3}, "fork of a parent faulted after Fork")
+}
+
+// TestForkRetryAfterCancelledReconverge pins that a cancelled
+// reconvergence keeps the last converged state: the fork still holds its
+// parent's routing state, and a retry with a live context matches a cold
+// twin of the same faults.
+func TestForkRetryAfterCancelledReconverge(t *testing.T) {
+	f, n := fig2Net(t)
+	fork := n.Fork()
+	lb, _ := f.Topo.LinkBetween(f.R["b1"], f.R["b2"])
+	fork.FailLink(lb.ID)
+	fork.FailRouter(f.R["x2"])
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := fork.ReconvergeCtx(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ReconvergeCtx(cancelled) = %v, want context.Canceled", err)
+	}
+	if fork.IGP() != n.IGP() || fork.BGP() != n.BGP() {
+		t.Fatal("a cancelled reconvergence replaced the fork's converged state")
+	}
+
+	twin, err := New(f.Topo, []topology.ASN{f.ASA, f.ASB, f.ASC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin.FailLink(lb.ID)
+	twin.FailRouter(f.R["x2"])
+	diffPair{warm: fork, cold: twin}.reconverge(t, []topology.RouterID{f.S1, f.S2, f.S3}, "retry after a cancelled reconvergence")
 }
 
 // TestCheckpointPanicsUnconverged pins that a fork of a network with

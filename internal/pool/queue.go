@@ -24,7 +24,6 @@ type Queue struct {
 	submitted *telemetry.Counter
 	executed  *telemetry.Counter
 	shed      *telemetry.Counter
-	waitNs    *telemetry.Histogram
 }
 
 // NewQueue starts a queue with the given worker count (<= 0 selects
@@ -43,7 +42,6 @@ func NewQueue(workers, capacity int, r *telemetry.Registry) *Queue {
 		q.submitted = r.Counter("pool.queue_submitted")
 		q.executed = r.Counter("pool.queue_executed")
 		q.shed = r.Counter("pool.queue_shed")
-		q.waitNs = r.Histogram("pool.queue_wait_ns", telemetry.DurationBuckets)
 	}
 	for w := 0; w < Size(workers); w++ {
 		q.wg.Add(1)
@@ -70,18 +68,6 @@ func (q *Queue) TrySubmit(fn func()) bool {
 	if q.closed {
 		q.shed.Inc()
 		return false
-	}
-	if q.waitNs != nil {
-		// Wrap only when instrumented: the uninstrumented queue keeps its
-		// closure-free admission path. The observed wait is admission to
-		// job start — the "pool.queue_wait_ns" histogram (exposed in
-		// seconds, see telemetry/units.go).
-		inner := fn
-		t0 := telemetry.Now()
-		fn = func() {
-			q.waitNs.Observe(telemetry.Since(t0).Nanoseconds())
-			inner()
-		}
 	}
 	select {
 	case q.jobs <- fn:

@@ -38,6 +38,9 @@ type flightGroup struct {
 
 	hits   *telemetry.Counter
 	misses *telemetry.Counter
+	// wait observes every flight's queueWaitNs: the admission wait,
+	// apart from the pool tasks' pickup waits in "pool.queue_wait_ns".
+	wait *telemetry.Histogram
 }
 
 func newFlightGroup(tele *telemetry.Registry) *flightGroup {
@@ -45,6 +48,7 @@ func newFlightGroup(tele *telemetry.Registry) *flightGroup {
 		m:      map[string]*flight{},
 		hits:   tele.Counter("server.coalesce_hits"),
 		misses: tele.Counter("server.coalesce_misses"),
+		wait:   tele.Histogram("server.admission_wait_ns", telemetry.DurationBuckets),
 	}
 }
 
@@ -67,6 +71,7 @@ func (g *flightGroup) do(key, traceID string, submit func(func()) bool, compute 
 	submitted := telemetry.Now()
 	run := func() {
 		f.queueWaitNs = telemetry.Since(submitted).Nanoseconds()
+		g.wait.Observe(f.queueWaitNs)
 		f.body, f.err = compute()
 		g.mu.Lock()
 		delete(g.m, key)

@@ -259,19 +259,19 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("server_requests_total = %v, want 2", got)
 	}
 
-	for _, name := range []string{"server_request_seconds", "pool_queue_wait_seconds"} {
+	for _, name := range []string{"server_request_seconds", "server_admission_wait_seconds", "pool_queue_wait_seconds"} {
 		f, ok := fams[name]
 		if !ok || f.kind != "histogram" {
 			t.Fatalf("%s missing or not a histogram (families: %v)", name, famNames(fams))
 		}
-		// The queue histogram counts every pool job (parallel pipeline
-		// subtasks included), so only the request histogram pins an exact
-		// count; both must keep +Inf == _count.
+		// The pool histogram counts every parallel pipeline subtask, so
+		// only the request and admission histograms pin an exact count;
+		// all must keep +Inf == _count.
 		inf, count := f.samples[name+`_bucket{le="+Inf"}`], f.samples[name+"_count"]
 		if inf != count || count < 2 {
 			t.Errorf("%s: +Inf bucket %v vs _count %v, want equal and >= 2", name, inf, count)
 		}
-		if name == "server_request_seconds" && count != 2 {
+		if name != "pool_queue_wait_seconds" && count != 2 {
 			t.Errorf("%s_count = %v, want exactly 2", name, count)
 		}
 		// Seconds scale: two sub-minute requests sum well below 120s and
@@ -292,6 +292,25 @@ func TestMetricsExposition(t *testing.T) {
 	again := parseProm(t, get(t, h, "/metrics").Body.String())
 	if a, b := famNames(fams), famNames(again); a != b {
 		t.Errorf("family set changed between scrapes:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestAdmissionWaitSeries pins that the admission wait has a series of
+// its own: one diagnosis observes "server.admission_wait_ns" once, and
+// "pool.queue_wait_ns" holds exactly one pickup wait per pool task.
+func TestAdmissionWaitSeries(t *testing.T) {
+	reg := telemetry.New()
+	s := New(Config{Telemetry: reg})
+	defer s.Close()
+	if w := post(t, s.Handler(), `{"scenario":"fig2","algorithm":"nd-edge","fail_links":[["b1","b2"]]}`); w.Code != http.StatusOK {
+		t.Fatalf("diagnose = %d: %s", w.Code, w.Body.String())
+	}
+	snap := reg.Snapshot()
+	if got := snap.Histograms["server.admission_wait_ns"].Count; got != 1 {
+		t.Errorf("server.admission_wait_ns count = %d after one diagnosis, want 1", got)
+	}
+	if got, want := snap.Histograms["pool.queue_wait_ns"].Count, snap.Counters["pool.tasks_started"]; got != want {
+		t.Errorf("pool.queue_wait_ns count = %d, want pool.tasks_started = %d", got, want)
 	}
 }
 
